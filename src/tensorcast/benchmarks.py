@@ -1,8 +1,10 @@
 """Reference forecasters that factorize weekly matrices per provider.
 
 Three baselines share the per-cell standardization and the seasonal-plus-AR
-score forecasting used by the tensor model, so accuracy differences between
-them come from the factorization alone:
+score forecaster (forecast_series) used by the tensor model. MFM and VFM take
+the score model as an argument, so with the tensor model's setting their
+accuracy differences come from the factorization alone; FPCA's scores always
+use ar_aic:
 
 * MFM: a two-mode (day x hour) factor model per provider, estimated with the
   same projected two-pass procedure as the tensor model.

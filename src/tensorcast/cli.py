@@ -2,10 +2,10 @@
 
 One INI-style configuration file drives every subcommand; the flags only
 select the command, point at the config, and override a handful of run
-parameters (seed, output directory, horizon, thread cap). Validation is
-fail-closed: unknown sections or keys, malformed values, and internally
-inconsistent settings are all rejected with exit code 2 before any data is
-read or any file is written. Exit codes: 0 success, 1 computation failure,
+parameters (seed, output directory, horizon). Validation is fail-closed:
+unknown sections or keys, malformed values, and internally inconsistent
+settings are all rejected with exit code 2 before any data is read or any
+file is written. Exit codes: 0 success, 1 computation failure,
 2 usage or configuration error. Logs go to stderr; every machine-readable
 product goes to a file, and each command prints the paths it wrote on stdout.
 """
@@ -20,9 +20,10 @@ import json
 import logging
 import sys
 import traceback
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .factor_model import (
     fitted_values,
     in_sample_mse,
     load_model,
+    rank_bounds,
     save_model,
     select_ranks,
 )
@@ -70,115 +72,7 @@ class ConfigError(Exception):
     """Usage or configuration problem; maps to exit code 2."""
 
 
-# Every recognized key with its default and help line. The --help epilog is
-# generated from this table, so documentation and validation cannot drift.
-_SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
-    "data": {
-        "paths": ("", "comma-separated provider CSV files (ingest input)"),
-        "span": ("", "optional hourly span START..END (inclusive) clipped before folding"),
-        "archive": ("tensors.npz", "folded-series archive; relative names land in out"),
-    },
-    "calendar": {
-        "periods": ("7,24", "seasonal extents S1,...,SM; 7,24 = day-of-week x hour-of-day"),
-        "week_start": ("monday", "weekday whose 00:00 anchors seasonal index zero"),
-    },
-    "model": {
-        "ranks": ("auto", "'auto' or explicit factor counts R,K1,...,KM"),
-        "r_max": ("3", "cross-section rank bound for automatic selection"),
-        "k_max": ("", "per-mode seasonal rank bounds; empty = min(3, S_j - 1)"),
-        "period": ("52", "seasonal period of the per-factor score models"),
-        "score_model": ("ar1", "factor score extrapolation: 'ar1' or 'ar_aic'"),
-        "max_order": ("5", "maximum AR order when score_model = ar_aic"),
-        "archive": ("model.npz", "fitted-model archive; relative names land in out"),
-    },
-    "forecast": {
-        "horizon": ("1", "forecast steps ahead (the --horizon flag overrides)"),
-    },
-    "backtest": {
-        "train_length": ("", "rolling window length in periods (required for backtest)"),
-        "horizons": ("1,4,13,26", "evaluation horizons in periods"),
-        "normalizer": ("variance", "relative-MSE divisor: 'variance' or 'std'"),
-        "benchmarks": ("mfm,vfm,fpca", "baselines to run, any subset of mfm,vfm,fpca"),
-        "vfm_components": ("2", "principal components of the vectorized baseline"),
-        "vfm_stacked": ("false", "pool all providers into one vectorized panel"),
-        "fpca_components": ("auto", "'auto' (95% variance, max 6) or a fixed count"),
-        "mfm_day_factors": ("1", "day-mode factors of the matrix baseline"),
-        "mfm_hour_factors": ("2", "hour-mode factors of the matrix baseline"),
-    },
-    "simulate": {
-        "dims": ("9,7,24", "synthetic dims N,S1,...,SM"),
-        "ranks": ("1,1,2", "synthetic factor counts R,K1,...,KM"),
-        "num_periods": ("342", "number of simulated periods"),
-        "factor_mean": ("0", "level of every factor coordinate"),
-        "amplitudes": ("1", "sinusoid amplitudes, cycled over factor coordinates"),
-        "periods": ("52", "sinusoid periods, cycled over factor coordinates"),
-        "ar_coefficient": ("0.7", "AR(1) coefficient of the factor innovations"),
-        "ar_sd": ("1.0", "AR(1) innovation standard deviation"),
-        "nu_sd": ("0.1", "observation noise standard deviation"),
-        "eta_sds": ("0", "idiosyncratic shock scale per seasonal level, cycled"),
-        "archive": ("sim.npz", "simulated-series archive; relative names land in out"),
-        "truth": ("truth.npz", "ground-truth loadings/factors archive"),
-    },
-    "run": {
-        "out": ("out", "output directory for every artifact"),
-        "seed": ("0", "seed for all randomness"),
-        "threads": ("1", "worker cap; the pipeline currently runs one worker"),
-    },
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully parsed and validated run configuration."""
-
-    config_dir: Path
-    data_paths: tuple[str, ...]
-    span: tuple[str, str] | None
-    data_archive: str
-    calendar: CalendarSpec
-    ranks: Ranks | None
-    r_max: int
-    k_max: tuple[int, ...] | None
-    period: int
-    score_model: str
-    max_order: int
-    model_archive: str
-    horizon: int
-    train_length: int | None
-    horizons: tuple[int, ...]
-    normalizer: str
-    benchmarks: tuple[str, ...]
-    vfm_components: int
-    vfm_stacked: bool
-    fpca_components: int | None
-    mfm_day_factors: int
-    mfm_hour_factors: int
-    sim_dims: tuple[int, ...]
-    sim_ranks: Ranks
-    sim_num_periods: int
-    sim_factor_mean: float
-    sim_amplitudes: tuple[float, ...]
-    sim_periods: tuple[int, ...]
-    sim_ar_coefficient: float
-    sim_ar_sd: float
-    sim_nu_sd: float
-    sim_eta_sds: tuple[float, ...]
-    sim_archive: str
-    sim_truth: str
-    base_out_dir: Path
-    out_dir: Path
-    seed: int
-    threads: int
-
-    def input_path(self, name: str) -> Path:
-        """Input files: relative names resolve against the config location."""
-        p = Path(name)
-        return p if p.is_absolute() else self.config_dir / p
-
-    def out_path(self, name: str) -> Path:
-        """Artifacts: relative names resolve under the output directory."""
-        p = Path(name)
-        return p if p.is_absolute() else self.out_dir / p
+Parser = Callable[[str, str], Any]  # (where, stripped raw value) -> parsed value
 
 
 def _parse_int(where: str, raw: str, minimum: int | None = None) -> int:
@@ -199,7 +93,7 @@ def _parse_float(where: str, raw: str) -> float:
 
 
 def _parse_bool(where: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
+    lowered = raw.lower()
     if lowered in ("true", "yes", "on", "1"):
         return True
     if lowered in ("false", "no", "off", "0"):
@@ -211,34 +105,176 @@ def _split_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
-def _parse_int_list(where: str, raw: str, minimum: int | None = None) -> tuple[int, ...]:
-    return tuple(_parse_int(where, item, minimum) for item in _split_list(raw))
+def _text(where: str, raw: str) -> str:
+    return raw
 
 
-def _parse_float_list(where: str, raw: str) -> tuple[float, ...]:
-    return tuple(_parse_float(where, item) for item in _split_list(raw))
+def _int(minimum: int) -> Parser:
+    return lambda where, raw: _parse_int(where, raw, minimum)
 
 
-def _parse_choice(where: str, raw: str, choices: tuple[str, ...]) -> str:
-    lowered = raw.strip().lower()
-    if lowered not in choices:
-        raise ConfigError(f"{where}: must be one of {', '.join(choices)}; got {raw!r}")
-    return lowered
+def _list(item: Parser, need: str = "") -> Parser:
+    """Comma-separated items; a non-empty ``need`` names the item the list must hold."""
+
+    def parse(where: str, raw: str) -> tuple:
+        values = tuple(item(where, token) for token in _split_list(raw))
+        if need and not values:
+            raise ConfigError(f"{where}: need at least one {need}")
+        return values
+
+    return parse
 
 
-def _parse_ranks(where: str, raw: str, periods: tuple[int, ...]) -> Ranks | None:
-    if raw.strip().lower() == "auto":
+def _choice(*choices: str) -> Parser:
+    def parse(where: str, raw: str) -> str:
+        lowered = raw.lower()
+        if lowered not in choices:
+            raise ConfigError(f"{where}: must be one of {', '.join(choices)}; got {raw!r}")
+        return lowered
+
+    return parse
+
+
+def _unless(sentinel: str, parse: Parser) -> Parser:
+    """None when the value is ``sentinel`` (case-insensitive), else ``parse``."""
+    return lambda where, raw: None if raw.lower() == sentinel else parse(where, raw)
+
+
+def _parse_span(where: str, raw: str) -> tuple[str, str] | None:
+    if not raw:
         return None
-    counts = _parse_int_list(where, raw, minimum=1)
-    if len(counts) != 1 + len(periods):
-        raise ConfigError(
-            f"{where}: expected {1 + len(periods)} counts R,K1,...,KM for "
-            f"{len(periods)} seasonal modes, got {len(counts)}"
-        )
-    for k, s in zip(counts[1:], periods):
-        if k >= s:
-            raise ConfigError(f"{where}: seasonal count {k} must be < period extent {s}")
-    return Ranks(counts[0], counts[1:])
+    parts = [p.strip() for p in raw.split("..")]
+    if len(parts) != 2 or not all(parts):
+        raise ConfigError(f"{where}: expected START..END, got {raw!r}")
+    return parts[0], parts[1]
+
+
+def _parse_horizons(where: str, raw: str) -> tuple[int, ...]:
+    horizons = _list(_int(1), "horizon")(where, raw)
+    if len(set(horizons)) != len(horizons):
+        raise ConfigError(f"{where}: duplicate entries in {horizons}")
+    return horizons
+
+
+def _parse_benchmarks(where: str, raw: str) -> tuple[str, ...]:
+    tokens = [token.lower() for token in _split_list(raw)]
+    for token in tokens:
+        if token not in ("mfm", "vfm", "fpca"):
+            raise ConfigError(f"{where}: unknown baseline {token!r}")
+    return tuple(name for name in ("mfm", "vfm", "fpca") if name in tokens)
+
+
+def _parse_sim_dims(where: str, raw: str) -> tuple[int, ...]:
+    dims = _list(_int(1))(where, raw)
+    if len(dims) < 2:
+        raise ConfigError(f"{where}: need the cross-section and at least one seasonal extent")
+    return dims
+
+
+# Every recognized key with its default, parser and help line. load_config
+# parses each key with its parser and the --help epilog is generated from the
+# same table, so documentation and validation cannot drift.
+_SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
+    "data": {
+        "paths": ("", _list(_text), "comma-separated provider CSV files (ingest input)"),
+        "span": ("", _parse_span,
+                 "optional hourly span START..END (inclusive) clipped before folding"),
+        "archive": ("tensors.npz", _text, "folded-series archive; relative names land in out"),
+    },
+    "calendar": {
+        "periods": ("7,24", _list(_int(2)),
+                    "seasonal extents S1,...,SM; 7,24 = day-of-week x hour-of-day"),
+        "week_start": ("monday", _text, "weekday whose 00:00 anchors seasonal index zero"),
+    },
+    "model": {
+        "ranks": ("auto", _unless("auto", _list(_int(1))),
+                  "'auto' or explicit factor counts R,K1,...,KM"),
+        "r_max": ("3", _int(1), "cross-section rank bound for automatic selection"),
+        "k_max": ("", _unless("", _list(_int(1))),
+                  "per-mode seasonal rank bounds; empty = min(3, S_j - 1)"),
+        "period": ("52", _int(1), "seasonal period of the per-factor score models"),
+        "score_model": ("ar1", _choice("ar1", "ar_aic"),
+                        "factor score extrapolation: 'ar1' or 'ar_aic'"),
+        "max_order": ("5", _int(0), "maximum AR order when score_model = ar_aic"),
+        "archive": ("model.npz", _text, "fitted-model archive; relative names land in out"),
+    },
+    "forecast": {
+        "horizon": ("1", _int(1), "forecast steps ahead (the --horizon flag overrides)"),
+    },
+    "backtest": {
+        "train_length": ("", _unless("", _int(2)),
+                         "rolling window length in periods (required for backtest)"),
+        "horizons": ("1,4,13,26", _parse_horizons, "evaluation horizons in periods"),
+        "normalizer": ("variance", _choice("variance", "std"),
+                       "relative-MSE divisor: 'variance' or 'std'"),
+        "benchmarks": ("mfm,vfm,fpca", _parse_benchmarks,
+                       "baselines to run, any subset of mfm,vfm,fpca"),
+        "vfm_components": ("2", _int(1), "principal components of the vectorized baseline"),
+        "vfm_stacked": ("false", _parse_bool, "pool all providers into one vectorized panel"),
+        "fpca_components": ("auto", _unless("auto", _int(1)),
+                            "'auto' (95% variance, max 6) or a fixed count"),
+        "mfm_day_factors": ("1", _int(1), "day-mode factors of the matrix baseline"),
+        "mfm_hour_factors": ("2", _int(1), "hour-mode factors of the matrix baseline"),
+    },
+    "simulate": {
+        "dims": ("9,7,24", _parse_sim_dims, "synthetic dims N,S1,...,SM"),
+        "ranks": ("1,1,2", _list(_int(1)), "synthetic factor counts R,K1,...,KM"),
+        "num_periods": ("342", _int(2), "number of simulated periods"),
+        "factor_mean": ("0", _parse_float, "level of every factor coordinate"),
+        "amplitudes": ("1", _list(_parse_float, "amplitude"),
+                       "sinusoid amplitudes, cycled over factor coordinates"),
+        "periods": ("52", _list(_int(1), "period"),
+                    "sinusoid periods, cycled over factor coordinates"),
+        "ar_coefficient": ("0.7", _parse_float, "AR(1) coefficient of the factor innovations"),
+        "ar_sd": ("1.0", _parse_float, "AR(1) innovation standard deviation"),
+        "nu_sd": ("0.1", _parse_float, "observation noise standard deviation"),
+        "eta_sds": ("0", _list(_parse_float, "scale"),
+                    "idiosyncratic shock scale per seasonal level, cycled"),
+        "archive": ("sim.npz", _text, "simulated-series archive; relative names land in out"),
+        "truth": ("truth.npz", _text, "ground-truth loadings/factors archive"),
+    },
+    "run": {
+        "out": ("out", _text, "output directory for every artifact"),
+        "seed": ("0", _int(0), "seed for all randomness"),
+    },
+}
+
+# One immutable record type per section, its fields named after the keys.
+_SECTIONS = {name: namedtuple(name, keys) for name, keys in _SCHEMA.items()}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Fully parsed and validated run configuration.
+
+    Each config section is a record whose fields are the section's keys,
+    parsed as ``_SCHEMA`` says (``cfg.model.r_max``, ``cfg.backtest.horizons``),
+    except that ``calendar`` is a CalendarSpec and ``model.ranks`` and
+    ``simulate.ranks`` are Ranks (None for automatic selection). The [run]
+    keys become ``out_dir`` and ``seed``, which the command-line flags may
+    override; ``base_out_dir`` keeps the configured output directory.
+    """
+
+    config_dir: Path
+    data: Any
+    calendar: CalendarSpec
+    model: Any
+    forecast: Any
+    backtest: Any
+    simulate: Any
+    base_out_dir: Path
+    out_dir: Path
+    seed: int
+
+    def input_path(self, name: str) -> Path:
+        """Input files: relative names resolve against the config location."""
+        p = Path(name)
+        return p if p.is_absolute() else self.config_dir / p
+
+    def out_path(self, name: str) -> Path:
+        """Artifacts: relative names resolve under the output directory."""
+        p = Path(name)
+        return p if p.is_absolute() else self.out_dir / p
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -263,134 +299,64 @@ def load_config(path: str | Path) -> RunConfig:
     if parser.defaults():
         raise ConfigError("a [DEFAULT] section is not supported")
 
-    def get(section: str, key: str) -> str:
-        fallback = _SCHEMA[section][key][0]
-        return parser.get(section, key, fallback=fallback).strip()
+    sections = {}
+    for section, keys in _SCHEMA.items():
+        values = {}
+        for key, (default, parse, _) in keys.items():
+            raw = parser.get(section, key, fallback=default).strip()
+            values[key] = parse(f"{section}.{key}", raw)
+        sections[section] = _SECTIONS[section](**values)
 
+    # The remaining checks relate two keys.
     try:
-        calendar = CalendarSpec(
-            periods=_parse_int_list("calendar.periods", get("calendar", "periods"), minimum=2),
-            week_start=get("calendar", "week_start"),
-        )
+        calendar = CalendarSpec(**sections["calendar"]._asdict())
     except ValueError as exc:
         raise ConfigError(f"calendar: {exc}") from None
+    periods = calendar.periods
 
-    span_raw = get("data", "span")
-    span: tuple[str, str] | None = None
-    if span_raw:
-        parts = [p.strip() for p in span_raw.split("..")]
-        if len(parts) != 2 or not all(parts):
-            raise ConfigError(f"data.span: expected START..END, got {span_raw!r}")
-        span = (parts[0], parts[1])
-
-    k_max_raw = get("model", "k_max")
-    k_max: tuple[int, ...] | None = None
-    if k_max_raw:
-        k_max = _parse_int_list("model.k_max", k_max_raw, minimum=1)
-        if len(k_max) != len(calendar.periods):
+    model = sections["model"]
+    if model.k_max is not None:
+        if len(model.k_max) != len(periods):
             raise ConfigError(
-                f"model.k_max: expected {len(calendar.periods)} bounds, got {len(k_max)}"
+                f"model.k_max: expected {len(periods)} bounds, got {len(model.k_max)}"
             )
-        for k, s in zip(k_max, calendar.periods):
+        for k, s in zip(model.k_max, periods):
             if k >= s:
                 raise ConfigError(f"model.k_max: bound {k} must be < period extent {s}")
+    if model.ranks is not None:
+        counts = model.ranks
+        if len(counts) != 1 + len(periods):
+            raise ConfigError(
+                f"model.ranks: expected {1 + len(periods)} counts R,K1,...,KM for "
+                f"{len(periods)} seasonal modes, got {len(counts)}"
+            )
+        for k, s in zip(counts[1:], periods):
+            if k >= s:
+                raise ConfigError(f"model.ranks: seasonal count {k} must be < period extent {s}")
+        model = model._replace(ranks=Ranks(counts[0], counts[1:]))
 
-    train_raw = get("backtest", "train_length")
-    train_length = _parse_int("backtest.train_length", train_raw, minimum=2) if train_raw else None
-
-    horizons = _parse_int_list("backtest.horizons", get("backtest", "horizons"), minimum=1)
-    if not horizons:
-        raise ConfigError("backtest.horizons: need at least one horizon")
-    if len(set(horizons)) != len(horizons):
-        raise ConfigError(f"backtest.horizons: duplicate entries in {horizons}")
-
-    bench_tokens = [token.lower() for token in _split_list(get("backtest", "benchmarks"))]
-    for token in bench_tokens:
-        if token not in ("mfm", "vfm", "fpca"):
-            raise ConfigError(f"backtest.benchmarks: unknown baseline {token!r}")
-    benchmarks = tuple(name for name in ("mfm", "vfm", "fpca") if name in bench_tokens)
-
-    fpca_raw = get("backtest", "fpca_components")
-    fpca_components = (
-        None
-        if fpca_raw.lower() == "auto"
-        else _parse_int("backtest.fpca_components", fpca_raw, minimum=1)
-    )
-
-    sim_dims = _parse_int_list("simulate.dims", get("simulate", "dims"), minimum=1)
-    if len(sim_dims) < 2:
-        raise ConfigError("simulate.dims: need the cross-section and at least one seasonal extent")
-    sim_rank_counts = _parse_int_list("simulate.ranks", get("simulate", "ranks"), minimum=1)
-    if len(sim_rank_counts) != len(sim_dims):
+    sim = sections["simulate"]
+    if len(sim.ranks) != len(sim.dims):
         raise ConfigError(
-            f"simulate.ranks: expected {len(sim_dims)} counts for dims {sim_dims}, "
-            f"got {len(sim_rank_counts)}"
+            f"simulate.ranks: expected {len(sim.dims)} counts for dims {sim.dims}, "
+            f"got {len(sim.ranks)}"
         )
-    try:
-        sim_ranks = Ranks(sim_rank_counts[0], sim_rank_counts[1:])
-    except ValueError as exc:
-        raise ConfigError(f"simulate.ranks: {exc}") from None
+    sim = sim._replace(ranks=Ranks(sim.ranks[0], sim.ranks[1:]))
 
-    sim_periods = _parse_int_list("simulate.periods", get("simulate", "periods"), minimum=1)
-    if not sim_periods:
-        raise ConfigError("simulate.periods: need at least one period")
-    sim_amplitudes = _parse_float_list("simulate.amplitudes", get("simulate", "amplitudes"))
-    if not sim_amplitudes:
-        raise ConfigError("simulate.amplitudes: need at least one amplitude")
-    sim_eta_sds = _parse_float_list("simulate.eta_sds", get("simulate", "eta_sds"))
-    if not sim_eta_sds:
-        raise ConfigError("simulate.eta_sds: need at least one scale")
-
-    out_dir = Path(get("run", "out"))
+    out_dir = Path(sections["run"].out)
     if not out_dir.is_absolute():
         out_dir = path.parent / out_dir
-
     return RunConfig(
         config_dir=path.parent,
-        data_paths=tuple(_split_list(get("data", "paths"))),
-        span=span,
-        data_archive=get("data", "archive"),
+        data=sections["data"],
         calendar=calendar,
-        ranks=_parse_ranks("model.ranks", get("model", "ranks"), calendar.periods),
-        r_max=_parse_int("model.r_max", get("model", "r_max"), minimum=1),
-        k_max=k_max,
-        period=_parse_int("model.period", get("model", "period"), minimum=1),
-        score_model=_parse_choice("model.score_model", get("model", "score_model"),
-                                  ("ar1", "ar_aic")),
-        max_order=_parse_int("model.max_order", get("model", "max_order"), minimum=0),
-        model_archive=get("model", "archive"),
-        horizon=_parse_int("forecast.horizon", get("forecast", "horizon"), minimum=1),
-        train_length=train_length,
-        horizons=horizons,
-        normalizer=_parse_choice("backtest.normalizer", get("backtest", "normalizer"),
-                                 ("variance", "std")),
-        benchmarks=benchmarks,
-        vfm_components=_parse_int("backtest.vfm_components", get("backtest", "vfm_components"),
-                                  minimum=1),
-        vfm_stacked=_parse_bool("backtest.vfm_stacked", get("backtest", "vfm_stacked")),
-        fpca_components=fpca_components,
-        mfm_day_factors=_parse_int("backtest.mfm_day_factors",
-                                   get("backtest", "mfm_day_factors"), minimum=1),
-        mfm_hour_factors=_parse_int("backtest.mfm_hour_factors",
-                                    get("backtest", "mfm_hour_factors"), minimum=1),
-        sim_dims=sim_dims,
-        sim_ranks=sim_ranks,
-        sim_num_periods=_parse_int("simulate.num_periods", get("simulate", "num_periods"),
-                                   minimum=2),
-        sim_factor_mean=_parse_float("simulate.factor_mean", get("simulate", "factor_mean")),
-        sim_amplitudes=sim_amplitudes,
-        sim_periods=sim_periods,
-        sim_ar_coefficient=_parse_float("simulate.ar_coefficient",
-                                        get("simulate", "ar_coefficient")),
-        sim_ar_sd=_parse_float("simulate.ar_sd", get("simulate", "ar_sd")),
-        sim_nu_sd=_parse_float("simulate.nu_sd", get("simulate", "nu_sd")),
-        sim_eta_sds=sim_eta_sds,
-        sim_archive=get("simulate", "archive"),
-        sim_truth=get("simulate", "truth"),
+        model=model,
+        forecast=sections["forecast"],
+        backtest=sections["backtest"],
+        simulate=sim,
         base_out_dir=out_dir,
         out_dir=out_dir,
-        seed=_parse_int("run.seed", get("run", "seed"), minimum=0),
-        threads=_parse_int("run.threads", get("run", "threads"), minimum=1),
+        seed=sections["run"].seed,
     )
 
 
@@ -401,7 +367,7 @@ def _require_file(path: Path, what: str) -> Path:
 
 
 def _load_archive(cfg: RunConfig) -> TensorSeries:
-    return load_tensor_series(_require_file(cfg.out_path(cfg.data_archive), "data archive"))
+    return load_tensor_series(_require_file(cfg.out_path(cfg.data.archive), "data archive"))
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +375,16 @@ def _load_archive(cfg: RunConfig) -> TensorSeries:
 
 
 def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> None:
-    if not cfg.data_paths:
+    if not cfg.data.paths:
         raise ConfigError("data.paths is required for ingest")
-    paths = [_require_file(cfg.input_path(p), "data file") for p in cfg.data_paths]
-    panel = ingest_csv(paths, span=cfg.span)
+    paths = [_require_file(cfg.input_path(p), "data file") for p in cfg.data.paths]
+    panel = ingest_csv(paths, span=cfg.data.span)
     ts = fold(panel, cfg.calendar)
     if ts.num_periods == 0:
         raise ValueError("span contains no complete calendar period")
     logger.info("folded into %d periods of shape %s", ts.num_periods, ts.tensor_dims)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    archive = cfg.out_path(cfg.data_archive)
+    archive = cfg.out_path(cfg.data.archive)
     save_tensor_series(archive, ts)
     print(archive)
 
@@ -426,10 +392,7 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> None:
 def cmd_ranks(cfg: RunConfig, args: argparse.Namespace) -> None:
     ts = _load_archive(cfg)
     xs = standardize(ts, estimate_standardization(ts))
-    seasonal = ts.tensor_dims[1:]
-    r_max = min(cfg.r_max, ts.tensor_dims[0] - 1)
-    k_max = cfg.k_max or tuple(min(3, s - 1) for s in seasonal)
-    k_max = tuple(min(k, s - 1) for k, s in zip(k_max, seasonal))
+    r_max, k_max = rank_bounds(ts.tensor_dims, cfg.model.r_max, cfg.model.k_max)
     ranks = select_ranks(xs, r_max, k_max)
     logger.info("eigenvalue-ratio selection with bounds r<=%d, k<=%s", r_max, k_max)
     print(",".join(str(c) for c in (ranks.r, *ranks.k)))
@@ -437,16 +400,17 @@ def cmd_ranks(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> None:
     ts = _load_archive(cfg)
-    if cfg.ranks is not None:
+    if cfg.model.ranks is not None:
         try:
-            cfg.ranks.validate_against(ts.tensor_dims)
+            cfg.model.ranks.validate_against(ts.tensor_dims)
         except ValueError as exc:
             raise ConfigError(f"model.ranks: {exc}") from None
-    model, factors = fit_factor_model(ts, ranks=cfg.ranks, r_max=cfg.r_max, k_max=cfg.k_max)
+    model, factors = fit_factor_model(ts, ranks=cfg.model.ranks, r_max=cfg.model.r_max,
+                                      k_max=cfg.model.k_max)
     mse = in_sample_mse(ts, fitted_values(factors, model.loadings, model.standardization))
     logger.info("fitted ranks (%d, %s), in-sample mse %.6g", model.ranks.r, model.ranks.k, mse)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    archive = cfg.out_path(cfg.model_archive)
+    archive = cfg.out_path(cfg.model.archive)
     save_model(archive, model)
     metrics_path = cfg.out_dir / "fit.json"
     metrics = {
@@ -461,19 +425,19 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> None:
-    n = args.horizon if args.horizon is not None else cfg.horizon
+    n = args.horizon if args.horizon is not None else cfg.forecast.horizon
     if n < 1:
         raise ConfigError(f"horizon must be >= 1, got {n}")
     ts = _load_archive(cfg)
-    model = load_model(_require_file(cfg.out_path(cfg.model_archive), "model archive"))
+    model = load_model(_require_file(cfg.out_path(cfg.model.archive), "model archive"))
     if model.provider_ids != ts.provider_ids:
         raise ConfigError(
             f"model providers {model.provider_ids} do not match archive {ts.provider_ids}"
         )
     xs = standardize(ts, model.standardization)
     factors = extract_factors(xs, model.loadings)
-    ff = forecast_factors(factors, n, period=cfg.period, score_model=cfg.score_model,
-                          max_order=cfg.max_order)
+    ff = forecast_factors(factors, n, period=cfg.model.period,
+                          score_model=cfg.model.score_model, max_order=cfg.model.max_order)
     fc = forecast_observations(ff, model.loadings, model.standardization)
     logger.info("forecast %d periods ahead from %d observed", n, ts.num_periods)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -506,9 +470,10 @@ def cmd_backtest(
     forecasters: dict[str, ForecastFn] | None = None,
 ) -> None:
     ts = _load_archive(cfg)
-    if cfg.train_length is None:
+    bt, model = cfg.backtest, cfg.model
+    if bt.train_length is None:
         raise ConfigError("backtest.train_length is required for backtest")
-    plan = RollingPlan(train_length=cfg.train_length, horizons=cfg.horizons)
+    plan = RollingPlan(train_length=bt.train_length, horizons=bt.horizons)
     try:
         plan.validate_for(ts.num_periods)
     except ValueError as exc:
@@ -516,22 +481,22 @@ def cmd_backtest(
     if forecasters is None:
         forecasters = {
             "TFM": make_tensor_forecaster(
-                ranks=cfg.ranks, r_max=cfg.r_max, k_max=cfg.k_max, period=cfg.period,
-                score_model=cfg.score_model, max_order=cfg.max_order,
+                ranks=model.ranks, r_max=model.r_max, k_max=model.k_max, period=model.period,
+                score_model=model.score_model, max_order=model.max_order,
             )
         }
-        for name in cfg.benchmarks:
+        for name in bt.benchmarks:
             forecasters[name.upper()] = make_benchmark_forecaster(
-                name, period=cfg.period, k_day=cfg.mfm_day_factors,
-                k_hour=cfg.mfm_hour_factors, r=cfg.vfm_components,
-                stacked=cfg.vfm_stacked, ncomp=cfg.fpca_components,
-                max_order=cfg.max_order,
+                name, period=model.period, k_day=bt.mfm_day_factors, k_hour=bt.mfm_hour_factors,
+                r=bt.vfm_components, stacked=bt.vfm_stacked, ncomp=bt.fpca_components,
+                score_model=model.score_model, max_order=model.max_order,
             )
+    windows = ts.num_periods - bt.train_length - min(bt.horizons)
     reports = []
     for name, fn in forecasters.items():
-        logger.info("backtesting %s over %d windows", name, ts.num_periods - cfg.train_length)
+        logger.info("backtesting %s over %d windows", name, windows)
         reports.append(
-            rolling_evaluate(fn, ts, plan, model=name, normalizer=cfg.normalizer,
+            rolling_evaluate(fn, ts, plan, model=name, normalizer=bt.normalizer,
                              metadata={"seed": str(cfg.seed)})
         )
     merged = merge_reports(reports)
@@ -542,29 +507,18 @@ def cmd_backtest(
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
+    recipe = cfg.simulate._asdict()
+    archive = cfg.out_path(recipe.pop("archive"))
+    truth_path = cfg.out_path(recipe.pop("truth"))
     try:
-        spec = SimSpec(
-            dims=cfg.sim_dims,
-            ranks=cfg.sim_ranks,
-            num_periods=cfg.sim_num_periods,
-            factor_mean=cfg.sim_factor_mean,
-            amplitudes=cfg.sim_amplitudes,
-            periods=cfg.sim_periods,
-            ar_coefficient=cfg.sim_ar_coefficient,
-            ar_sd=cfg.sim_ar_sd,
-            nu_sd=cfg.sim_nu_sd,
-            eta_sds=cfg.sim_eta_sds,
-            seed=cfg.seed,
-        )
+        spec = SimSpec(**recipe, seed=cfg.seed)
     except ValueError as exc:
         raise ConfigError(f"simulate: {exc}") from None
     ts, loadings, factors = simulate(spec)
     logger.info("simulated %d periods of shape %s with seed %d",
                 ts.num_periods, ts.tensor_dims, cfg.seed)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    archive = cfg.out_path(cfg.sim_archive)
     save_tensor_series(archive, ts)
-    truth_path = cfg.out_path(cfg.sim_truth)
     truth = {
         "lam": loadings.lam,
         "factors": factors.values,
@@ -612,7 +566,7 @@ def _schema_epilog() -> str:
     lines = ["configuration file (INI; every key is optional unless a command needs it):"]
     for section, keys in _SCHEMA.items():
         lines.append(f"  [{section}]")
-        for key, (default, help_text) in keys.items():
+        for key, (default, _, help_text) in keys.items():
             shown = default if default else "(empty)"
             lines.append(f"    {key} = {shown}")
             lines.append(f"        {help_text}")
@@ -628,8 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run configuration file")
     common.add_argument("--horizon", type=int, default=None, metavar="N",
                         help="forecast steps ahead (forecast command)")
-    common.add_argument("--threads", type=int, default=None, metavar="K",
-                        help="worker cap, overrides [run] threads")
     common.add_argument("--seed", type=int, default=None, metavar="S",
                         help="RNG seed, overrides [run] seed")
     common.add_argument("--out", default=None, metavar="DIR",
@@ -657,10 +609,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         updates["seed"] = args.seed
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        updates["threads"] = args.threads
     if args.horizon is not None and args.horizon < 1:
         raise ConfigError(f"--horizon must be >= 1, got {args.horizon}")
     return dataclasses.replace(cfg, **updates) if updates else cfg

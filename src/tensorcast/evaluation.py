@@ -42,7 +42,6 @@ class RollingPlan:
 
     train_length: int
     horizons: tuple[int, ...] = _DEFAULT_HORIZONS
-    step: int = 1
 
     def __post_init__(self):
         if self.train_length < 2:
@@ -53,15 +52,15 @@ class RollingPlan:
             raise ValueError(f"horizons must be >= 1, got {self.horizons}")
         if len(set(self.horizons)) != len(self.horizons):
             raise ValueError(f"duplicate horizons in {self.horizons}")
-        if self.step != 1:
-            raise ValueError("only unit window steps are supported")
 
     def validate_for(self, num_periods: int) -> None:
-        need = self.train_length + max(self.horizons)
+        """Require at least one evaluation window for every horizon."""
+        need = self.train_length + max(self.horizons) + 1
         if need > num_periods:
             raise ValueError(
                 f"plan needs at least {need} periods (train {self.train_length} "
-                f"+ max horizon {max(self.horizons)}), series has {num_periods}"
+                f"+ max horizon {max(self.horizons)} + 1 evaluation window), "
+                f"series has {num_periods}"
             )
 
 
@@ -131,8 +130,8 @@ def rolling_evaluate(
     cells_per_provider = int(np.prod(ts.tensor_dims[1:]))
 
     window_counts = {n: t_test - n for n in horizons}
-    traces = {n: np.full((max(w, 0), num_providers), np.nan) for n, w in window_counts.items()}
-    norms = {n: np.full((max(w, 0), num_providers), np.nan) for n, w in window_counts.items()}
+    traces = {n: np.full((w, num_providers), np.nan) for n, w in window_counts.items()}
+    norms = {n: np.full((w, num_providers), np.nan) for n, w in window_counts.items()}
     failed_windows: dict[int, str] = {}
 
     for w in range(max(window_counts.values())):
@@ -166,12 +165,6 @@ def rolling_evaluate(
         note = failed_windows[bad[0]] if bad else ""
         for i, pid in enumerate(ts.provider_ids):
             trace = traces[n][:, i]
-            if window_counts[n] < 1:
-                cells.append(
-                    EvalCell(model, n, pid, float("nan"), float("nan"), True,
-                             "no evaluation windows", trace)
-                )
-                continue
             if bad:
                 cells.append(
                     EvalCell(model, n, pid, float("nan"), float("nan"), True,
@@ -228,9 +221,14 @@ def make_benchmark_forecaster(
     r: int = 2,
     stacked: bool = False,
     ncomp: int | None = None,
+    score_model: str = "ar1",
     max_order: int = 5,
 ) -> ForecastFn:
-    """Forecaster handle for one of the baselines: "MFM", "VFM", or "FPCA"."""
+    """Forecaster handle for one of the baselines: "MFM", "VFM", or "FPCA".
+
+    MFM and VFM extrapolate their scores with score_model; FPCA always uses
+    ar_aic. max_order bounds the AR order wherever ar_aic runs.
+    """
     tag = kind.upper()
     if tag not in ("MFM", "VFM", "FPCA"):
         raise ValueError(f"unknown benchmark {kind!r}")
@@ -238,9 +236,11 @@ def make_benchmark_forecaster(
     def fn(train: TensorSeries, n: int) -> np.ndarray:
         parts = split_providers(train)
         if tag == "MFM":
-            fc = mfm_forecast(parts, n, k_day=k_day, k_hour=k_hour, period=period)
+            fc = mfm_forecast(parts, n, k_day=k_day, k_hour=k_hour, period=period,
+                              score_model=score_model, max_order=max_order)
         elif tag == "VFM":
-            fc = vfm_forecast(parts, n, r=r, period=period, stacked=stacked)
+            fc = vfm_forecast(parts, n, r=r, period=period, score_model=score_model,
+                              max_order=max_order, stacked=stacked)
         else:
             fc = fpca_forecast(parts, n, ncomp=ncomp, period=period, max_order=max_order)
         return fc.values

@@ -41,6 +41,7 @@ __all__ = [
     "extract_factors",
     "reconstruct_common",
     "fitted_values",
+    "rank_bounds",
     "select_ranks",
     "in_sample_mse",
     "fit_factor_model",
@@ -308,6 +309,20 @@ def _ratio_argmax(eigvals: np.ndarray, count: int) -> int:
     return int(np.argmax(ratios >= best / _RATIO_TIE_BAND)) + 1
 
 
+def rank_bounds(
+    dims: Sequence[int], r_max: int = 3, k_max: Sequence[int] | None = None
+) -> tuple[int, tuple[int, ...]]:
+    """Candidate maxima for :func:`select_ranks` on tensors of the given dims.
+
+    r_max is capped at N - 1; k_max defaults to min(3, S_j - 1) per seasonal
+    mode. An explicit k_max is returned unchanged, so a bound outside
+    [1, S_j - 1] fails in select_ranks instead of being silently lowered.
+    """
+    if k_max is None:
+        k_max = [min(3, s_j - 1) for s_j in dims[1:]]
+    return min(r_max, dims[0] - 1), tuple(int(k) for k in k_max)
+
+
 def select_ranks(xs: TensorSeries, r_max: int, k_max: Sequence[int]) -> Ranks:
     """Choose factor counts by the eigenvalue-ratio criterion per mode.
 
@@ -349,10 +364,7 @@ def fit_factor_model(
     z = estimate_standardization(ys)
     xs = standardize(ys, z)
     if ranks is None:
-        seasonal = xs.tensor_dims[1:]
-        if k_max is None:
-            k_max = [min(3, s_j - 1) for s_j in seasonal]
-        ranks = select_ranks(xs, min(r_max, xs.tensor_dims[0] - 1), k_max)
+        ranks = select_ranks(xs, *rank_bounds(xs.tensor_dims, r_max, k_max))
     init = initial_loadings(xs, ranks)
     loadings = projected_loadings(xs, init, ranks)
     factors = extract_factors(xs, loadings)

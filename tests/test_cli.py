@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import random_loading_set, subspace_distance, weekly_starts
-from tensorcast.cli import cmd_backtest, load_config, main
+from tensorcast.cli import _SCHEMA, cmd_backtest, load_config, main
 from tensorcast.evaluation import SimSpec, simulate
 from tensorcast.factor_model import Ranks, TensorFactorModel, load_model, save_model
 from tensorcast.panel import (
@@ -115,6 +115,13 @@ def test_malformed_values_exit_2(tmp_path):
         assert main(["fit", "--config", str(cfg)]) == 2, sections
 
 
+def test_schema_defaults_equal_an_empty_config(tmp_path):
+    explicit = {section: {key: default for key, (default, _, _) in keys.items()}
+                for section, keys in _SCHEMA.items()}
+    full = load_config(write_config(tmp_path / "full.ini", explicit))
+    assert full == load_config(write_config(tmp_path / "empty.ini", {}))
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["fit", "--config", str(tmp_path / "none.ini")]) == 2
     assert "none.ini" in capsys.readouterr().err
@@ -133,7 +140,6 @@ def test_flag_overrides_are_validated(tmp_path):
     write_config(tmp_path / "run.ini", {})
     assert main(["forecast", "--config", str(tmp_path / "run.ini"), "--horizon", "0"]) == 2
     assert main(["fit", "--config", str(tmp_path / "run.ini"), "--seed", "-1"]) == 2
-    assert main(["fit", "--config", str(tmp_path / "run.ini"), "--threads", "0"]) == 2
 
 
 def test_fit_writes_model_and_metrics(tmp_path, capsys):

@@ -8,6 +8,8 @@ import json
 import numpy as np
 import pytest
 
+import tensorcast.benchmarks as benchmarks_module
+import tensorcast.forecast as forecast_module
 from tensorcast.evaluation import (
     EvalCell,
     EvalReport,
@@ -78,11 +80,9 @@ def test_rolling_plan_validation():
         RollingPlan(train_length=10, horizons=(0, 1))
     with pytest.raises(ValueError, match="duplicate"):
         RollingPlan(train_length=10, horizons=(1, 1))
-    with pytest.raises(ValueError, match="unit"):
-        RollingPlan(train_length=10, horizons=(1,), step=2)
-    with pytest.raises(ValueError, match="at least 36 periods"):
-        RollingPlan(train_length=10, horizons=(26,)).validate_for(35)
-    RollingPlan(train_length=10, horizons=(26,)).validate_for(36)
+    with pytest.raises(ValueError, match="at least 37 periods"):
+        RollingPlan(train_length=10, horizons=(26,)).validate_for(36)
+    RollingPlan(train_length=10, horizons=(26,)).validate_for(37)
 
 
 def test_oracle_forecaster_scores_zero():
@@ -247,6 +247,22 @@ def test_benchmark_forecaster_handles_run():
         assert np.isfinite(out).all()
     with pytest.raises(ValueError, match="unknown benchmark"):
         make_benchmark_forecaster("ARIMA")
+
+
+@pytest.mark.parametrize("kind", ["MFM", "VFM"])
+def test_benchmark_forecaster_passes_score_model(kind, monkeypatch):
+    seen = []
+
+    def recording(x, period, n, score_model="ar1", max_order=5):
+        seen.append((score_model, max_order))
+        return original(x, period, n, score_model, max_order)
+
+    original = forecast_module.forecast_series
+    monkeypatch.setattr(forecast_module, "forecast_series", recording)
+    monkeypatch.setattr(benchmarks_module, "forecast_series", recording)
+    ts = random_series(np.random.default_rng(9), 24, dims=(2, 3, 4))
+    make_benchmark_forecaster(kind, period=6, score_model="ar_aic", max_order=2)(ts, 2)
+    assert seen and set(seen) == {("ar_aic", 2)}
 
 
 # ---------------------------------------------------------------------------
