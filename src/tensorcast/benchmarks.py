@@ -6,8 +6,8 @@ the score model as an argument, so with the tensor model's setting their
 accuracy differences come from the factorization alone; FPCA's scores always
 use ar_aic:
 
-* MFM: a two-mode (day x hour) factor model per provider, estimated with the
-  same projected two-pass procedure as the tensor model.
+* MFM: a two-mode (day x hour) factor model per provider, fitted by the
+  tensor model's own fit_factor_model with days as the cross-section.
 * VFM: weeks flattened to vectors, factors by plain PCA.
 * FPCA: one principal-component basis per day of the week over daily curves.
 """
@@ -18,13 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factor_model import (
-    Ranks,
-    extract_factors,
-    initial_loadings,
-    projected_loadings,
-)
-from .forecast import forecast_factors, forecast_observations, forecast_series
+from .factor_model import Ranks, fit_factor_model
+from .forecast import forecast_factors, forecast_observations, forecast_series, future_starts
 from .panel import TensorSeries, cell_standardization
 from .tensor import top_eigenvectors
 
@@ -83,13 +78,6 @@ def split_providers(ts: TensorSeries) -> list[ProviderMatrixSeries]:
     ]
 
 
-def _future_starts(period_starts: np.ndarray, n: int) -> np.ndarray:
-    if len(period_starts) < 2:
-        raise ValueError("need at least 2 periods to infer the period spacing")
-    spacing = period_starts[1] - period_starts[0]
-    return period_starts[-1] + spacing * np.arange(1, n + 1)
-
-
 def _check_common_shape(series: list[ProviderMatrixSeries]) -> tuple[int, int, int]:
     if not series:
         raise ValueError("need at least one provider series")
@@ -123,32 +111,30 @@ def mfm_forecast(
 ) -> BenchmarkForecast:
     """Matrix-factor-model forecasts, one independent fit per provider.
 
-    Each provider's standardized weekly matrices get a two-mode factor model
-    (day loadings x hour loadings) estimated by the same projected two-pass
-    procedure as the full tensor model, followed by the shared score
-    forecaster. Constant cells carry no factor signal; a provider whose
-    standardized data is identically zero forecasts its per-cell mean.
+    Each provider's weekly matrices are fitted by the tensor factor model
+    (fit_factor_model) with days as the cross-section and hours as the one
+    seasonal mode, followed by the shared score forecaster. Constant cells
+    carry no factor signal; a provider whose cells all equal their per-cell
+    mean (standardized data identically zero) forecasts that mean.
     """
     shape = _check_common_shape(series)
     ranks = Ranks(r=k_day, k=(k_hour,))
+    day_labels = [f"day{d}" for d in range(shape[1])]
     out = np.empty((n, len(series), shape[1], shape[2]))
     for i, ms in enumerate(series):
-        z = cell_standardization(ms.values)
-        x = (ms.values - z.mu) / z.sigma
-        if np.max(np.abs(x)) == 0.0:
-            out[:, i] = z.mu
+        mu = ms.values.mean(axis=0)
+        if np.all(ms.values == mu):
+            out[:, i] = mu
             continue
-        day_labels = [f"day{d}" for d in range(shape[1])]
-        xs = TensorSeries(values=x, period_starts=ms.period_starts, provider_ids=day_labels)
-        loadings = projected_loadings(xs, initial_loadings(xs, ranks), ranks)
-        factors = extract_factors(xs, loadings)
+        ys = TensorSeries(values=ms.values, period_starts=ms.period_starts, provider_ids=day_labels)
+        model, factors = fit_factor_model(ys, ranks=ranks)
         ff = forecast_factors(factors, n, period=period, score_model=score_model, max_order=max_order)
-        out[:, i] = forecast_observations(ff, loadings, z).values
+        out[:, i] = forecast_observations(ff, model.loadings, model.standardization).values
     return BenchmarkForecast(
         model="MFM",
         provider_ids=[ms.provider_id for ms in series],
         values=out,
-        period_starts=_future_starts(series[0].period_starts, n),
+        period_starts=future_starts(series[0].period_starts, n),
     )
 
 
@@ -215,7 +201,7 @@ def vfm_forecast(
         model="VFM",
         provider_ids=[ms.provider_id for ms in series],
         values=out,
-        period_starts=_future_starts(series[0].period_starts, n),
+        period_starts=future_starts(series[0].period_starts, n),
     )
 
 
@@ -289,5 +275,5 @@ def fpca_forecast(
         model="FPCA",
         provider_ids=[ms.provider_id for ms in series],
         values=out,
-        period_starts=_future_starts(series[0].period_starts, n),
+        period_starts=future_starts(series[0].period_starts, n),
     )

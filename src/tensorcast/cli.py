@@ -45,6 +45,7 @@ from .factor_model import (
     fit_factor_model,
     fitted_values,
     in_sample_mse,
+    initial_loadings,
     load_model,
     rank_bounds,
     save_model,
@@ -393,7 +394,7 @@ def cmd_ranks(cfg: RunConfig, args: argparse.Namespace) -> None:
     ts = _load_archive(cfg)
     xs = standardize(ts, estimate_standardization(ts))
     r_max, k_max = rank_bounds(ts.tensor_dims, cfg.model.r_max, cfg.model.k_max)
-    ranks = select_ranks(xs, r_max, k_max)
+    ranks = select_ranks(xs, initial_loadings(xs), r_max, k_max)
     logger.info("eigenvalue-ratio selection with bounds r<=%d, k<=%s", r_max, k_max)
     print(",".join(str(c) for c in (ranks.r, *ranks.k)))
 
@@ -426,8 +427,6 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> None:
     n = args.horizon if args.horizon is not None else cfg.forecast.horizon
-    if n < 1:
-        raise ConfigError(f"horizon must be >= 1, got {n}")
     ts = _load_archive(cfg)
     model = load_model(_require_file(cfg.out_path(cfg.model.archive), "model archive"))
     if model.provider_ids != ts.provider_ids:

@@ -25,7 +25,6 @@ from .factor_model import (
     FactorSeries,
     Ranks,
     fit_factor_model,
-    reconstruct_common,
 )
 from .forecast import forecast_factors, forecast_observations
 from .panel import TensorSeries
@@ -373,31 +372,14 @@ def _assemble_recursion(draws: SimDraws, loadings: LoadingSet) -> np.ndarray:
     return mode_product(g, loadings.lam, 1) + draws.nu
 
 
-def _assemble_compact(draws: SimDraws, loadings: LoadingSet) -> np.ndarray:
-    """Single-shot build: common component plus the composite error, with each
-    level's shock pushed through all higher-level loadings."""
-    eps = reconstruct_common(draws.core, loadings) + draws.nu
-    num_levels = len(loadings.b)
-    for j in range(1, num_levels + 1):
-        h = draws.eta[j - 1]
-        for level in range(j + 1, num_levels + 1):
-            h = mode_product(h, loadings.b[level - 1], level + 1)
-        eps = eps + mode_product(h, loadings.lam, 1)
-    return eps
-
-
-def simulate(spec: SimSpec, form: str = "recursion") -> tuple[TensorSeries, LoadingSet, FactorSeries]:
+def simulate(spec: SimSpec) -> tuple[TensorSeries, LoadingSet, FactorSeries]:
     """Generate observations plus the ground-truth loadings and core factors.
 
-    form selects the assembly path: the level-by-level recursion or the
-    equivalent compact form (common component + composite error). Both consume
-    identical shock draws, so they produce identical output for one seed.
+    Observations are assembled level by level: each seasonal level maps the
+    previous one through its loading and adds that level's shock.
     """
-    if form not in ("recursion", "compact"):
-        raise ValueError(f"unknown form {form!r}")
     draws, loadings = _prepare(spec)
-    assemble = _assemble_recursion if form == "recursion" else _assemble_compact
-    eps = assemble(draws, loadings)
+    eps = _assemble_recursion(draws, loadings)
     mu = spec.mu if spec.mu is not None else np.zeros(tuple(spec.dims))
     sigma = spec.sigma if spec.sigma is not None else np.ones(tuple(spec.dims))
     values = mu + sigma * eps

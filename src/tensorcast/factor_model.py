@@ -7,12 +7,15 @@ The model for a standardized series of (N, S1, ..., SM) tensors x_t is
 with an N x R cross-sectional loading Lambda, seasonal loadings B(j) of shape
 S_j x K_j, and R x K1 x ... x KM latent factor tensors f_t. Estimation runs in
 two passes. The initial pass eigendecomposes the unprojected second-moment
-matrices of the mode unfoldings to get a coarse basis for the complementary
-loading space of each mode (b_hat for the cross-section mode, gamma_hat[j] for
-seasonal mode j). The projection pass then eigendecomposes the covariance of
-each unfolding after projecting its column space onto that basis, which strips
-most of the noise and yields the final loadings. Factors follow by linear
-projection, with the loading scale conventions
+matrices of the mode unfoldings. It does not depend on the ranks: it keeps the
+full sign-normalised eigenbasis of each mode (b_hat for the cross-section mode,
+gamma_hat[j] for seasonal mode j), so rank selection and the fit share one
+first pass. The projection pass takes the leading columns of each basis as a
+coarse estimate of the complementary loading space at the given ranks and
+eigendecomposes the covariance of each unfolding after projecting its column
+space onto them, which strips most of the noise and yields the final
+loadings. Factors follow by linear projection, with the loading scale
+conventions
 
     Lambda' Lambda = N I,   B(j)' B(j) = S_j I
 
@@ -124,7 +127,12 @@ class FactorSeries:
 
 @dataclass
 class InitialLoadings:
-    """First-pass bases: b_hat is S x prod(K), gamma_hat[j] is (N S/S_j) x (R prod(K)/K_j)."""
+    """Rank-free first-pass bases, columns in descending eigenvalue order.
+
+    b_hat is S x S and gamma_hat[j] is (N S/S_j) x (N S/S_j), both scaled by the
+    square root of their row count. The projection pass at ranks (R, K) uses
+    the leading prod(K) columns of b_hat and R prod(K)/K_j of gamma_hat[j].
+    """
 
     b_hat: np.ndarray
     gamma_hat: list[np.ndarray]
@@ -162,16 +170,16 @@ def _check_standardized_input(xs: TensorSeries) -> tuple[int, tuple[int, ...]]:
     return dims[0], tuple(dims[1:])
 
 
-def initial_loadings(xs: TensorSeries, ranks: Ranks) -> InitialLoadings:
+def initial_loadings(xs: TensorSeries) -> InitialLoadings:
     """First estimation pass: unprojected column-space bases per mode.
 
-    b_hat is sqrt(S) times the top prod(K) eigenvectors of the averaged
-    S x S second-moment matrix of the cross-section unfoldings; gamma_hat[j]
-    is sqrt(N S/S_j) times the top R*prod(K)/K_j eigenvectors of the analogous
-    matrix for seasonal mode j.
+    b_hat is sqrt(S) times the full eigenbasis of the averaged S x S
+    second-moment matrix of the cross-section unfoldings; gamma_hat[j] is
+    sqrt(N S/S_j) times that of the analogous matrix for seasonal mode j.
+    Columns are sign-normalised as in top_eigenvectors, so the leading k
+    columns equal sqrt(p) top_eigenvectors(cov, k)[0].
     """
     n, seasonal = _check_standardized_input(xs)
-    ranks.validate_against(xs.tensor_dims)
     t = xs.num_periods
     s_total = int(np.prod(seasonal))
     scale = t * n * s_total
@@ -180,15 +188,14 @@ def initial_loadings(xs: TensorSeries, ranks: Ranks) -> InitialLoadings:
     cov = np.einsum("tns,tnu->su", x1, x1) / scale
     if np.max(np.abs(cov)) == 0.0:
         raise ValueError("degenerate covariance: series is identically zero")
-    b_hat = np.sqrt(s_total) * top_eigenvectors(cov, ranks.k_product)[0]
+    b_hat = np.sqrt(s_total) * top_eigenvectors(cov, s_total)[0]
 
     gamma_hat = []
     for j, s_j in enumerate(seasonal):
         xj = _stack_unfoldings(xs.values, j + 1)
         cov_j = np.einsum("tsp,tsq->pq", xj, xj) / scale
-        s_minus = s_total // s_j
-        count = ranks.r * (ranks.k_product // ranks.k[j])
-        gamma_hat.append(np.sqrt(n * s_minus) * top_eigenvectors(cov_j, count)[0])
+        count = n * (s_total // s_j)
+        gamma_hat.append(np.sqrt(count) * top_eigenvectors(cov_j, count)[0])
     return InitialLoadings(b_hat=b_hat, gamma_hat=gamma_hat)
 
 
@@ -196,21 +203,25 @@ def _projected_covariances(
     xs: TensorSeries, init: InitialLoadings, ranks: Ranks
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Second-pass covariances: each mode's unfolding compressed through the
-    complementary first-pass basis before the outer product."""
+    leading columns of the complementary first-pass basis before the outer
+    product."""
     n, seasonal = _check_standardized_input(xs)
     t = xs.num_periods
     s_total = int(np.prod(seasonal))
     scale = t * n * s_total
 
+    # Column slices keep the bases' column-major layout, so the products see
+    # the same operands as a basis built with only these columns would be.
     x1 = _stack_unfoldings(xs.values, 0)
-    compressed = x1 @ init.b_hat
+    compressed = x1 @ init.b_hat[:, : ranks.k_product]
     cov0 = np.einsum("tnp,tmp->nm", compressed, compressed) / (scale * s_total)
 
     covs = []
     for j, s_j in enumerate(seasonal):
         xj = _stack_unfoldings(xs.values, j + 1)
         s_minus = s_total // s_j
-        compressed = xj @ init.gamma_hat[j]
+        count = ranks.r * (ranks.k_product // ranks.k[j])
+        compressed = xj @ init.gamma_hat[j][:, :count]
         covs.append(np.einsum("tsp,tup->su", compressed, compressed) / (scale * s_minus))
     return cov0, covs
 
@@ -219,11 +230,6 @@ def projected_loadings(xs: TensorSeries, init: InitialLoadings, ranks: Ranks) ->
     """Second estimation pass: final loadings from the projected covariances."""
     n, seasonal = _check_standardized_input(xs)
     ranks.validate_against(xs.tensor_dims)
-    if init.b_hat.shape != (int(np.prod(seasonal)), ranks.k_product):
-        raise ValueError(
-            f"b_hat shape {init.b_hat.shape} does not conform to ranks {ranks} "
-            f"and dims {xs.tensor_dims}"
-        )
     cov0, covs = _projected_covariances(xs, init, ranks)
     if np.max(np.abs(cov0)) == 0.0:
         raise ValueError("degenerate covariance: series is identically zero")
@@ -323,11 +329,14 @@ def rank_bounds(
     return min(r_max, dims[0] - 1), tuple(int(k) for k in k_max)
 
 
-def select_ranks(xs: TensorSeries, r_max: int, k_max: Sequence[int]) -> Ranks:
+def select_ranks(
+    xs: TensorSeries, init: InitialLoadings, r_max: int, k_max: Sequence[int]
+) -> Ranks:
     """Choose factor counts by the eigenvalue-ratio criterion per mode.
 
     The ratios are taken over the eigenvalues of the projected covariances
-    built with the candidate maxima (r_max, k_max) as working ranks.
+    built from the first pass ``init`` of ``xs`` with the candidate maxima
+    (r_max, k_max) as working ranks.
     """
     n, seasonal = _check_standardized_input(xs)
     k_max = tuple(int(v) for v in k_max)
@@ -338,7 +347,6 @@ def select_ranks(xs: TensorSeries, r_max: int, k_max: Sequence[int]) -> Ranks:
             raise ValueError(f"k_max entry {k_m} must lie in [1, {s_j - 1}]")
     candidate = Ranks(r_max, k_max)
     candidate.validate_against(xs.tensor_dims)
-    init = initial_loadings(xs, candidate)
     cov0, covs = _projected_covariances(xs, init, candidate)
     r = _ratio_argmax(np.linalg.eigvalsh(cov0), r_max)
     k = tuple(
@@ -359,13 +367,15 @@ def fit_factor_model(
 ) -> tuple[TensorFactorModel, FactorSeries]:
     """Standardize, (optionally) select ranks, and run both estimation passes.
 
-    Returns the fitted model together with the extracted factor series.
+    The rank-free first pass runs once and serves both rank selection and the
+    projection pass. Returns the fitted model together with the extracted
+    factor series.
     """
     z = estimate_standardization(ys)
     xs = standardize(ys, z)
+    init = initial_loadings(xs)
     if ranks is None:
-        ranks = select_ranks(xs, *rank_bounds(xs.tensor_dims, r_max, k_max))
-    init = initial_loadings(xs, ranks)
+        ranks = select_ranks(xs, init, *rank_bounds(xs.tensor_dims, r_max, k_max))
     loadings = projected_loadings(xs, init, ranks)
     factors = extract_factors(xs, loadings)
     model = TensorFactorModel(

@@ -30,6 +30,7 @@ __all__ = [
     "fit_ar_aic",
     "forecast_ar",
     "forecast_series",
+    "future_starts",
     "forecast_factors",
     "forecast_observations",
 ]
@@ -239,6 +240,23 @@ def forecast_series(
     return extrapolated + future_seasonal
 
 
+def future_starts(period_starts: np.ndarray, n: int) -> np.ndarray:
+    """Starts of the n periods after an evenly spaced series of period starts."""
+    if len(period_starts) < 2:
+        raise ValueError("need at least 2 periods to infer the period spacing")
+    steps = np.diff(period_starts)
+    if steps[0] <= 0:
+        raise ValueError(f"period starts must increase, got a step of {steps[0]}")
+    uneven = np.flatnonzero(steps != steps[0])
+    if uneven.size:
+        i = int(uneven[0]) + 1
+        raise ValueError(
+            f"period starts are not evenly spaced: start {i} ({period_starts[i]}) "
+            f"follows its predecessor by {steps[i - 1]}, not {steps[0]}"
+        )
+    return period_starts[-1] + steps[0] * np.arange(1, n + 1)
+
+
 def forecast_factors(
     f: FactorSeries,
     n: int,
@@ -255,10 +273,9 @@ def forecast_factors(
     for idx in np.ndindex(*factor_dims):
         series = f.values[(slice(None), *idx)]
         out[(slice(None), *idx)] = forecast_series(series, period, n, score_model, max_order)
-    spacing = f.period_starts[1] - f.period_starts[0]
-    future_starts = f.period_starts[-1] + spacing * np.arange(1, n + 1)
     return FactorForecast(
-        values=out, period_starts=future_starts, provider_ids=list(f.provider_ids)
+        values=out, period_starts=future_starts(f.period_starts, n),
+        provider_ids=list(f.provider_ids),
     )
 
 

@@ -130,6 +130,13 @@ class TensorSeries:
             raise ValueError("one start timestamp per period required")
         if self.values.shape[1] != len(self.provider_ids):
             raise ValueError("values second axis must match provider count")
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            idx = tuple(int(i) for i in np.argwhere(~finite)[0])
+            raise ValueError(
+                f"non-finite value {self.values[idx]} at (period, provider, ...) index {idx}: "
+                f"period starting {self.period_starts[idx[0]]}, provider {self.provider_ids[idx[1]]!r}"
+            )
 
     @property
     def num_periods(self) -> int:

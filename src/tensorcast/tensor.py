@@ -12,18 +12,14 @@ holds exactly, which is what the factor-model code relies on.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "unfold",
-    "refold",
     "mode_product",
     "multi_mode_product",
-    "kron",
-    "hadamard",
-    "frobenius_norm",
     "top_eigenvectors",
 ]
 
@@ -37,19 +33,6 @@ def unfold(x: np.ndarray, mode: int) -> np.ndarray:
     if not 0 <= mode < x.ndim:
         raise ValueError(f"mode {mode} out of range for a {x.ndim}-way tensor")
     return np.reshape(np.moveaxis(x, mode, 0), (x.shape[mode], -1), order="F")
-
-
-def refold(m: np.ndarray, mode: int, dims: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`unfold`: rebuild the tensor with extents ``dims``."""
-    dims = tuple(int(d) for d in dims)
-    if not 0 <= mode < len(dims):
-        raise ValueError(f"mode {mode} out of range for dims {dims}")
-    m = np.asarray(m)
-    rest = tuple(d for i, d in enumerate(dims) if i != mode)
-    expected = (dims[mode], int(np.prod(rest, dtype=np.int64)) if rest else 1)
-    if m.shape != expected:
-        raise ValueError(f"matrix shape {m.shape} does not match dims {dims} at mode {mode}")
-    return np.moveaxis(np.reshape(m, (dims[mode], *rest), order="F"), 0, mode)
 
 
 def mode_product(x: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
@@ -71,28 +54,6 @@ def multi_mode_product(x: np.ndarray, matrices: Iterable[np.ndarray | None]) -> 
         if a is not None:
             out = mode_product(out, a, mode)
     return out
-
-
-def kron(a: np.ndarray, b: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-    """Kronecker product of two or more matrices, left to right."""
-    out = np.kron(np.asarray(a), np.asarray(b))
-    for m in rest:
-        out = np.kron(out, np.asarray(m))
-    return out
-
-
-def hadamard(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise product; the operands must have identical shapes."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    return x * y
-
-
-def frobenius_norm(x: np.ndarray) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.sqrt(np.sum(np.square(np.asarray(x, dtype=float)))))
 
 
 def top_eigenvectors(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

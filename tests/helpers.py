@@ -1,12 +1,17 @@
-"""Shared constructions for synthetic factor-model data in tests."""
+"""Shared constructions for synthetic factor-model data in tests, and small
+tensor utilities that only the tests use."""
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from tensorcast.benchmarks import ProviderMatrixSeries
-from tensorcast.factor_model import LoadingSet, reconstruct_common
+from tensorcast.evaluation import SimSpec, _prepare
+from tensorcast.factor_model import FactorSeries, LoadingSet, reconstruct_common
 from tensorcast.panel import TensorSeries
+from tensorcast.tensor import mode_product
 
 
 def weekly_starts(t: int) -> np.ndarray:
@@ -66,3 +71,59 @@ def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
     qb, _ = np.linalg.qr(np.asarray(b, dtype=float))
     resid = qb - qa @ (qa.T @ qb)
     return float(np.linalg.norm(resid, 2))
+
+
+def refold(m: np.ndarray, mode: int, dims: Sequence[int]) -> np.ndarray:
+    """Inverse of tensor.unfold: rebuild the tensor with extents ``dims``."""
+    dims = tuple(int(d) for d in dims)
+    if not 0 <= mode < len(dims):
+        raise ValueError(f"mode {mode} out of range for dims {dims}")
+    m = np.asarray(m)
+    rest = tuple(d for i, d in enumerate(dims) if i != mode)
+    expected = (dims[mode], int(np.prod(rest, dtype=np.int64)) if rest else 1)
+    if m.shape != expected:
+        raise ValueError(f"matrix shape {m.shape} does not match dims {dims} at mode {mode}")
+    return np.moveaxis(np.reshape(m, (dims[mode], *rest), order="F"), 0, mode)
+
+
+def kron(a: np.ndarray, b: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """Kronecker product of two or more matrices, left to right."""
+    out = np.kron(np.asarray(a), np.asarray(b))
+    for m in rest:
+        out = np.kron(out, np.asarray(m))
+    return out
+
+
+def hadamard(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise product; the operands must have identical shapes."""
+    x = np.asarray(x)
+    y = np.asarray(y)
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
+    return x * y
+
+
+def frobenius_norm(x: np.ndarray) -> float:
+    """Square root of the sum of squared entries."""
+    return float(np.sqrt(np.sum(np.square(np.asarray(x, dtype=float)))))
+
+
+def simulate_compact(spec: SimSpec) -> tuple[TensorSeries, LoadingSet, FactorSeries]:
+    """evaluation.simulate assembled in the compact form: common component plus
+    the composite error, with each level's shock pushed through all
+    higher-level loadings. Consumes the same draws as the recursion."""
+    draws, loadings = _prepare(spec)
+    eps = reconstruct_common(draws.core, loadings) + draws.nu
+    num_levels = len(loadings.b)
+    for j in range(1, num_levels + 1):
+        h = draws.eta[j - 1]
+        for level in range(j + 1, num_levels + 1):
+            h = mode_product(h, loadings.b[level - 1], level + 1)
+        eps = eps + mode_product(h, loadings.lam, 1)
+    mu = spec.mu if spec.mu is not None else np.zeros(spec.dims)
+    sigma = spec.sigma if spec.sigma is not None else np.ones(spec.dims)
+    ts = make_series(mu + sigma * eps)
+    factors = FactorSeries(
+        values=draws.core, period_starts=ts.period_starts, provider_ids=ts.provider_ids
+    )
+    return ts, loadings, factors

@@ -26,7 +26,7 @@ from tensorcast.evaluation import (
 from tensorcast.factor_model import Ranks
 from tensorcast.panel import TensorSeries
 
-from helpers import make_series
+from helpers import make_series, simulate_compact
 
 
 def random_series(rng: np.random.Generator, t: int, dims=(2, 3, 4)) -> TensorSeries:
@@ -309,13 +309,13 @@ def test_simulate_compact_form_equals_recursion():
         eta_sds=(0.2, 0.1),
         seed=12,
     )
-    ts_rec, load_rec, f_rec = simulate(spec, form="recursion")
-    ts_com, load_com, f_com = simulate(spec, form="compact")
+    ts_rec, load_rec, f_rec = simulate(spec)
+    ts_com, load_com, f_com = simulate_compact(spec)
     assert np.max(np.abs(ts_rec.values - ts_com.values)) < 1e-12
     assert np.array_equal(load_rec.lam, load_com.lam)
     assert np.array_equal(f_rec.values, f_com.values)
-    with pytest.raises(ValueError, match="unknown form"):
-        simulate(spec, form="closed")
+    assert np.array_equal(ts_rec.period_starts, ts_com.period_starts)
+    assert ts_rec.provider_ids == ts_com.provider_ids
 
 
 def test_simulate_matches_hand_rolled_two_level_recursion():

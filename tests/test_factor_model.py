@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    kron,
     make_series,
     noiseless_series,
     orthonormal_loading,
@@ -29,7 +30,7 @@ from tensorcast.factor_model import (
     select_ranks,
 )
 from tensorcast.panel import Standardization, destandardize, estimate_standardization, standardize
-from tensorcast.tensor import kron, unfold
+from tensorcast.tensor import top_eigenvectors, unfold
 
 
 class TestRanks:
@@ -63,33 +64,52 @@ class TestInitialLoadings:
     def test_rank_one_b_hat_spans_kron_of_seasonal_loadings(self):
         rng = np.random.default_rng(1)
         ts, loadings, _ = noiseless_series(rng, (5, 4, 6), (1, 1, 1), t=50)
-        init = initial_loadings(ts, Ranks(1, (1, 1)))
+        init = initial_loadings(ts)
         target = kron(loadings.b[1], loadings.b[0])
-        assert subspace_distance(init.b_hat, target) < 1e-10
+        assert subspace_distance(init.b_hat[:, :1], target) < 1e-10
 
     def test_zero_series_is_degenerate(self):
         ts = make_series(np.zeros((1, 3, 4, 5)))
         with pytest.raises(ValueError, match="degenerate"):
-            initial_loadings(ts, Ranks(1, (1, 1)))
+            initial_loadings(ts)
 
     def test_matrix_case_gamma_spans_cross_section_loading(self):
         rng = np.random.default_rng(2)
         ts, loadings, _ = noiseless_series(rng, (6, 8), (1, 1), t=40)
-        init = initial_loadings(ts, Ranks(1, (1,)))
-        assert init.gamma_hat[0].shape == (6, 1)
-        assert subspace_distance(init.gamma_hat[0], loadings.lam) < 1e-10
+        init = initial_loadings(ts)
+        assert init.gamma_hat[0].shape == (6, 6)
+        assert subspace_distance(init.gamma_hat[0][:, :1], loadings.lam) < 1e-10
 
     def test_scale_factors(self):
         rng = np.random.default_rng(3)
         ts, _, _ = noiseless_series(rng, (5, 4, 6), (2, 2, 2), t=60, noise_sd=0.1)
-        init = initial_loadings(ts, Ranks(2, (2, 2)))
+        init = initial_loadings(ts)
         s_total = 24
         np.testing.assert_allclose(
-            init.b_hat.T @ init.b_hat, s_total * np.eye(4), atol=1e-8 * s_total
+            init.b_hat.T @ init.b_hat, s_total * np.eye(24), atol=1e-8 * s_total
         )
         np.testing.assert_allclose(
-            init.gamma_hat[0].T @ init.gamma_hat[0], 30 * np.eye(4), atol=1e-8 * 30
+            init.gamma_hat[0].T @ init.gamma_hat[0], 30 * np.eye(30), atol=1e-8 * 30
         )
+
+    def test_leading_columns_are_top_eigenvectors(self):
+        rng = np.random.default_rng(7)
+        ts, _, _ = noiseless_series(rng, (5, 4, 6), (2, 1, 2), t=40, noise_sd=0.1)
+        init = initial_loadings(ts)
+        x1 = _stack_unfoldings(ts.values, 0)
+        cov = np.einsum("tns,tnu->su", x1, x1) / (40 * 5 * 24)
+        for k in (1, 2, 5, 24):
+            np.testing.assert_array_equal(
+                init.b_hat[:, :k], np.sqrt(24) * top_eigenvectors(cov, k)[0]
+            )
+        for j, s_j in enumerate((4, 6)):
+            xj = _stack_unfoldings(ts.values, j + 1)
+            cov_j = np.einsum("tsp,tsq->pq", xj, xj) / (40 * 5 * 24)
+            p = 5 * 24 // s_j
+            for k in (1, 2, p):
+                np.testing.assert_array_equal(
+                    init.gamma_hat[j][:, :k], np.sqrt(p) * top_eigenvectors(cov_j, k)[0]
+                )
 
 
 class TestProjectedLoadings:
@@ -97,7 +117,7 @@ class TestProjectedLoadings:
         rng = np.random.default_rng(4)
         ts, loadings, _ = noiseless_series(rng, (9, 7, 24), (1, 1, 2), t=80)
         ranks = Ranks(1, (1, 2))
-        fit = projected_loadings(ts, initial_loadings(ts, ranks), ranks)
+        fit = projected_loadings(ts, initial_loadings(ts), ranks)
         assert subspace_distance(fit.b[1], loadings.b[1]) < 1e-8
         assert subspace_distance(fit.b[0], loadings.b[0]) < 1e-8
         assert subspace_distance(fit.lam, loadings.lam) < 1e-8
@@ -106,10 +126,10 @@ class TestProjectedLoadings:
         rng = np.random.default_rng(5)
         ts, _, _ = noiseless_series(rng, (6, 5, 8), (2, 1, 2), t=100, noise_sd=0.5)
         ranks = Ranks(2, (1, 2))
-        fit = projected_loadings(ts, initial_loadings(ts, ranks), ranks)
+        fit = projected_loadings(ts, initial_loadings(ts), ranks)
         common = reconstruct_common(extract_factors(ts, fit).values, fit)
         refit_input = make_series(common)
-        refit = projected_loadings(refit_input, initial_loadings(refit_input, ranks), ranks)
+        refit = projected_loadings(refit_input, initial_loadings(refit_input), ranks)
         assert subspace_distance(fit.lam, refit.lam) < 1e-8
         assert subspace_distance(fit.b[0], refit.b[0]) < 1e-8
         assert subspace_distance(fit.b[1], refit.b[1]) < 1e-8
@@ -118,15 +138,9 @@ class TestProjectedLoadings:
         rng = np.random.default_rng(6)
         ts, _, _ = noiseless_series(rng, (4, 5, 6), (4, 1, 1), t=50)
         ranks = Ranks(4, (1, 1))
-        fit = projected_loadings(ts, initial_loadings(ts, ranks), ranks)
+        fit = projected_loadings(ts, initial_loadings(ts), ranks)
         np.testing.assert_allclose(fit.lam.T @ fit.lam, 4 * np.eye(4), atol=1e-10 * 4)
 
-    def test_nonconforming_initial_basis_rejected(self):
-        rng = np.random.default_rng(7)
-        ts, _, _ = noiseless_series(rng, (5, 4, 6), (1, 1, 1), t=30)
-        init = initial_loadings(ts, Ranks(1, (1, 1)))
-        with pytest.raises(ValueError, match="conform"):
-            projected_loadings(ts, init, Ranks(1, (1, 2)))
 
 
 class TestExtractFactors:
@@ -224,24 +238,25 @@ class TestSelectRanks:
     def test_recovers_planted_ranks(self):
         rng = np.random.default_rng(16)
         ts, _, _ = noiseless_series(rng, (9, 7, 24), (1, 1, 2), t=100, noise_sd=1e-3)
-        assert select_ranks(ts, r_max=3, k_max=(3, 3)) == Ranks(1, (1, 2))
+        assert select_ranks(ts, initial_loadings(ts), r_max=3, k_max=(3, 3)) == Ranks(1, (1, 2))
 
     def test_white_noise_selects_rank_one(self):
         rng = np.random.default_rng(17)
         ts = make_series(rng.standard_normal((200, 6, 5, 8)))
-        assert select_ranks(ts, r_max=3, k_max=(3, 3)) == Ranks(1, (1, 1))
+        assert select_ranks(ts, initial_loadings(ts), r_max=3, k_max=(3, 3)) == Ranks(1, (1, 1))
 
     def test_candidate_bounds(self):
         ts = make_series(np.ones((5, 3, 4, 5)) + np.arange(5).reshape(-1, 1, 1, 1))
+        init = initial_loadings(ts)
         with pytest.raises(ValueError):
-            select_ranks(ts, r_max=3, k_max=(2, 2))
+            select_ranks(ts, init, r_max=3, k_max=(2, 2))
         with pytest.raises(ValueError):
-            select_ranks(ts, r_max=2, k_max=(4, 2))
+            select_ranks(ts, init, r_max=2, k_max=(4, 2))
 
     def test_zero_series_errors(self):
         ts = make_series(np.zeros((5, 3, 4, 5)))
-        with pytest.raises(ValueError):
-            select_ranks(ts, r_max=2, k_max=(2, 2))
+        with pytest.raises(ValueError, match="degenerate"):
+            select_ranks(ts, initial_loadings(ts), r_max=2, k_max=(2, 2))
 
 
 class TestInSampleMse:
@@ -278,7 +293,7 @@ class TestNestedRankFit:
         ts, _, _ = noiseless_series(rng, (6, 5, 8), (1, 1, 2), t=80, noise_sd=1.0)
         z = Standardization(mu=np.zeros((6, 5, 8)), sigma=np.ones((6, 5, 8)))
         ranks2 = Ranks(1, (1, 2))
-        fit2 = projected_loadings(ts, initial_loadings(ts, ranks2), ranks2)
+        fit2 = projected_loadings(ts, initial_loadings(ts), ranks2)
         fitted2 = fitted_values(extract_factors(ts, fit2), fit2, z)
         # Nested comparison: drop the trailing column of the hour loading.
         fit1 = LoadingSet(lam=fit2.lam.copy(), b=[fit2.b[0].copy(), fit2.b[1][:, :1].copy()])
@@ -300,7 +315,7 @@ class TestLoadingConsistency:
                 values = values + 0.8 * rng.standard_normal(values.shape)
                 ts = make_series(values)
                 r = Ranks(1, (1, 2))
-                fit = projected_loadings(ts, initial_loadings(ts, r), r)
+                fit = projected_loadings(ts, initial_loadings(ts), r)
                 errors[t].append(subspace_distance(fit.lam, loadings.lam))
         assert np.median(errors[400]) < np.median(errors[100])
 
@@ -347,3 +362,29 @@ class TestFitFactorModel:
         z = estimate_standardization(ts)
         np.testing.assert_array_equal(model.standardization.mu, z.mu)
         np.testing.assert_array_equal(model.standardization.sigma, z.sigma)
+
+    def test_auto_rank_fit_runs_the_first_pass_once(self, monkeypatch):
+        import tensorcast.factor_model as fm
+
+        calls = []
+
+        def counted(xs):
+            calls.append(xs)
+            return initial_loadings(xs)
+
+        monkeypatch.setattr(fm, "initial_loadings", counted)
+        rng = np.random.default_rng(25)
+        ts, _, _ = noiseless_series(rng, (6, 5, 8), (1, 1, 2), t=60, noise_sd=0.1)
+        fit_factor_model(ts)
+        assert len(calls) == 1
+
+    def test_auto_rank_fit_equals_fixed_fit_at_selected_ranks(self):
+        rng = np.random.default_rng(26)
+        ts, _, _ = noiseless_series(rng, (6, 5, 8), (2, 1, 2), t=60, noise_sd=0.3)
+        auto, auto_factors = fit_factor_model(ts)
+        fixed, fixed_factors = fit_factor_model(ts, auto.ranks)
+        assert auto.ranks == fixed.ranks
+        np.testing.assert_array_equal(auto.loadings.lam, fixed.loadings.lam)
+        for a, b in zip(auto.loadings.b, fixed.loadings.b):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(auto_factors.values, fixed_factors.values)

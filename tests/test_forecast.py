@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import make_series, noiseless_series, random_loading_set
+from helpers import make_matrix_series, make_series, noiseless_series, random_loading_set, weekly_starts
 from tensorcast.factor_model import (
     FactorSeries,
     Ranks,
@@ -26,7 +26,9 @@ from tensorcast.forecast import (
     forecast_factors,
     forecast_observations,
     forecast_series,
+    future_starts,
 )
+from tensorcast.benchmarks import fpca_forecast, mfm_forecast, vfm_forecast
 from tensorcast.panel import Standardization, destandardize
 
 
@@ -282,3 +284,30 @@ class TestForecastObservations:
         truth = raw.values[t - 1]
         rel = np.linalg.norm(pred.values[0] - truth) / np.linalg.norm(truth)
         assert rel < 1e-6
+
+
+def test_future_starts_continue_even_spacing_and_reject_irregular_starts():
+    starts = weekly_starts(6)
+    expected = starts[-1] + (168 * np.arange(1, 4)).astype("timedelta64[h]")
+    np.testing.assert_array_equal(future_starts(starts, 3), expected)
+    with pytest.raises(ValueError, match="at least 2 periods"):
+        future_starts(starts[:1], 3)
+    for stalled in (starts[::-1], np.repeat(starts[:1], 6)):
+        with pytest.raises(ValueError, match="must increase"):
+            future_starts(stalled, 3)
+
+    irregular = starts.copy()
+    irregular[4:] += np.timedelta64(1, "h")
+    with pytest.raises(ValueError, match=r"not evenly spaced: start 4 "):
+        future_starts(irregular, 3)
+    # Every forecaster takes its future starts from the one rule.
+    rng = np.random.default_rng(40)
+    factors = FactorSeries(values=rng.standard_normal((6, 1, 1)), period_starts=irregular,
+                           provider_ids=["P0"])
+    with pytest.raises(ValueError, match=r"not evenly spaced: start 4 "):
+        forecast_factors(factors, 2, period=2)
+    ms = make_matrix_series(rng.standard_normal((6, 3, 4)))
+    ms.period_starts = irregular
+    for forecaster in (mfm_forecast, vfm_forecast, fpca_forecast):
+        with pytest.raises(ValueError, match=r"not evenly spaced: start 4 "):
+            forecaster([ms], 2, period=2)

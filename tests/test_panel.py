@@ -19,6 +19,7 @@ from tensorcast.panel import (
     save_tensor_series,
     standardize,
     unfold_panel,
+    write_npz,
 )
 
 
@@ -318,3 +319,25 @@ class TestArchive:
         np.testing.assert_array_equal(back.values, ts.values)
         np.testing.assert_array_equal(back.period_starts, ts.period_starts)
         assert back.provider_ids == ts.provider_ids
+
+    def test_archive_holding_a_nan_is_rejected(self, tmp_path):
+        values = np.ones((3, 2, 7, 24))
+        values[1, 0, 2, 5] = np.nan
+        starts = np.datetime64("2020-01-06T00", "h") + (168 * np.arange(3)).astype("timedelta64[h]")
+        path = tmp_path / "panel.npz"
+        write_npz(path, {
+            "values": values,
+            "period_starts": np.datetime_as_string(starts, unit="h"),
+            "provider_ids": np.array(["A", "B"]),
+        })
+        with pytest.raises(ValueError, match=r"non-finite value nan .* \(1, 0, 2, 5\).*'A'"):
+            load_tensor_series(path)
+
+
+class TestTensorSeries:
+    def test_hand_built_series_rejects_non_finite_values(self):
+        values = np.zeros((4, 2, 3, 5))
+        values[2, 1, 0, 3] = np.inf
+        values[3, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite value inf .* \(2, 1, 0, 3\).*'P1'"):
+            series_from_values(values)

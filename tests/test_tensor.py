@@ -5,16 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tensorcast.tensor import (
-    frobenius_norm,
-    hadamard,
-    kron,
-    mode_product,
-    multi_mode_product,
-    refold,
-    top_eigenvectors,
-    unfold,
-)
+from helpers import frobenius_norm, hadamard, kron, refold
+from tensorcast.tensor import mode_product, multi_mode_product, top_eigenvectors, unfold
 
 
 def reference_unfold(x: np.ndarray, mode: int) -> np.ndarray:
