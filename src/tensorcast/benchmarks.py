@@ -1,10 +1,12 @@
-"""Reference forecasters that factorize weekly matrices per provider.
+"""Reference forecasters that factorize the weekly matrices of each provider.
 
-Three baselines share the per-cell standardization and the seasonal-plus-AR
-score forecaster (forecast_series) used by the tensor model. MFM and VFM take
-the score model as an argument, so with the tensor model's setting their
-accuracy differences come from the factorization alone; FPCA's scores always
-use ar_aic:
+Each baseline takes a (T, N, S1, S2) TensorSeries (days x hours per provider
+and week) and returns the forecast TensorSeries, as the tensor model does.
+All three share the per-cell standardization and the seasonal-plus-AR score
+forecaster (forecast_series) used by the tensor model. MFM and VFM take the
+score model as an argument, so with the tensor model's setting their accuracy
+differences come from the factorization alone; FPCA's scores always use
+ar_aic:
 
 * MFM: a two-mode (day x hour) factor model per provider, fitted by the
   tensor model's own fit_factor_model with days as the cross-section.
@@ -14,128 +16,93 @@ use ar_aic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .factor_model import Ranks, fit_factor_model
 from .forecast import forecast_factors, forecast_observations, forecast_series, future_starts
-from .panel import TensorSeries, cell_standardization
+from .panel import TensorSeries, destandardize, estimate_standardization, standardize
 from .tensor import top_eigenvectors
 
 _FPCA_VARIANCE_TARGET = 0.95
 _FPCA_MAX_COMPONENTS = 6
 
 
-@dataclass
-class ProviderMatrixSeries:
-    """One provider's weekly matrices: values[t] is (days x hours)."""
-
-    provider_id: str
-    values: np.ndarray  # (T, S1, S2)
-    period_starts: np.ndarray  # datetime64[h], length T
-
-    def __post_init__(self):
-        if self.values.ndim != 3:
-            raise ValueError(f"expected (T, days, hours) values, got shape {self.values.shape}")
-        if len(self.period_starts) != self.values.shape[0]:
-            raise ValueError("one start timestamp per period required")
-
-    @property
-    def num_periods(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def matrix_dims(self) -> tuple[int, int]:
-        return self.values.shape[1], self.values.shape[2]
-
-
-@dataclass
-class BenchmarkForecast:
-    """Per-provider forecast matrices from one baseline model."""
-
-    model: str  # "MFM" | "VFM" | "FPCA"
-    provider_ids: list[str]
-    values: np.ndarray  # (n, N, S1, S2)
-    period_starts: np.ndarray  # datetime64[h], length n
-
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[0]
-
-
-def split_providers(ts: TensorSeries) -> list[ProviderMatrixSeries]:
-    """One matrix series per provider, in the series' provider order."""
+def _require_matrices(ts: TensorSeries) -> None:
     if ts.values.ndim != 4:
         raise ValueError(f"expected a (T, N, S1, S2) series, got shape {ts.values.shape}")
+
+
+def _label_forecast(ts: TensorSeries, values: np.ndarray) -> TensorSeries:
+    """Forecast values labeled with ts's providers and the periods that follow it."""
+    return TensorSeries(
+        values=values,
+        period_starts=future_starts(ts.period_starts, values.shape[0]),
+        provider_ids=list(ts.provider_ids),
+    )
+
+
+def split_providers(ts: TensorSeries) -> list[TensorSeries]:
+    """One (T, S1, S2) series per provider, in the series' provider order.
+
+    The days are the cross-section of each part (labeled day0, day1, ...) and
+    the hours its one seasonal mode.
+    """
+    _require_matrices(ts)
     return [
-        ProviderMatrixSeries(
-            provider_id=pid,
+        TensorSeries(
             values=ts.values[:, i].copy(),
             period_starts=ts.period_starts.copy(),
+            provider_ids=[f"day{d}" for d in range(ts.values.shape[2])],
         )
-        for i, pid in enumerate(ts.provider_ids)
+        for i in range(ts.values.shape[1])
     ]
 
 
-def _check_common_shape(series: list[ProviderMatrixSeries]) -> tuple[int, int, int]:
-    if not series:
-        raise ValueError("need at least one provider series")
-    shape = series[0].values.shape
-    for ms in series[1:]:
-        if ms.values.shape != shape:
-            raise ValueError(f"provider series shapes differ: {ms.values.shape} vs {shape}")
-    return shape
-
-
 def _vectorize_weeks(values: np.ndarray) -> np.ndarray:
-    # Flattened coordinate s2 * S1 + s1: the day index runs fastest, matching
-    # the row order of kron(hour_basis, day_basis).
-    t = values.shape[0]
-    return values.transpose(0, 2, 1).reshape(t, -1)
+    # (T, ..., S1, S2) -> (T, ... * S2 * S1). Within each matrix the
+    # flattened coordinate is s2 * S1 + s1: the day index runs fastest,
+    # matching the row order of kron(hour_basis, day_basis). The result is a
+    # C-contiguous copy; the PCA products depend on operand layout in the
+    # last bits.
+    return np.ascontiguousarray(values.swapaxes(-1, -2)).reshape(values.shape[0], -1)
 
 
-def _matricize_weeks(vecs: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    s1, s2 = dims
-    return vecs.reshape(vecs.shape[0], s2, s1).transpose(0, 2, 1)
+def _matricize_weeks(vecs: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    # Inverse of _vectorize_weeks for matrices of dims (..., S1, S2).
+    *lead, s1, s2 = dims
+    return vecs.reshape(vecs.shape[0], *lead, s2, s1).swapaxes(-1, -2)
 
 
 def mfm_forecast(
-    series: list[ProviderMatrixSeries],
+    ts: TensorSeries,
     n: int,
     k_day: int = 1,
     k_hour: int = 2,
     period: int = 52,
     score_model: str = "ar1",
     max_order: int = 5,
-) -> BenchmarkForecast:
+) -> TensorSeries:
     """Matrix-factor-model forecasts, one independent fit per provider.
 
-    Each provider's weekly matrices are fitted by the tensor factor model
-    (fit_factor_model) with days as the cross-section and hours as the one
-    seasonal mode, followed by the shared score forecaster. Constant cells
-    carry no factor signal; a provider whose cells all equal their per-cell
-    mean (standardized data identically zero) forecasts that mean.
+    Each provider's weekly matrices (split_providers) are fitted by the tensor
+    factor model (fit_factor_model) with days as the cross-section and hours
+    as the one seasonal mode, followed by the shared score forecaster.
+    Constant cells carry no factor signal; a provider whose cells all equal
+    their per-cell mean (standardized data identically zero) forecasts that
+    mean.
     """
-    shape = _check_common_shape(series)
     ranks = Ranks(r=k_day, k=(k_hour,))
-    day_labels = [f"day{d}" for d in range(shape[1])]
-    out = np.empty((n, len(series), shape[1], shape[2]))
-    for i, ms in enumerate(series):
-        mu = ms.values.mean(axis=0)
-        if np.all(ms.values == mu):
+    parts = split_providers(ts)
+    out = np.empty((n, *ts.tensor_dims))
+    for i, ys in enumerate(parts):
+        mu = ys.values.mean(axis=0)
+        if np.all(ys.values == mu):
             out[:, i] = mu
             continue
-        ys = TensorSeries(values=ms.values, period_starts=ms.period_starts, provider_ids=day_labels)
         model, factors = fit_factor_model(ys, ranks=ranks)
         ff = forecast_factors(factors, n, period=period, score_model=score_model, max_order=max_order)
         out[:, i] = forecast_observations(ff, model.loadings, model.standardization).values
-    return BenchmarkForecast(
-        model="MFM",
-        provider_ids=[ms.provider_id for ms in series],
-        values=out,
-        period_starts=future_starts(series[0].period_starts, n),
-    )
+    return _label_forecast(ts, out)
 
 
 def _pca_fit(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,58 +118,36 @@ def _pca_fit(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def vfm_forecast(
-    series: list[ProviderMatrixSeries],
+    ts: TensorSeries,
     n: int,
     r: int = 2,
     period: int = 52,
     score_model: str = "ar1",
     max_order: int = 5,
     stacked: bool = False,
-) -> BenchmarkForecast:
+) -> TensorSeries:
     """Vector-factor-model forecasts: PCA on flattened weekly matrices.
 
     Default is one PCA per provider on its standardized week vectors; with
     stacked=True all providers' coordinates join a single PCA so the factors
     are shared across providers.
     """
-    shape = _check_common_shape(series)
-    dims = shape[1], shape[2]
-    if shape[0] <= r:
-        raise ValueError(f"need more periods than components, got T={shape[0]} with r={r}")
+    _require_matrices(ts)
+    if ts.num_periods <= r:
+        raise ValueError(f"need more periods than components, got T={ts.num_periods} with r={r}")
+    z = estimate_standardization(ts)
+    x = standardize(ts, z).values
 
-    standardized = []
-    scales = []
-    for ms in series:
-        z = cell_standardization(ms.values)
-        scales.append(z)
-        standardized.append(_vectorize_weeks((ms.values - z.mu) / z.sigma))
+    def extrapolate(block: np.ndarray) -> np.ndarray:
+        basis, scores = _pca_fit(_vectorize_weeks(block), r)
+        future = forecast_series(scores, period, n, score_model, max_order)
+        return _matricize_weeks(future @ basis.T, block.shape[1:])
 
-    def _score_forecasts(scores: np.ndarray) -> np.ndarray:
-        future = np.empty((n, scores.shape[1]))
-        for j in range(scores.shape[1]):
-            future[:, j] = forecast_series(scores[:, j], period, n, score_model, max_order)
-        return future
-
-    out = np.empty((n, len(series), *dims))
     if stacked:
-        x = np.concatenate(standardized, axis=1)
-        basis, scores = _pca_fit(x, r)
-        recon = _score_forecasts(scores) @ basis.T
-        width = dims[0] * dims[1]
-        for i, z in enumerate(scales):
-            block = recon[:, i * width : (i + 1) * width]
-            out[:, i] = _matricize_weeks(block, dims) * z.sigma + z.mu
+        common = extrapolate(x)
     else:
-        for i, (x, z) in enumerate(zip(standardized, scales)):
-            basis, scores = _pca_fit(x, r)
-            recon = _score_forecasts(scores) @ basis.T
-            out[:, i] = _matricize_weeks(recon, dims) * z.sigma + z.mu
-    return BenchmarkForecast(
-        model="VFM",
-        provider_ids=[ms.provider_id for ms in series],
-        values=out,
-        period_starts=future_starts(series[0].period_starts, n),
-    )
+        common = np.stack([extrapolate(x[:, i]) for i in range(x.shape[1])], axis=1)
+    return destandardize(_label_forecast(ts, common), z)
 
 
 def _component_count(eigvals: np.ndarray, requested: int | None, limit: int) -> int:
@@ -231,49 +176,37 @@ def _day_curve_fit(
     cov = centered.T @ centered / curves.shape[0]
     if np.max(np.abs(cov)) == 0.0:
         return mean_curve, None, None
-    eigvals = np.linalg.eigvalsh(cov)[::-1]
-    count = _component_count(eigvals, ncomp, curves.shape[1])
-    basis, _ = top_eigenvectors(cov, count)
+    basis, eigvals = top_eigenvectors(cov, curves.shape[1])
+    basis = basis[:, : _component_count(eigvals, ncomp, curves.shape[1])]
     return mean_curve, basis, centered @ basis
 
 
 def fpca_forecast(
-    series: list[ProviderMatrixSeries],
+    ts: TensorSeries,
     n: int,
     ncomp: int | None = None,
     period: int = 52,
     score_model: str = "ar_aic",
     max_order: int = 5,
-) -> BenchmarkForecast:
+) -> TensorSeries:
     """Functional-PCA forecasts: one curve basis per provider and day of week.
 
-    Each day-of-week slice gives a (T x hours) sample of daily curves on the
-    standardized scale. Curves are centered, decomposed into principal
-    component curves (enough to explain 95% of variance, at most 6, unless
-    ncomp is given), and the component scores are forecast with the shared
-    seasonal-plus-autoregression path. Forecast curves reassemble into weekly
-    matrices with day slices in their original row order.
+    Each (provider, day-of-week) slice gives a (T x hours) sample of daily
+    curves on the standardized scale. Curves are centered, decomposed into
+    principal component curves (enough to explain 95% of variance, at most 6,
+    unless ncomp is given), and the component scores are forecast with the
+    shared seasonal-plus-autoregression path. Forecast curves reassemble into
+    weekly matrices with day slices in their original row order.
     """
-    shape = _check_common_shape(series)
-    num_days, num_hours = shape[1], shape[2]
-    out = np.empty((n, len(series), num_days, num_hours))
-    for i, ms in enumerate(series):
-        z = cell_standardization(ms.values)
-        x = (ms.values - z.mu) / z.sigma
-        common = np.empty((n, num_days, num_hours))
-        for d in range(num_days):
-            mean_curve, basis, scores = _day_curve_fit(x[:, d, :], ncomp)
-            if basis is None:
-                common[:, d] = mean_curve
-                continue
-            future = np.empty((n, basis.shape[1]))
-            for j in range(basis.shape[1]):
-                future[:, j] = forecast_series(scores[:, j], period, n, score_model, max_order)
-            common[:, d] = mean_curve + future @ basis.T
-        out[:, i] = common * z.sigma + z.mu
-    return BenchmarkForecast(
-        model="FPCA",
-        provider_ids=[ms.provider_id for ms in series],
-        values=out,
-        period_starts=future_starts(series[0].period_starts, n),
-    )
+    _require_matrices(ts)
+    z = estimate_standardization(ts)
+    x = standardize(ts, z).values
+    common = np.empty((n, *ts.tensor_dims))
+    for i, d in np.ndindex(*ts.tensor_dims[:2]):
+        mean_curve, basis, scores = _day_curve_fit(x[:, i, d], ncomp)
+        if basis is None:
+            common[:, i, d] = mean_curve
+        else:
+            future = forecast_series(scores, period, n, score_model, max_order)
+            common[:, i, d] = mean_curve + future @ basis.T
+    return destandardize(_label_forecast(ts, common), z)

@@ -193,7 +193,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
         "r_max": ("3", _int(1), "cross-section rank bound for automatic selection"),
         "k_max": ("", _unless("", _list(_int(1))),
                   "per-mode seasonal rank bounds; empty = min(3, S_j - 1)"),
-        "period": ("52", _int(1), "seasonal period of the per-factor score models"),
+        "period": ("52", _int(2), "seasonal period of the per-factor score models"),
         "score_model": ("ar1", _choice("ar1", "ar_aic"),
                         "factor score extrapolation: 'ar1' or 'ar_aic'"),
         "max_order": ("5", _int(0), "maximum AR order when score_model = ar_aic"),
@@ -381,8 +381,6 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> None:
     paths = [_require_file(cfg.input_path(p), "data file") for p in cfg.data.paths]
     panel = ingest_csv(paths, span=cfg.data.span)
     ts = fold(panel, cfg.calendar)
-    if ts.num_periods == 0:
-        raise ValueError("span contains no complete calendar period")
     logger.info("folded into %d periods of shape %s", ts.num_periods, ts.tensor_dims)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     archive = cfg.out_path(cfg.data.archive)
@@ -428,6 +426,11 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> None:
 def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> None:
     n = args.horizon if args.horizon is not None else cfg.forecast.horizon
     ts = _load_archive(cfg)
+    if ts.num_periods < 2 * cfg.model.period:
+        raise ConfigError(
+            f"model.period = {cfg.model.period} needs at least {2 * cfg.model.period} "
+            f"periods, but data.archive holds {ts.num_periods}"
+        )
     model = load_model(_require_file(cfg.out_path(cfg.model.archive), "model archive"))
     if model.provider_ids != ts.provider_ids:
         raise ConfigError(
@@ -472,6 +475,11 @@ def cmd_backtest(
     bt, model = cfg.backtest, cfg.model
     if bt.train_length is None:
         raise ConfigError("backtest.train_length is required for backtest")
+    if forecasters is None and bt.train_length < 2 * model.period:
+        raise ConfigError(
+            f"backtest.train_length = {bt.train_length} is shorter than the "
+            f"{2 * model.period} periods that model.period = {model.period} needs"
+        )
     plan = RollingPlan(train_length=bt.train_length, horizons=bt.horizons)
     try:
         plan.validate_for(ts.num_periods)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .benchmarks import fpca_forecast, mfm_forecast, split_providers, vfm_forecast
+from .benchmarks import fpca_forecast, mfm_forecast, vfm_forecast
 from .factor_model import (
     LoadingSet,
     FactorSeries,
@@ -233,15 +233,14 @@ def make_benchmark_forecaster(
         raise ValueError(f"unknown benchmark {kind!r}")
 
     def fn(train: TensorSeries, n: int) -> np.ndarray:
-        parts = split_providers(train)
         if tag == "MFM":
-            fc = mfm_forecast(parts, n, k_day=k_day, k_hour=k_hour, period=period,
+            fc = mfm_forecast(train, n, k_day=k_day, k_hour=k_hour, period=period,
                               score_model=score_model, max_order=max_order)
         elif tag == "VFM":
-            fc = vfm_forecast(parts, n, r=r, period=period, score_model=score_model,
+            fc = vfm_forecast(train, n, r=r, period=period, score_model=score_model,
                               max_order=max_order, stacked=stacked)
         else:
-            fc = fpca_forecast(parts, n, ncomp=ncomp, period=period, max_order=max_order)
+            fc = fpca_forecast(train, n, ncomp=ncomp, period=period, max_order=max_order)
         return fc.values
 
     return fn

@@ -110,7 +110,7 @@ class LoadingSet:
 
 @dataclass
 class FactorSeries:
-    """Extracted factor tensors: values[t] has dims (R, K1, ..., KM).
+    """Factor tensors, extracted or forecast: values[t] has dims (R, K1, ..., KM).
 
     Period starts and provider labels ride along so downstream reconstruction
     can rebuild a fully labeled TensorSeries.

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factor_model import FactorSeries, LoadingSet, reconstruct_common
+from .factor_model import FactorSeries, LoadingSet, fitted_values
 from .panel import Standardization, TensorSeries
 
 __all__ = [
     "SeasonalDecomp",
     "AR1Fit",
     "ARFit",
-    "FactorForecast",
     "classical_decompose",
     "fit_ar1",
     "forecast_ar1",
@@ -70,19 +69,6 @@ class ARFit:
     @property
     def order(self) -> int:
         return len(self.coeffs)
-
-
-@dataclass
-class FactorForecast:
-    """Forecast factor tensors: values[h-1] predicts period T+h."""
-
-    values: np.ndarray  # (n, R, K1, ..., KM)
-    period_starts: np.ndarray  # datetime64[h] of the forecast periods
-    provider_ids: list[str]
-
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[0]
 
 
 def classical_decompose(x: np.ndarray, period: int) -> SeasonalDecomp:
@@ -216,28 +202,34 @@ def forecast_ar(fit: ARFit, history: np.ndarray, n: int) -> np.ndarray:
 def forecast_series(
     x: np.ndarray, period: int, n: int, score_model: str = "ar1", max_order: int = 5
 ) -> np.ndarray:
-    """Deseasonalize, extrapolate, and re-seasonalize one scalar series.
+    """Deseasonalize, extrapolate, and re-seasonalize each series of a block.
 
-    The autoregression sees x minus the seasonal component (trend included).
-    A numerically constant adjusted series gets a flat mean forecast, the
-    exact extrapolation of a purely seasonal signal. Future positions T+h
-    carry the seasonal index at (T+h-1) mod period.
+    x is (T, ...) and every trailing coordinate is one scalar series, forecast
+    on its own; the result is (n, ...), so a 1-D x gives an (n,) forecast.
+    The autoregression sees a series minus its seasonal component (trend
+    included). A numerically constant adjusted series gets a flat mean
+    forecast, the exact extrapolation of a purely seasonal signal. Future
+    positions T+h carry the seasonal index at (T+h-1) mod period.
     """
+    if n < 1:
+        raise ValueError(f"horizon must be >= 1, got {n}")
     x = np.asarray(x, dtype=float)
-    decomp = classical_decompose(x, period)
-    t = len(x)
-    adjusted = x - decomp.seasonal[np.arange(t) % period]
-    future_seasonal = decomp.seasonal[(t + np.arange(n)) % period]
-
-    if np.ptp(adjusted) <= _FLAT_TOLERANCE * max(1.0, float(np.max(np.abs(adjusted)))):
-        return float(np.mean(adjusted)) + future_seasonal
-    if score_model == "ar1":
-        extrapolated = forecast_ar1(fit_ar1(adjusted), adjusted[-1], n)
-    elif score_model == "ar_aic":
-        extrapolated = forecast_ar(fit_ar_aic(adjusted, max_order), adjusted, n)
-    else:
-        raise ValueError(f"unknown score model {score_model!r}")
-    return extrapolated + future_seasonal
+    t = x.shape[0]
+    series = x.reshape(t, -1)
+    out = np.empty((n, series.shape[1]))
+    for j in range(series.shape[1]):
+        seasonal = classical_decompose(series[:, j], period).seasonal
+        adjusted = series[:, j] - seasonal[np.arange(t) % period]
+        if np.ptp(adjusted) <= _FLAT_TOLERANCE * max(1.0, float(np.max(np.abs(adjusted)))):
+            extrapolated = float(np.mean(adjusted))
+        elif score_model == "ar1":
+            extrapolated = forecast_ar1(fit_ar1(adjusted), adjusted[-1], n)
+        elif score_model == "ar_aic":
+            extrapolated = forecast_ar(fit_ar_aic(adjusted, max_order), adjusted, n)
+        else:
+            raise ValueError(f"unknown score model {score_model!r}")
+        out[:, j] = extrapolated + seasonal[(t + np.arange(n)) % period]
+    return out.reshape(n, *x.shape[1:])
 
 
 def future_starts(period_starts: np.ndarray, n: int) -> np.ndarray:
@@ -263,35 +255,21 @@ def forecast_factors(
     period: int = 52,
     score_model: str = "ar1",
     max_order: int = 5,
-) -> FactorForecast:
-    """Forecast every factor coordinate independently n periods ahead."""
-    if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
-    t = f.num_periods
-    factor_dims = f.values.shape[1:]
-    out = np.empty((n, *factor_dims))
-    for idx in np.ndindex(*factor_dims):
-        series = f.values[(slice(None), *idx)]
-        out[(slice(None), *idx)] = forecast_series(series, period, n, score_model, max_order)
-    return FactorForecast(
-        values=out, period_starts=future_starts(f.period_starts, n),
+) -> FactorSeries:
+    """Forecast every factor coordinate independently n periods ahead.
+
+    values[h-1] of the result predicts period T+h.
+    """
+    return FactorSeries(
+        values=forecast_series(f.values, period, n, score_model, max_order),
+        period_starts=future_starts(f.period_starts, n),
         provider_ids=list(f.provider_ids),
     )
 
 
 def forecast_observations(
-    ff: FactorForecast, loadings: LoadingSet, z: Standardization
+    ff: FactorSeries, loadings: LoadingSet, z: Standardization
 ) -> TensorSeries:
-    """Observation-space forecasts: mu + sigma (Hadamard) reconstructed factors.
-
-    Same reconstruction as in-sample fitted values, applied to forecast factor
-    tensors.
-    """
-    common = reconstruct_common(ff.values, loadings)
-    if common.shape[1:] != z.mu.shape:
-        raise ValueError(f"reconstruction dims {common.shape[1:]} != standardization {z.mu.shape}")
-    return TensorSeries(
-        values=z.mu + z.sigma * common,
-        period_starts=ff.period_starts.copy(),
-        provider_ids=list(ff.provider_ids),
-    )
+    """Observation-space forecasts: the in-sample reconstruction
+    (fitted_values) applied to forecast factor tensors."""
+    return fitted_values(ff, loadings, z)

@@ -7,7 +7,6 @@ from typing import Sequence
 
 import numpy as np
 
-from tensorcast.benchmarks import ProviderMatrixSeries
 from tensorcast.evaluation import SimSpec, _prepare
 from tensorcast.factor_model import FactorSeries, LoadingSet, reconstruct_common
 from tensorcast.panel import TensorSeries
@@ -18,21 +17,14 @@ def weekly_starts(t: int) -> np.ndarray:
     return np.datetime64("2020-01-06T00", "h") + (168 * np.arange(t)).astype("timedelta64[h]")
 
 
-def make_series(values: np.ndarray) -> TensorSeries:
+def make_series(values: np.ndarray, provider_ids: Sequence[str] | None = None) -> TensorSeries:
     values = np.asarray(values, dtype=float)
+    if provider_ids is None:
+        provider_ids = [f"P{i}" for i in range(values.shape[1])]
     return TensorSeries(
         values=values,
         period_starts=weekly_starts(values.shape[0]),
-        provider_ids=[f"P{i}" for i in range(values.shape[1])],
-    )
-
-
-def make_matrix_series(values: np.ndarray, provider_id: str = "P0") -> ProviderMatrixSeries:
-    values = np.asarray(values, dtype=float)
-    return ProviderMatrixSeries(
-        provider_id=provider_id,
-        values=values,
-        period_starts=weekly_starts(values.shape[0]),
+        provider_ids=list(provider_ids),
     )
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tensorcast.benchmarks import (
-    ProviderMatrixSeries,
     _component_count,
     _day_curve_fit,
     _matricize_weeks,
@@ -29,7 +28,6 @@ from tensorcast.forecast import forecast_factors, forecast_observations
 from tensorcast.panel import TensorSeries, cell_standardization
 
 from helpers import (
-    make_matrix_series,
     make_series,
     noiseless_series,
     orthonormal_loading,
@@ -46,37 +44,37 @@ def periodic_pair(t: int, period: int) -> tuple[np.ndarray, np.ndarray]:
 # plumbing
 
 
-def test_provider_matrix_series_validates_shapes():
-    with pytest.raises(ValueError, match="days, hours"):
-        ProviderMatrixSeries("P0", np.zeros((4, 6)), weekly_starts(4))
-    with pytest.raises(ValueError, match="timestamp"):
-        ProviderMatrixSeries("P0", np.zeros((4, 2, 3)), weekly_starts(5))
-
-
 def test_split_providers_slices_by_provider():
     values = np.arange(5 * 2 * 3 * 4, dtype=float).reshape(5, 2, 3, 4)
     ts = make_series(values)
     parts = split_providers(ts)
-    assert [ms.provider_id for ms in parts] == ["P0", "P1"]
-    for i, ms in enumerate(parts):
-        assert np.array_equal(ms.values, values[:, i])
-        assert np.array_equal(ms.period_starts, ts.period_starts)
+    assert len(parts) == 2
+    for i, part in enumerate(parts):
+        assert part.provider_ids == ["day0", "day1", "day2"]
+        assert np.array_equal(part.values, values[:, i])
+        assert np.array_equal(part.period_starts, ts.period_starts)
 
 
 def test_split_providers_rejects_non_matrix_series():
     ts = TensorSeries(np.zeros((4, 2, 6)), weekly_starts(4), ["P0", "P1"])
     with pytest.raises(ValueError, match="S1, S2"):
         split_providers(ts)
+    for forecaster in (mfm_forecast, vfm_forecast, fpca_forecast):
+        with pytest.raises(ValueError, match="S1, S2"):
+            forecaster(ts, 1, period=2)
 
 
-def test_forecast_period_starts_continue_the_series():
+@pytest.mark.parametrize("forecaster", [mfm_forecast, vfm_forecast, fpca_forecast],
+                         ids=["MFM", "VFM", "FPCA"])
+def test_forecast_period_starts_continue_the_series(forecaster):
     rng = np.random.default_rng(0)
-    ms = make_matrix_series(rng.standard_normal((24, 3, 4)))
-    fc = vfm_forecast([ms], 3, r=2, period=6)
-    expected = ms.period_starts[-1] + (168 * np.arange(1, 4)).astype("timedelta64[h]")
+    ts = make_series(rng.standard_normal((24, 2, 3, 4)), ["A", "B"])
+    fc = forecaster(ts, 3, period=6)
+    expected = ts.period_starts[-1] + (168 * np.arange(1, 4)).astype("timedelta64[h]")
     assert np.array_equal(fc.period_starts, expected)
-    assert fc.horizon == 3
-    assert fc.values.shape == (3, 1, 3, 4)
+    assert fc.provider_ids == ["A", "B"]
+    assert fc.num_periods == 3
+    assert fc.values.shape == (3, 2, 3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -96,18 +94,18 @@ def test_mfm_exact_on_noiseless_periodic_matrix_data():
     common = np.einsum("da,tab,hb->tdh", day, scores, hour)
     mu = rng.uniform(50.0, 100.0, size=(7, 24))
     full = mu + 10.0 * common
-    ms = make_matrix_series(full[:t])
+    ts = make_series(full[:t, None])
 
-    fc = mfm_forecast([ms], horizon, period=period)
+    fc = mfm_forecast(ts, horizon, period=period)
     truth = full[t : t + horizon]
     assert np.max(np.abs(fc.values[:, 0] - truth)) < 1e-6 * np.max(np.abs(truth))
 
 
 def test_mfm_constant_data_forecasts_the_constant():
     base = np.linspace(10.0, 50.0, 6 * 4).reshape(6, 4)
-    ms = make_matrix_series(np.broadcast_to(base, (12, 6, 4)).copy())
+    ts = make_series(np.broadcast_to(base, (12, 1, 6, 4)).copy())
     with pytest.warns(RuntimeWarning):
-        fc = mfm_forecast([ms], 3, period=4)
+        fc = mfm_forecast(ts, 3, period=4)
     assert np.allclose(fc.values[:, 0], base, rtol=0, atol=1e-12)
 
 
@@ -121,16 +119,16 @@ def test_mfm_agrees_with_tensor_model_on_single_provider():
     ff = forecast_factors(factors, 4, period=6)
     tfm = forecast_observations(ff, model.loadings, model.standardization).values
 
-    mfm = mfm_forecast(split_providers(ys), 4, period=6).values
+    mfm = mfm_forecast(ys, 4, period=6).values
     assert np.max(np.abs(mfm - tfm)) < 1e-6 * np.max(np.abs(tfm))
 
 
 def test_mfm_fits_providers_independently():
     rng = np.random.default_rng(3)
-    a = make_matrix_series(rng.standard_normal((24, 3, 4)), "A")
-    b = make_matrix_series(rng.standard_normal((24, 3, 4)), "B")
-    both = mfm_forecast([a, b], 2, period=6)
-    alone = mfm_forecast([a], 2, period=6)
+    a = rng.standard_normal((24, 3, 4))
+    b = rng.standard_normal((24, 3, 4))
+    both = mfm_forecast(make_series(np.stack([a, b], axis=1), ["A", "B"]), 2, period=6)
+    alone = mfm_forecast(make_series(a[:, None], ["A"]), 2, period=6)
     assert both.provider_ids == ["A", "B"]
     assert np.array_equal(both.values[:, 0], alone.values[:, 0])
 
@@ -146,9 +144,9 @@ def test_vfm_exact_on_affine_two_dimensional_weeks():
     u = orthonormal_loading(rng, p, 2) / np.sqrt(p)
     s1, s2 = periodic_pair(t + 1, period)
     vecs = base + np.outer(s1, u[:, 0]) + np.outer(s2, u[:, 1])
-    ms = make_matrix_series(_matricize_weeks(vecs[:t], (4, 6)))
+    ts = make_series(_matricize_weeks(vecs[:t], (4, 6))[:, None])
 
-    fc = vfm_forecast([ms], 1, r=2, period=period)
+    fc = vfm_forecast(ts, 1, r=2, period=period)
     truth = _matricize_weeks(vecs[t:], (4, 6))[0]
     assert np.max(np.abs(fc.values[0, 0] - truth)) < 1e-6 * np.max(np.abs(truth))
 
@@ -166,19 +164,19 @@ def test_vfm_complete_basis_reconstructs_in_sample():
 
 
 def test_vfm_zero_variance_data_is_degenerate():
-    ms = make_matrix_series(np.full((12, 3, 4), 7.5))
+    ts = make_series(np.full((12, 1, 3, 4), 7.5))
     with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="degenerate"):
-        vfm_forecast([ms], 1, r=2, period=4)
+        vfm_forecast(ts, 1, r=2, period=4)
 
 
 def test_vfm_requires_more_periods_than_components():
     rng = np.random.default_rng(6)
-    ms = make_matrix_series(rng.standard_normal((5, 2, 3)))
+    ts = make_series(rng.standard_normal((5, 1, 2, 3)))
     with pytest.raises(ValueError, match="more periods than components"):
-        vfm_forecast([ms], 1, r=5, period=2)
-    ms_long = make_matrix_series(rng.standard_normal((10, 2, 3)))
+        vfm_forecast(ts, 1, r=5, period=2)
+    ts_long = make_series(rng.standard_normal((10, 1, 2, 3)))
     with pytest.raises(ValueError, match="out of range"):
-        vfm_forecast([ms_long], 1, r=7, period=2)
+        vfm_forecast(ts_long, 1, r=7, period=2)
 
 
 def test_vfm_with_kron_structured_loading_matches_mfm_reconstruction():
@@ -211,10 +209,11 @@ def test_vfm_stacked_shares_factors_across_providers():
         base = rng.uniform(5.0, 9.0, size=p)
         u = orthonormal_loading(rng, p, 2) / np.sqrt(p)
         vecs = base + np.outer(s1, u[:, 0]) + np.outer(s2, u[:, 1])
-        series.append(make_matrix_series(_matricize_weeks(vecs[:t], (3, 4)), pid))
+        series.append(_matricize_weeks(vecs[:t], (3, 4)))
         truths.append(_matricize_weeks(vecs[t:], (3, 4))[0])
 
-    fc = vfm_forecast(series, 1, r=2, period=period, stacked=True)
+    ts = make_series(np.stack(series, axis=1), ["A", "B"])
+    fc = vfm_forecast(ts, 1, r=2, period=period, stacked=True)
     for i, truth in enumerate(truths):
         assert np.max(np.abs(fc.values[0, i] - truth)) < 1e-6 * np.max(np.abs(truth))
 
@@ -234,9 +233,9 @@ def test_fpca_exact_on_one_component_curves():
     w = rng.uniform(0.5, 1.5, size=(days, hours)) * rng.choice([-1.0, 1.0], size=(days, hours))
     s = 1.0 + 0.05 * np.arange(t + horizon)
     full = mu + w * s[:, None, None]
-    ms = make_matrix_series(full[:t])
+    ts = make_series(full[:t, None])
 
-    fc = fpca_forecast([ms], horizon, period=6)
+    fc = fpca_forecast(ts, horizon, period=6)
     truth = full[t : t + horizon]
     assert np.max(np.abs(fc.values[:, 0] - truth)) < 1e-5 * np.max(np.abs(truth))
 
@@ -260,9 +259,9 @@ def test_fpca_day_slices_keep_their_rows():
     full = np.empty((t + 1, days, hours))
     for d in range(days):
         full[:, d, :] = 10.0 * (d + 1) + (d + 1) * np.outer(s, curve)
-    ms = make_matrix_series(full[:t])
+    ts = make_series(full[:t, None])
 
-    fc = fpca_forecast([ms], 1, period=period)
+    fc = fpca_forecast(ts, 1, period=period)
     truth = full[t]
     assert np.max(np.abs(fc.values[0, 0] - truth)) < 1e-6 * np.max(np.abs(truth))
     row_levels = fc.values[0, 0].mean(axis=1)
@@ -275,9 +274,9 @@ def test_fpca_flat_day_forecasts_its_mean():
     full = np.empty((t + 1, 2, 3))
     full[:, 0, :] = 42.0
     full[:, 1, :] = 5.0 + np.outer(s, np.array([1.0, 2.0, 3.0]))
-    ms = make_matrix_series(full[:t])
+    ts = make_series(full[:t, None])
     with pytest.warns(RuntimeWarning):
-        fc = fpca_forecast([ms], 1, period=period)
+        fc = fpca_forecast(ts, 1, period=period)
     assert np.allclose(fc.values[0, 0, 0], 42.0, rtol=0, atol=1e-10)
     assert np.max(np.abs(fc.values[0, 0, 1] - full[t, 1])) < 1e-6
 
@@ -298,23 +297,22 @@ def test_fpca_component_count_selection():
 
 def test_benchmarks_are_deterministic():
     rng = np.random.default_rng(12)
-    series = [
-        make_matrix_series(50.0 + 5.0 * rng.standard_normal((24, 3, 4)), pid)
-        for pid in ("A", "B")
-    ]
-    for forecaster, tag in ((mfm_forecast, "MFM"), (vfm_forecast, "VFM"), (fpca_forecast, "FPCA")):
-        first = forecaster(series, 2, period=6)
-        second = forecaster(series, 2, period=6)
-        assert first.model == tag
+    ts = make_series(50.0 + 5.0 * rng.standard_normal((24, 2, 3, 4)), ["A", "B"])
+    for forecaster in (mfm_forecast, vfm_forecast, fpca_forecast):
+        first = forecaster(ts, 2, period=6)
+        second = forecaster(ts, 2, period=6)
         assert first.provider_ids == ["A", "B"]
         assert np.array_equal(first.values, second.values)
 
 
-def test_benchmarks_reject_mismatched_provider_shapes():
+def test_panel_standardization_keeps_per_provider_forecasts_independent():
+    # VFM and FPCA standardize the whole panel at once; a provider's
+    # forecast must still not depend on the other providers, bit for bit.
     rng = np.random.default_rng(13)
-    a = make_matrix_series(rng.standard_normal((24, 3, 4)), "A")
-    b = make_matrix_series(rng.standard_normal((24, 3, 5)), "B")
-    with pytest.raises(ValueError, match="shapes differ"):
-        mfm_forecast([a, b], 1, period=6)
-    with pytest.raises(ValueError, match="at least one provider"):
-        vfm_forecast([], 1)
+    a = 50.0 + 5.0 * rng.standard_normal((24, 3, 4))
+    b = rng.standard_normal((24, 3, 4))
+    both = make_series(np.stack([a, b], axis=1), ["A", "B"])
+    alone = make_series(a[:, None], ["A"])
+    for forecaster in (vfm_forecast, fpca_forecast):
+        pair = forecaster(both, 2, period=6).values[:, 0]
+        assert np.array_equal(pair, forecaster(alone, 2, period=6).values[:, 0])

@@ -107,6 +107,7 @@ def test_malformed_values_exit_2(tmp_path):
         {"data": {"span": "2020-01-01"}},
         {"model": {"ranks": "1,1"}},  # needs R,K1,K2 for two seasonal modes
         {"model": {"ranks": "1,9,2"}},  # day rank must stay below 7
+        {"model": {"period": "1"}},  # the score decomposition needs a period >= 2
         {"calendar": {"periods": "7,23"}},  # does not tile a week
         {"simulate": {"ranks": "1,1"}},  # one count per simulated mode
     ]
@@ -343,13 +344,24 @@ def test_backtest_on_ingested_archive_matches_direct_fold(tmp_path):
         assert (tmp_path / "out_cli" / name).read_bytes() == (direct_out / name).read_bytes()
 
 
-def test_backtest_plan_problems_exit_2(tmp_path):
+def test_backtest_plan_problems_exit_2(tmp_path, capsys):
     simulated_archive(tmp_path, t=20, seed=1)
     no_train = write_config(tmp_path / "a.ini", {"backtest": {"horizons": "1"}})
     assert main(["backtest", "--config", str(no_train)]) == 2
     too_long = write_config(tmp_path / "b.ini",
                             {"backtest": {"train_length": "50", "horizons": "1"}})
     assert main(["backtest", "--config", str(too_long)]) == 2
+    # The plan fits the 20 periods, but a window of 18 cannot hold two
+    # score periods of 12.
+    short_train = write_config(tmp_path / "c.ini", {
+        "model": {"period": "12"},
+        "backtest": {"train_length": "18", "horizons": "1"},
+    })
+    capsys.readouterr()
+    assert main(["backtest", "--config", str(short_train)]) == 2
+    err = capsys.readouterr().err
+    assert "backtest.train_length = 18" in err and "model.period = 12" in err
+    assert not (tmp_path / "out" / "report.csv").exists()
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path):
@@ -420,12 +432,27 @@ def test_report_without_backtest_exits_2(tmp_path, capsys):
 
 
 def test_computation_failure_exits_1(tmp_path, capsys):
+    # A constant archive standardizes to all zeros, which has no factors.
+    out = tmp_path / "out"
+    out.mkdir()
+    save_tensor_series(out / "tensors.npz", TensorSeries(
+        values=np.full((10, 3, 7, 24), 5.0), period_starts=weekly_starts(10),
+        provider_ids=["P0", "P1", "P2"]))
+    cfg = write_config(tmp_path / "run.ini", {"model": {"ranks": "1,1,2"}})
+    with pytest.warns(RuntimeWarning):
+        assert main(["fit", "--config", str(cfg)]) == 1
+    assert "degenerate" in capsys.readouterr().err
+
+
+def test_forecast_on_too_short_archive_exits_2(tmp_path, capsys):
     # Period-52 score models cannot be fit on a 10-period series.
     simulated_archive(tmp_path, t=10, nu_sd=0.1, seed=2)
     cfg = write_config(tmp_path / "run.ini", {"model": {"ranks": "1,1,2"}})
     assert main(["fit", "--config", str(cfg)]) == 0
-    assert main(["forecast", "--config", str(cfg), "--horizon", "1"]) == 1
-    assert "error" in capsys.readouterr().err
+    assert main(["forecast", "--config", str(cfg), "--horizon", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "model.period = 52" in err and "data.archive holds 10" in err
+    assert not (tmp_path / "out" / "forecast.npz").exists()
 
 
 def test_console_script_prints_schema(tmp_path):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import make_matrix_series, make_series, noiseless_series, random_loading_set, weekly_starts
+from helpers import make_series, noiseless_series, random_loading_set, weekly_starts
 from tensorcast.factor_model import (
     FactorSeries,
     Ranks,
@@ -16,7 +16,6 @@ from tensorcast.factor_model import (
 )
 from tensorcast.forecast import (
     AR1Fit,
-    FactorForecast,
     classical_decompose,
     fit_ar,
     fit_ar1,
@@ -29,7 +28,7 @@ from tensorcast.forecast import (
     future_starts,
 )
 from tensorcast.benchmarks import fpca_forecast, mfm_forecast, vfm_forecast
-from tensorcast.panel import Standardization, destandardize
+from tensorcast.panel import Standardization, TensorSeries, destandardize
 
 
 class TestClassicalDecompose:
@@ -188,6 +187,22 @@ class TestForecastSeries:
     def test_zero_series_forecasts_zero(self):
         np.testing.assert_array_equal(forecast_series(np.zeros(30), 4, 5), np.zeros(5))
 
+    @pytest.mark.parametrize("score_model", ["ar1", "ar_aic"])
+    def test_block_forecasts_each_column_as_its_own_series(self, score_model):
+        rng = np.random.default_rng(3)
+        t, m = 40, 4
+        block = np.empty((t, 3))
+        block[:, 0] = rng.standard_normal(t).cumsum()
+        block[:, 1] = 2.0 + np.array([1.0, -1.0, 0.5, -0.5])[np.arange(t) % m]  # flat once adjusted
+        block[:, 2] = rng.standard_normal(t)
+        out = forecast_series(block, m, 5, score_model, max_order=2)
+        assert out.shape == (5, 3)
+        for j in range(3):
+            single = forecast_series(block[:, j], m, 5, score_model, max_order=2)
+            assert np.array_equal(out[:, j], single)
+        tensor = forecast_series(block.reshape(t, 1, 3), m, 5, score_model, max_order=2)
+        assert np.array_equal(tensor, out.reshape(5, 1, 3))
+
 
 class TestForecastFactors:
     def test_periodic_factors_forecast_exactly(self):
@@ -241,7 +256,7 @@ class TestForecastObservations:
         z = Standardization(
             mu=rng.uniform(10, 20, (3, 4, 5)), sigma=rng.uniform(0.5, 2, (3, 4, 5))
         )
-        ff = FactorForecast(
+        ff = FactorSeries(
             values=np.zeros((2, 1, 1, 1)),
             period_starts=np.zeros(2, dtype="datetime64[h]"),
             provider_ids=["a", "b", "c"],
@@ -256,9 +271,8 @@ class TestForecastObservations:
         z = Standardization(mu=rng.uniform(1, 2, (4, 3, 5)), sigma=rng.uniform(0.5, 2, (4, 3, 5)))
         starts = np.zeros(6, dtype="datetime64[h]")
         f = FactorSeries(values=factors, period_starts=starts, provider_ids=list("abcd"))
-        ff = FactorForecast(values=factors, period_starts=starts, provider_ids=list("abcd"))
         a = fitted_values(f, loadings, z).values
-        b = forecast_observations(ff, loadings, z).values
+        b = forecast_observations(f, loadings, z).values
         assert a.tobytes() == b.tobytes()
 
     def test_noiseless_periodic_system_one_step_ahead(self):
@@ -306,8 +320,7 @@ def test_future_starts_continue_even_spacing_and_reject_irregular_starts():
                            provider_ids=["P0"])
     with pytest.raises(ValueError, match=r"not evenly spaced: start 4 "):
         forecast_factors(factors, 2, period=2)
-    ms = make_matrix_series(rng.standard_normal((6, 3, 4)))
-    ms.period_starts = irregular
+    ts = TensorSeries(rng.standard_normal((6, 1, 3, 4)), irregular, ["P0"])
     for forecaster in (mfm_forecast, vfm_forecast, fpca_forecast):
         with pytest.raises(ValueError, match=r"not evenly spaced: start 4 "):
-            forecaster([ms], 2, period=2)
+            forecaster(ts, 2, period=2)
