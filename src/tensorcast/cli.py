@@ -51,7 +51,7 @@ from .factor_model import (
     save_model,
     select_ranks,
 )
-from .forecast import forecast_factors, forecast_observations
+from .forecast import SCORE_MODELS, forecast_factors, forecast_observations
 from .panel import (
     CalendarSpec,
     TensorSeries,
@@ -194,7 +194,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
         "k_max": ("", _unless("", _list(_int(1))),
                   "per-mode seasonal rank bounds; empty = min(3, S_j - 1)"),
         "period": ("52", _int(2), "seasonal period of the per-factor score models"),
-        "score_model": ("ar1", _choice("ar1", "ar_aic"),
+        "score_model": ("ar1", _choice(*SCORE_MODELS),
                         "factor score extrapolation: 'ar1' or 'ar_aic'"),
         "max_order": ("5", _int(0), "maximum AR order when score_model = ar_aic"),
         "archive": ("model.npz", _text, "fitted-model archive; relative names land in out"),
@@ -425,6 +425,8 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> None:
     n = args.horizon if args.horizon is not None else cfg.forecast.horizon
+    if n < 1:
+        raise ConfigError(f"--horizon must be >= 1, got {n}")
     ts = _load_archive(cfg)
     if ts.num_periods < 2 * cfg.model.period:
         raise ConfigError(
@@ -587,8 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, metavar="PATH",
                         help="run configuration file")
-    common.add_argument("--horizon", type=int, default=None, metavar="N",
-                        help="forecast steps ahead (forecast command)")
     common.add_argument("--seed", type=int, default=None, metavar="S",
                         help="RNG seed, overrides [run] seed")
     common.add_argument("--out", default=None, metavar="DIR",
@@ -604,7 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name in _COMMANDS:
-        subparsers.add_parser(name, parents=[common], help=_COMMAND_HELP[name])
+        sub = subparsers.add_parser(name, parents=[common], help=_COMMAND_HELP[name])
+        if name == "forecast":
+            sub.add_argument("--horizon", type=int, default=None, metavar="N",
+                             help="forecast steps ahead, overrides [forecast] horizon")
     return parser
 
 
@@ -616,8 +619,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         updates["seed"] = args.seed
-    if args.horizon is not None and args.horizon < 1:
-        raise ConfigError(f"--horizon must be >= 1, got {args.horizon}")
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 

@@ -38,6 +38,8 @@ __all__ = [
 # constant and forecast flat; AR(1) least squares is undefined there.
 _FLAT_TOLERANCE = 1e-12
 
+SCORE_MODELS = ("ar1", "ar_aic")
+
 
 @dataclass
 class SeasonalDecomp:
@@ -213,6 +215,8 @@ def forecast_series(
     """
     if n < 1:
         raise ValueError(f"horizon must be >= 1, got {n}")
+    if score_model not in SCORE_MODELS:
+        raise ValueError(f"unknown score model {score_model!r}")
     x = np.asarray(x, dtype=float)
     t = x.shape[0]
     series = x.reshape(t, -1)
@@ -224,10 +228,8 @@ def forecast_series(
             extrapolated = float(np.mean(adjusted))
         elif score_model == "ar1":
             extrapolated = forecast_ar1(fit_ar1(adjusted), adjusted[-1], n)
-        elif score_model == "ar_aic":
-            extrapolated = forecast_ar(fit_ar_aic(adjusted, max_order), adjusted, n)
         else:
-            raise ValueError(f"unknown score model {score_model!r}")
+            extrapolated = forecast_ar(fit_ar_aic(adjusted, max_order), adjusted, n)
         out[:, j] = extrapolated + seasonal[(t + np.arange(n)) % period]
     return out.reshape(n, *x.shape[1:])
 

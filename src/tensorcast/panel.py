@@ -21,7 +21,7 @@ import io
 import warnings
 import zipfile
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 from typing import Sequence
 
@@ -45,7 +45,6 @@ __all__ = [
     "Standardization",
     "ingest_csv",
     "fold",
-    "unfold_panel",
     "estimate_standardization",
     "standardize",
     "destandardize",
@@ -169,15 +168,11 @@ def _hour_index(ts: datetime) -> int:
     return hours
 
 
-def _hour_to_datetime64(hour_index: int) -> np.datetime64:
-    return np.datetime64(_EPOCH + timedelta(hours=int(hour_index)), "h")
+def _parse_file(path: str | Path) -> tuple[str, np.ndarray, np.ndarray, int]:
+    """Read one provider CSV into its sorted distinct hour indices, their mean
+    values (duplicates summed in file order) and the number of duplicates.
 
-
-def _parse_file(path: str | Path) -> tuple[str, dict[int, tuple[float, int]], int]:
-    """Read one provider CSV into {hour_index: (value_sum, count)}.
-
-    Duplicated hours accumulate so the caller can average them; missing value
-    tokens are skipped (they become gaps on the aligned grid).
+    Missing value tokens are skipped; they become gaps on the aligned grid.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -196,14 +191,12 @@ def _parse_file(path: str | Path) -> tuple[str, dict[int, tuple[float, int]], in
         val_col = mw_cols[0]
         provider = header[val_col][: -len("_MW")]
 
-        readings: dict[int, tuple[float, int]] = {}
-        duplicates = 0
+        hours, values = [], []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             try:
-                ts = datetime.fromisoformat(row[dt_col].strip())
-                hour = _hour_index(ts)
+                hour = _hour_index(datetime.fromisoformat(row[dt_col].strip()))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad timestamp: {exc}") from None
             raw = row[val_col].strip() if val_col < len(row) else ""
@@ -215,44 +208,32 @@ def _parse_file(path: str | Path) -> tuple[str, dict[int, tuple[float, int]], in
                 raise ValueError(f"{path}:{lineno}: bad value {raw!r}") from None
             if not math.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: non-finite value {raw!r}")
-            if hour in readings:
-                s, c = readings[hour]
-                readings[hour] = (s + value, c + 1)
-                duplicates += 1
-            else:
-                readings[hour] = (value, 1)
-    if not readings:
+            hours.append(hour)
+            values.append(value)
+    if not hours:
         raise ValueError(f"{path}: no data rows")
-    return provider, readings, duplicates
+    distinct, inverse, counts = np.unique(hours, return_inverse=True, return_counts=True)
+    means = np.bincount(inverse, weights=values) / counts
+    return provider, distinct, means, len(hours) - len(distinct)
 
 
 def _interpolate_gaps(row: np.ndarray, provider: str) -> int:
-    """Fill interior NaN runs of length <= 6 in place; error on longer runs."""
-    missing = np.isnan(row)
-    if not missing.any():
-        return 0
-    idx = np.flatnonzero(missing)
-    filled = 0
-    run_start = idx[0]
-    prev = idx[0]
-    runs = []
-    for i in idx[1:]:
-        if i != prev + 1:
-            runs.append((run_start, prev))
-            run_start = i
-        prev = i
-    runs.append((run_start, prev))
-    for lo, hi in runs:
-        length = hi - lo + 1
-        if length > _MAX_INTERP_GAP:
-            raise ValueError(
-                f"provider {provider}: {length}-hour gap at offset {lo} exceeds "
-                f"the {_MAX_INTERP_GAP}-hour interpolation limit"
-            )
-        left, right = row[lo - 1], row[hi + 1]
-        row[lo : hi + 1] = left + (right - left) * np.arange(1, length + 1) / (length + 1)
-        filled += length
-    return filled
+    """Fill interior NaN runs of length <= 6 in place; error on longer runs.
+    Both ends of ``row`` hold values, so every run has two neighbours."""
+    present = np.flatnonzero(~np.isnan(row))
+    run_lengths = np.diff(present) - 1
+    too_long = np.flatnonzero(run_lengths > _MAX_INTERP_GAP)
+    if too_long.size:
+        i = too_long[0]
+        raise ValueError(
+            f"provider {provider}: {run_lengths[i]}-hour gap at offset {present[i] + 1} "
+            f"exceeds the {_MAX_INTERP_GAP}-hour interpolation limit"
+        )
+    missing = np.flatnonzero(np.isnan(row))
+    after = np.searchsorted(present, missing)
+    lo, hi = present[after - 1], present[after]
+    row[missing] = row[lo] + (row[hi] - row[lo]) * (missing - lo) / (hi - lo)
+    return len(missing)
 
 
 def ingest_csv(
@@ -263,80 +244,71 @@ def ingest_csv(
 
     The grid covers the intersection of the providers' spans unless ``span``
     gives explicit (inclusive) endpoints. Duplicated hours are averaged, edge
-    hours missing for some provider are trimmed, interior gaps of at most six
-    hours are linearly interpolated, and a provider missing more than 5% of
-    the span is a hard error. Repair counts are logged and attached to the
-    result's ``repairs`` mapping.
+    hours are trimmed until every provider has a value, interior gaps of at
+    most six hours are linearly interpolated, and a provider missing more
+    than 5% of the span is a hard error. Repair counts are logged and
+    attached to the result's ``repairs`` mapping.
     """
     if not paths:
         raise ValueError("no input files given")
     parsed = [_parse_file(p) for p in paths]
     seen: dict[str, Path] = {}
-    for (provider, _, _), path in zip(parsed, paths):
+    for (provider, *_), path in zip(parsed, paths):
         if provider in seen:
             raise ValueError(f"provider {provider} appears in both {seen[provider]} and {path}")
         seen[provider] = Path(path)
     # Deterministic merge order regardless of how paths were listed.
     parsed.sort(key=lambda item: item[0])
+    providers = [provider for provider, *_ in parsed]
 
     if span is not None:
-        lo, hi = span
-        if isinstance(lo, str):
-            lo = datetime.fromisoformat(lo)
-        if isinstance(hi, str):
-            hi = datetime.fromisoformat(hi)
-        first, last = _hour_index(lo), _hour_index(hi)
+        first, last = (_hour_index(datetime.fromisoformat(t) if isinstance(t, str) else t)
+                       for t in span)
     else:
-        first = max(min(readings) for _, readings, _ in parsed)
-        last = min(max(readings) for _, readings, _ in parsed)
+        first = max(int(hours[0]) for _, hours, _, _ in parsed)
+        last = min(int(hours[-1]) for _, hours, _, _ in parsed)
     if first > last:
         raise ValueError("providers have no overlapping hours (empty span)")
 
-    num_hours = last - first + 1
-    values = np.full((len(parsed), num_hours), np.nan)
-    duplicates_averaged = 0
-    for i, (_, readings, dups) in enumerate(parsed):
-        duplicates_averaged += dups
-        for hour, (total, count) in readings.items():
-            if first <= hour <= last:
-                values[i, hour - first] = total / count
+    values = np.full((len(parsed), last - first + 1), np.nan)
+    for row, (_, hours, means, _) in zip(values, parsed):
+        inside = (hours >= first) & (hours <= last)
+        row[hours[inside] - first] = means[inside]
 
-    # Trim rows of the grid that some provider does not reach at the edges.
+    # Trim the edges to the first and last hour where every provider has a value.
     present = ~np.isnan(values)
-    if not present.any(axis=1).all():
-        empty = [parsed[i][0] for i in np.flatnonzero(~present.any(axis=1))]
+    empty = [provider for provider, row in zip(providers, present) if not row.any()]
+    if empty:
         raise ValueError(f"providers {empty} have no data in the requested span")
-    first_valid = int(np.max([np.argmax(row) for row in present]))
-    last_valid = int(np.min([len(row) - 1 - np.argmax(row[::-1]) for row in present]))
-    edge_hours_dropped = (num_hours - (last_valid - first_valid + 1)) * len(parsed)
-    values = values[:, first_valid : last_valid + 1]
-    first += first_valid
+    complete = np.flatnonzero(present.all(axis=0))
+    if not complete.size:
+        raise ValueError("no hour in the span where every provider has a value")
+    values = values[:, complete[0] : complete[-1] + 1]
     num_hours = values.shape[1]
+    edge_hours_dropped = (last - first + 1 - num_hours) * len(parsed)
+    first += int(complete[0])
 
     gaps_interpolated = 0
-    for i, (provider, _, _) in enumerate(parsed):
-        n_missing = int(np.isnan(values[i]).sum())
+    for row, provider in zip(values, providers):
+        n_missing = int(np.isnan(row).sum())
         if n_missing > _MAX_MISSING_FRACTION * num_hours:
             raise ValueError(
                 f"provider {provider}: {n_missing}/{num_hours} hours missing "
                 f"({100 * n_missing / num_hours:.1f}% > {100 * _MAX_MISSING_FRACTION:.0f}%)"
             )
-        gaps_interpolated += _interpolate_gaps(values[i], provider)
+        gaps_interpolated += _interpolate_gaps(row, provider)
 
     repairs = {
-        "duplicates_averaged": duplicates_averaged,
+        "duplicates_averaged": sum(dups for *_, dups in parsed),
         "gaps_interpolated": gaps_interpolated,
         "edge_hours_dropped": edge_hours_dropped,
     }
     logger.info(
         "ingested %d providers, %d hours; repairs: %s", len(parsed), num_hours, repairs
     )
-    timestamps = _hour_to_datetime64(first) + np.arange(num_hours, dtype=np.int64).astype(
-        "timedelta64[h]"
-    )
     return PanelSeries(
-        provider_ids=[p for p, _, _ in parsed],
-        timestamps=timestamps,
+        provider_ids=providers,
+        timestamps=np.datetime64(_EPOCH, "h") + np.arange(first, first + num_hours),
         values=values,
         repairs=repairs,
     )
@@ -374,20 +346,6 @@ def fold(panel: PanelSeries, cal: CalendarSpec) -> TensorSeries:
         values=np.ascontiguousarray(folded),
         period_starts=starts.copy(),
         provider_ids=list(panel.provider_ids),
-    )
-
-
-def unfold_panel(ts: TensorSeries) -> PanelSeries:
-    """Inverse of :func:`fold` on the retained span."""
-    num_periods, n = ts.values.shape[:2]
-    period = int(np.prod(ts.tensor_dims[1:]))
-    flat = ts.values.transpose(1, 0, *range(2, ts.values.ndim)).reshape(n, num_periods * period)
-    start = ts.period_starts[0]
-    timestamps = start + np.arange(num_periods * period, dtype=np.int64).astype("timedelta64[h]")
-    return PanelSeries(
-        provider_ids=list(ts.provider_ids),
-        timestamps=timestamps,
-        values=np.ascontiguousarray(flat),
     )
 
 

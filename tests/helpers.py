@@ -9,12 +9,26 @@ import numpy as np
 
 from tensorcast.evaluation import SimSpec, _prepare
 from tensorcast.factor_model import FactorSeries, LoadingSet, reconstruct_common
-from tensorcast.panel import TensorSeries
+from tensorcast.panel import PanelSeries, TensorSeries
 from tensorcast.tensor import mode_product
 
 
 def weekly_starts(t: int) -> np.ndarray:
     return np.datetime64("2020-01-06T00", "h") + (168 * np.arange(t)).astype("timedelta64[h]")
+
+
+def unfold_panel(ts: TensorSeries) -> PanelSeries:
+    """Inverse of :func:`tensorcast.panel.fold` on the retained span."""
+    num_periods, n = ts.values.shape[:2]
+    period = int(np.prod(ts.tensor_dims[1:]))
+    flat = ts.values.transpose(1, 0, *range(2, ts.values.ndim)).reshape(n, num_periods * period)
+    start = ts.period_starts[0]
+    timestamps = start + np.arange(num_periods * period, dtype=np.int64).astype("timedelta64[h]")
+    return PanelSeries(
+        provider_ids=list(ts.provider_ids),
+        timestamps=timestamps,
+        values=np.ascontiguousarray(flat),
+    )
 
 
 def make_series(values: np.ndarray, provider_ids: Sequence[str] | None = None) -> TensorSeries:

@@ -143,6 +143,15 @@ def test_flag_overrides_are_validated(tmp_path):
     assert main(["fit", "--config", str(tmp_path / "run.ini"), "--seed", "-1"]) == 2
 
 
+def test_horizon_flag_belongs_to_forecast_only(tmp_path, capsys):
+    cfg = str(write_config(tmp_path / "run.ini", {}))
+    for command in ("ingest", "ranks", "fit", "backtest", "simulate", "report"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--horizon", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --horizon 3" in capsys.readouterr().err
+
+
 def test_fit_writes_model_and_metrics(tmp_path, capsys):
     simulated_archive(tmp_path, t=50, nu_sd=0.05, seed=2)
     cfg = write_config(tmp_path / "run.ini", {"model": {"ranks": "1,1,2"}})

@@ -187,6 +187,10 @@ class TestForecastSeries:
     def test_zero_series_forecasts_zero(self):
         np.testing.assert_array_equal(forecast_series(np.zeros(30), 4, 5), np.zeros(5))
 
+    def test_unknown_score_model_is_rejected_even_on_flat_data(self):
+        with pytest.raises(ValueError, match="unknown score model 'bogus'"):
+            forecast_series(np.zeros(30), 4, 3, score_model="bogus")
+
     @pytest.mark.parametrize("score_model", ["ar1", "ar_aic"])
     def test_block_forecasts_each_column_as_its_own_series(self, score_model):
         rng = np.random.default_rng(3)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import logging
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
+from helpers import unfold_panel
 from tensorcast.panel import (
     CalendarSpec,
     PanelSeries,
@@ -18,7 +20,6 @@ from tensorcast.panel import (
     load_tensor_series,
     save_tensor_series,
     standardize,
-    unfold_panel,
     write_npz,
 )
 
@@ -69,6 +70,29 @@ class TestIngest:
         np.testing.assert_array_equal(panel.values, [[90.0, 102.0, 95.0]])
         assert panel.repairs["duplicates_averaged"] == 1
 
+    def test_hour_listed_three_times_is_averaged_over_all_copies(self, tmp_path):
+        rows = [
+            ("2020-11-01 00:00:00", 90.0),
+            ("2020-11-01 01:00:00", 100.0),
+            ("2020-11-01 01:00:00", 104.0),
+            ("2020-11-01 01:00:00", 105.5),
+            ("2020-11-01 02:00:00", 95.0),
+        ]
+        panel = ingest_csv([write_csv(tmp_path / "a.csv", "AAA", rows)])
+        np.testing.assert_array_equal(panel.values, [[90.0, (100.0 + 104.0 + 105.5) / 3, 95.0]])
+        assert panel.repairs["duplicates_averaged"] == 2
+
+    def test_duplicate_whose_second_copy_is_missing_is_not_counted(self, tmp_path):
+        rows = [
+            ("2020-11-01 00:00:00", 90.0),
+            ("2020-11-01 01:00:00", 100.0),
+            ("2020-11-01 01:00:00", "NA"),
+            ("2020-11-01 02:00:00", 95.0),
+        ]
+        panel = ingest_csv([write_csv(tmp_path / "a.csv", "AAA", rows)])
+        np.testing.assert_array_equal(panel.values, [[90.0, 100.0, 95.0]])
+        assert panel.repairs["duplicates_averaged"] == 0
+
     def test_short_gap_is_interpolated(self, tmp_path):
         # 02:00 missing (spring forward); neighbors 20 and 40 imply 30.
         rows = hourly_rows(datetime(2020, 3, 8), np.full(48, 7.0))
@@ -86,6 +110,25 @@ class TestIngest:
         rows = hourly_rows(start, [1.0] * 200)
         del rows[50:60]  # 10-hour hole
         with pytest.raises(ValueError, match="gap"):
+            ingest_csv([write_csv(tmp_path / "a.csv", "AAA", rows)])
+
+    def test_runs_of_one_and_six_hours_follow_the_interpolation_formula(self, tmp_path):
+        vals = np.random.default_rng(11).uniform(900.0, 1100.0, 200)
+        rows = hourly_rows(datetime(2020, 1, 6), vals)
+        rows[5] = (rows[5][0], "NA")
+        del rows[20:26]
+        panel = ingest_csv([write_csv(tmp_path / "a.csv", "AAA", rows)])
+        expected = vals.copy()
+        expected[5] = vals[4] + (vals[6] - vals[4]) * 1 / 2
+        for k in range(1, 7):
+            expected[19 + k] = vals[19] + (vals[26] - vals[19]) * k / 7
+        np.testing.assert_array_equal(panel.values, [expected])
+        assert panel.repairs["gaps_interpolated"] == 7
+
+    def test_seven_hour_gap_names_its_length_and_offset(self, tmp_path):
+        rows = hourly_rows(datetime(2020, 1, 6), [1.0] * 200)
+        del rows[50:57]
+        with pytest.raises(ValueError, match="AAA: 7-hour gap at offset 50 exceeds"):
             ingest_csv([write_csv(tmp_path / "a.csv", "AAA", rows)])
 
     def test_excess_missing_errors(self, tmp_path):
@@ -118,6 +161,49 @@ class TestIngest:
         np.testing.assert_array_equal(panel.values[0], np.arange(3, 10))
         np.testing.assert_array_equal(panel.values[1], np.arange(0, 7))
 
+    @staticmethod
+    def _trim_case(tmp_path, covers, missing):
+        """Providers X, Y, Z with value 1000 + h at each covered hour h, and
+        missing tokens at the listed hours."""
+        start = datetime(2020, 1, 6)
+        paths = []
+        for name, hours in covers.items():
+            rows = [
+                ((start + timedelta(hours=h)).strftime("%Y-%m-%d %H:%M:%S"),
+                 "NA" if h in missing.get(name, ()) else 1000.0 + h)
+                for h in hours
+            ]
+            paths.append(write_csv(tmp_path / f"{name}.csv", name, rows))
+        return ingest_csv(paths), np.datetime64(start, "h")
+
+    def test_trim_starts_where_every_provider_has_a_value(self, tmp_path):
+        # At hour 6, the latest first reading, X is still inside its 6-7 gap.
+        panel, start = self._trim_case(
+            tmp_path,
+            {"X": range(200), "Y": range(200), "Z": range(2, 200)},
+            {"X": (6, 7), "Y": range(1, 6)},
+        )
+        assert panel.timestamps[0] == start + 8
+        np.testing.assert_array_equal(panel.values, np.tile(1000.0 + np.arange(8, 200), (3, 1)))
+        assert panel.repairs["gaps_interpolated"] == 0
+        assert panel.repairs["edge_hours_dropped"] == 3 * 6
+
+    def test_trim_ends_where_every_provider_has_a_value(self, tmp_path):
+        # At hour 193, the earliest last reading, X is still inside its 192-193 gap.
+        panel, start = self._trim_case(
+            tmp_path,
+            {"X": range(200), "Y": range(200), "Z": range(198)},
+            {"X": (192, 193), "Y": range(194, 199)},
+        )
+        assert panel.timestamps[-1] == start + 191
+        np.testing.assert_array_equal(panel.values, np.tile(1000.0 + np.arange(192), (3, 1)))
+        assert panel.repairs["gaps_interpolated"] == 0
+        assert panel.repairs["edge_hours_dropped"] == 3 * 6
+
+    def test_no_hour_with_every_provider_errors(self, tmp_path):
+        with pytest.raises(ValueError, match="no hour in the span where every provider"):
+            self._trim_case(tmp_path, {"X": range(3), "Y": range(1, 4)}, {"X": (1,), "Y": (2,)})
+
     def test_empty_intersection_errors(self, tmp_path):
         a = write_csv(tmp_path / "a.csv", "AAA", hourly_rows(datetime(2020, 1, 6), [1, 2]))
         b = write_csv(tmp_path / "b.csv", "BBB", hourly_rows(datetime(2021, 1, 6), [1, 2]))
@@ -129,6 +215,25 @@ class TestIngest:
         path = write_csv(tmp_path / "a.csv", "AAA", hourly_rows(start, range(48)))
         panel = ingest_csv([path], span=("2020-01-06 10:00:00", "2020-01-06 19:00:00"))
         np.testing.assert_array_equal(panel.values, [np.arange(10, 20)])
+
+    def test_repairs_are_plain_ints_and_logged_as_one_dict(self, tmp_path, caplog):
+        start = datetime(2020, 1, 6)
+        a_rows = hourly_rows(start, np.arange(50.0))
+        a_rows.insert(11, a_rows[10])
+        del a_rows[21]
+        a = write_csv(tmp_path / "a.csv", "AAA", a_rows)
+        b = write_csv(tmp_path / "b.csv", "BBB", hourly_rows(start + timedelta(hours=3), np.arange(50.0)))
+        with caplog.at_level(logging.INFO, logger="tensorcast.panel"):
+            panel = ingest_csv([a, b], span=("2020-01-06 00:00:00", "2020-01-08 04:00:00"))
+        assert panel.repairs == {
+            "duplicates_averaged": 1,
+            "gaps_interpolated": 1,
+            "edge_hours_dropped": 2 * 6,
+        }
+        assert all(type(count) is int for count in panel.repairs.values())
+        [record] = [r for r in caplog.records if r.name == "tensorcast.panel"]
+        assert record.levelno == logging.INFO
+        assert [arg for arg in record.args if isinstance(arg, dict)] == [panel.repairs]
 
     def test_ingest_is_deterministic(self, tmp_path):
         start = datetime(2020, 1, 6)
