@@ -20,7 +20,7 @@ import numpy as np
 
 from .factor_model import Ranks, fit_factor_model
 from .forecast import forecast_factors, forecast_observations, forecast_series, future_starts
-from .panel import TensorSeries, destandardize, estimate_standardization, standardize
+from .panel import TensorSeries, cell_moments, destandardize, estimate_standardization, standardize
 from .tensor import top_eigenvectors
 
 _FPCA_VARIANCE_TARGET = 0.95
@@ -87,16 +87,16 @@ def mfm_forecast(
     Each provider's weekly matrices (split_providers) are fitted by the tensor
     factor model (fit_factor_model) with days as the cross-section and hours
     as the one seasonal mode, followed by the shared score forecaster.
-    Constant cells carry no factor signal; a provider whose cells all equal
-    their per-cell mean (standardized data identically zero) forecasts that
-    mean.
+    Constant cells carry no factor signal; a provider whose every cell's
+    sigma is below the standardization's clamp floor (cell_moments)
+    forecasts its per-cell mean.
     """
     ranks = Ranks(r=k_day, k=(k_hour,))
     parts = split_providers(ts)
     out = np.empty((n, *ts.tensor_dims))
     for i, ys in enumerate(parts):
-        mu = ys.values.mean(axis=0)
-        if np.all(ys.values == mu):
+        mu, sigma, floor = cell_moments(ys.values)
+        if np.all(sigma < floor):
             out[:, i] = mu
             continue
         model, factors = fit_factor_model(ys, ranks=ranks)

@@ -152,7 +152,8 @@ def _stack_unfoldings(values: np.ndarray, mode: int) -> np.ndarray:
     """Mode-k unfoldings of every period tensor, stacked along a leading axis.
 
     values has shape (T, p0, ..., pK-1); the result has shape (T, p_mode, rest)
-    with columns ordered as in tensor.unfold (lowest remaining mode fastest).
+    whose columns enumerate the remaining modes in ascending order with the
+    lowest one varying fastest (the column-major unfolding of tensor.py).
     """
     x = np.moveaxis(values, mode + 1, 1)
     rest = x.shape[2:]
@@ -184,17 +185,17 @@ def initial_loadings(xs: TensorSeries) -> InitialLoadings:
     s_total = int(np.prod(seasonal))
     scale = t * n * s_total
 
-    x1 = _stack_unfoldings(xs.values, 0)
-    cov = np.einsum("tns,tnu->su", x1, x1) / scale
+    m = _stack_unfoldings(xs.values, 0).reshape(-1, s_total)
+    cov = m.T @ m / scale
     if np.max(np.abs(cov)) == 0.0:
         raise ValueError("degenerate covariance: series is identically zero")
     b_hat = np.sqrt(s_total) * top_eigenvectors(cov, s_total)[0]
 
     gamma_hat = []
     for j, s_j in enumerate(seasonal):
-        xj = _stack_unfoldings(xs.values, j + 1)
-        cov_j = np.einsum("tsp,tsq->pq", xj, xj) / scale
         count = n * (s_total // s_j)
+        m = _stack_unfoldings(xs.values, j + 1).reshape(-1, count)
+        cov_j = m.T @ m / scale
         gamma_hat.append(np.sqrt(count) * top_eigenvectors(cov_j, count)[0])
     return InitialLoadings(b_hat=b_hat, gamma_hat=gamma_hat)
 
@@ -212,17 +213,19 @@ def _projected_covariances(
 
     # Column slices keep the bases' column-major layout, so the products see
     # the same operands as a basis built with only these columns would be.
-    x1 = _stack_unfoldings(xs.values, 0)
-    compressed = x1 @ init.b_hat[:, : ranks.k_product]
-    cov0 = np.einsum("tnp,tmp->nm", compressed, compressed) / (scale * s_total)
+    # Time is folded into the columns of each compressed block, so every
+    # covariance is one product of a 2-D block with its transpose.
+    x1 = _stack_unfoldings(xs.values, 0).reshape(-1, s_total)
+    c = (x1 @ init.b_hat[:, : ranks.k_product]).reshape(t, n, -1).swapaxes(0, 1).reshape(n, -1)
+    cov0 = c @ c.T / (scale * s_total)
 
     covs = []
     for j, s_j in enumerate(seasonal):
-        xj = _stack_unfoldings(xs.values, j + 1)
         s_minus = s_total // s_j
         count = ranks.r * (ranks.k_product // ranks.k[j])
-        compressed = xj @ init.gamma_hat[j][:, :count]
-        covs.append(np.einsum("tsp,tup->su", compressed, compressed) / (scale * s_minus))
+        xj = _stack_unfoldings(xs.values, j + 1).reshape(-1, n * s_minus)
+        c = (xj @ init.gamma_hat[j][:, :count]).reshape(t, s_j, -1).swapaxes(0, 1).reshape(s_j, -1)
+        covs.append(c @ c.T / (scale * s_minus))
     return cov0, covs
 
 

@@ -161,11 +161,13 @@ class Standardization:
 
 
 def _hour_index(ts: datetime) -> int:
-    delta = ts - _EPOCH
-    hours, remainder = divmod(int(delta.total_seconds()), 3600)
-    if remainder != 0:
+    # Timestamps are naive local hours; an aware one cannot be placed on that grid.
+    if ts.tzinfo is not None:
+        raise ValueError(f"timestamp {ts} carries a UTC offset; expected a naive local time")
+    if ts.minute or ts.second or ts.microsecond:
         raise ValueError(f"timestamp {ts} is not on the hourly grid")
-    return hours
+    # _EPOCH is a midnight, so the hours past whole days are ts.hour.
+    return (ts - _EPOCH).days * 24 + ts.hour
 
 
 def _parse_file(path: str | Path) -> tuple[str, np.ndarray, np.ndarray, int]:
@@ -349,18 +351,27 @@ def fold(panel: PanelSeries, cal: CalendarSpec) -> TensorSeries:
     )
 
 
+def cell_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cell mean, standard deviation and scale floor over the leading axis.
+
+    sigma is the square root of the average squared deviation; the floor is
+    max(1e-8 |mu|, 1e-12). A cell whose sigma is below its floor holds no
+    variation beyond rounding.
+    """
+    mu = values.mean(axis=0)
+    sigma = np.sqrt(np.mean(np.square(values - mu), axis=0))
+    return mu, sigma, np.maximum(1e-8 * np.abs(mu), 1e-12)
+
+
 def cell_standardization(values: np.ndarray) -> Standardization:
     """Per-cell mean and standard deviation over the leading (period) axis.
 
-    sigma is the square root of the average squared deviation; any cell whose
-    sigma falls below the floor max(1e-8 |mu|, 1e-12) is clamped to the floor
-    and counted in a warning.
+    Any cell whose sigma falls below the floor of :func:`cell_moments` is
+    clamped to the floor and counted in a warning.
     """
     if values.shape[0] < 2:
         raise ValueError(f"need at least 2 periods to estimate scale, got {values.shape[0]}")
-    mu = values.mean(axis=0)
-    sigma = np.sqrt(np.mean(np.square(values - mu), axis=0))
-    floor = np.maximum(1e-8 * np.abs(mu), 1e-12)
+    mu, sigma, floor = cell_moments(values)
     clamped = sigma < floor
     if clamped.any():
         sigma = np.where(clamped, floor, sigma)

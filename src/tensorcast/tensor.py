@@ -1,11 +1,13 @@
-"""Dense tensor algebra: unfolding, mode products, and symmetric eigendecomposition.
+"""Dense tensor algebra: mode products and symmetric eigendecomposition.
 
 Tensors are plain numpy arrays. The canonical linearization is column-major
-(first index varies fastest), and mode-k unfolding enumerates the remaining
-modes in ascending order with the lowest one varying fastest. Under that
-convention the multilinear identity
+(first index varies fastest). The mode-k unfolding X_(k) of a tensor x is the
+(p_k, product of the other extents) matrix whose columns enumerate the
+remaining modes in ascending order, the lowest one varying fastest; the
+factor-model code builds it per period in factor_model._stack_unfoldings.
+Under that convention the multilinear identity
 
-    unfold(f x1 A1 x2 A2 ... xK AK, 0) == A1 @ unfold(f, 0) @ kron(AK, ..., A2).T
+    X_(0) == A1 @ F_(0) @ kron(AK, ..., A2).T   for x = f x1 A1 x2 A2 ... xK AK
 
 holds exactly, which is what the factor-model code relies on.
 """
@@ -17,22 +19,10 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
-    "unfold",
     "mode_product",
     "multi_mode_product",
     "top_eigenvectors",
 ]
-
-
-def unfold(x: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-k matricization of ``x`` (modes are 0-based).
-
-    Returns the (p_k, prod of other extents) matrix whose columns enumerate
-    the remaining indices with the lowest remaining mode varying fastest.
-    """
-    if not 0 <= mode < x.ndim:
-        raise ValueError(f"mode {mode} out of range for a {x.ndim}-way tensor")
-    return np.reshape(np.moveaxis(x, mode, 0), (x.shape[mode], -1), order="F")
 
 
 def mode_product(x: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:

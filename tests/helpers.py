@@ -3,14 +3,23 @@ tensor utilities that only the tests use."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from tensorcast import factor_model
 from tensorcast.evaluation import SimSpec, _prepare
-from tensorcast.factor_model import FactorSeries, LoadingSet, reconstruct_common
+from tensorcast.factor_model import (
+    FactorSeries,
+    InitialLoadings,
+    LoadingSet,
+    Ranks,
+    _stack_unfoldings,
+    reconstruct_common,
+)
 from tensorcast.panel import PanelSeries, TensorSeries
-from tensorcast.tensor import mode_product
+from tensorcast.tensor import mode_product, top_eigenvectors
 
 
 def weekly_starts(t: int) -> np.ndarray:
@@ -79,8 +88,19 @@ def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(resid, 2))
 
 
+def unfold(x: np.ndarray, mode: int) -> np.ndarray:
+    """Mode-k matricization of ``x`` (modes are 0-based).
+
+    Returns the (p_k, prod of other extents) matrix whose columns enumerate
+    the remaining indices with the lowest remaining mode varying fastest.
+    """
+    if not 0 <= mode < x.ndim:
+        raise ValueError(f"mode {mode} out of range for a {x.ndim}-way tensor")
+    return np.reshape(np.moveaxis(x, mode, 0), (x.shape[mode], -1), order="F")
+
+
 def refold(m: np.ndarray, mode: int, dims: Sequence[int]) -> np.ndarray:
-    """Inverse of tensor.unfold: rebuild the tensor with extents ``dims``."""
+    """Inverse of unfold: rebuild the tensor with extents ``dims``."""
     dims = tuple(int(d) for d in dims)
     if not 0 <= mode < len(dims):
         raise ValueError(f"mode {mode} out of range for dims {dims}")
@@ -133,3 +153,51 @@ def simulate_compact(spec: SimSpec) -> tuple[TensorSeries, LoadingSet, FactorSer
         values=draws.core, period_starts=ts.period_starts, provider_ids=ts.provider_ids
     )
     return ts, loadings, factors
+
+
+def einsum_initial_loadings(xs: TensorSeries) -> InitialLoadings:
+    """factor_model.initial_loadings with each moment summed by ``np.einsum``
+    over the stacked unfoldings: the oracle for the BLAS products."""
+    n, *seasonal = xs.tensor_dims
+    s_total = int(np.prod(seasonal))
+    scale = xs.num_periods * n * s_total
+    x1 = _stack_unfoldings(xs.values, 0)
+    cov = np.einsum("tns,tnu->su", x1, x1) / scale
+    b_hat = np.sqrt(s_total) * top_eigenvectors(cov, s_total)[0]
+    gamma_hat = []
+    for j, s_j in enumerate(seasonal):
+        xj = _stack_unfoldings(xs.values, j + 1)
+        cov_j = np.einsum("tsp,tsq->pq", xj, xj) / scale
+        count = n * (s_total // s_j)
+        gamma_hat.append(np.sqrt(count) * top_eigenvectors(cov_j, count)[0])
+    return InitialLoadings(b_hat=b_hat, gamma_hat=gamma_hat)
+
+
+def einsum_projected_covariances(
+    xs: TensorSeries, init: InitialLoadings, ranks: Ranks
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """factor_model._projected_covariances with the outer products summed by
+    ``np.einsum`` over the stacked compressed unfoldings."""
+    n, *seasonal = xs.tensor_dims
+    s_total = int(np.prod(seasonal))
+    scale = xs.num_periods * n * s_total
+    compressed = _stack_unfoldings(xs.values, 0) @ init.b_hat[:, : ranks.k_product]
+    cov0 = np.einsum("tnp,tmp->nm", compressed, compressed) / (scale * s_total)
+    covs = []
+    for j, s_j in enumerate(seasonal):
+        count = ranks.r * (ranks.k_product // ranks.k[j])
+        compressed = _stack_unfoldings(xs.values, j + 1) @ init.gamma_hat[j][:, :count]
+        covs.append(np.einsum("tsp,tup->su", compressed, compressed) / (scale * (s_total // s_j)))
+    return cov0, covs
+
+
+@contextmanager
+def einsum_moments() -> Iterator[None]:
+    """Run the estimator on the einsum oracle moments inside the block."""
+    saved = factor_model.initial_loadings, factor_model._projected_covariances
+    factor_model.initial_loadings = einsum_initial_loadings
+    factor_model._projected_covariances = einsum_projected_covariances
+    try:
+        yield
+    finally:
+        factor_model.initial_loadings, factor_model._projected_covariances = saved

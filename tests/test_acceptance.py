@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import kron, make_series, noiseless_series, random_loading_set, subspace_distance
+from helpers import kron, make_series, noiseless_series, random_loading_set, subspace_distance, \
+    unfold
 from tensorcast.cli import main
 from tensorcast.evaluation import RollingPlan, emit_report, make_benchmark_forecaster, \
     make_tensor_forecaster, merge_reports, rolling_evaluate
@@ -33,7 +34,7 @@ from tensorcast.factor_model import (
 from tensorcast.forecast import classical_decompose, fit_ar1, forecast_factors, \
     forecast_observations
 from tensorcast.panel import CalendarSpec, Standardization, TensorSeries, fold, ingest_csv
-from tensorcast.tensor import multi_mode_product, unfold
+from tensorcast.tensor import multi_mode_product
 
 
 def _verdict(label: str, ok: bool, detail: str = "") -> None:

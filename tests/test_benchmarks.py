@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,10 +104,16 @@ def test_mfm_exact_on_noiseless_periodic_matrix_data():
 
 
 def test_mfm_constant_data_forecasts_the_constant():
+    # Neither provider's mean over 12 copies is bit-equal to its values, but
+    # every cell's sigma is at the clamp floor, so no fit (and no clamp
+    # warning) happens and each provider forecasts its per-cell mean.
     base = np.linspace(10.0, 50.0, 6 * 4).reshape(6, 4)
-    ts = make_series(np.broadcast_to(base, (12, 1, 6, 4)).copy())
-    with pytest.warns(RuntimeWarning):
+    values = np.stack([np.broadcast_to(base, (12, 6, 4)), np.full((12, 6, 4), 12345.6)], axis=1)
+    ts = make_series(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         fc = mfm_forecast(ts, 3, period=4)
+    np.testing.assert_array_equal(fc.values, np.broadcast_to(values.mean(axis=0), (3, 2, 6, 4)))
     assert np.allclose(fc.values[:, 0], base, rtol=0, atol=1e-12)
 
 

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from helpers import (
+    einsum_initial_loadings,
+    einsum_moments,
     kron,
     make_series,
     noiseless_series,
     orthonormal_loading,
     random_loading_set,
     subspace_distance,
+    unfold,
 )
+from tensorcast.evaluation import SimSpec, make_tensor_forecaster, simulate
 from tensorcast.factor_model import (
     FactorSeries,
     LoadingSet,
@@ -25,12 +29,19 @@ from tensorcast.factor_model import (
     initial_loadings,
     load_model,
     projected_loadings,
+    rank_bounds,
     reconstruct_common,
     save_model,
     select_ranks,
 )
-from tensorcast.panel import Standardization, destandardize, estimate_standardization, standardize
-from tensorcast.tensor import top_eigenvectors, unfold
+from tensorcast.panel import (
+    Standardization,
+    TensorSeries,
+    destandardize,
+    estimate_standardization,
+    standardize,
+)
+from tensorcast.tensor import top_eigenvectors
 
 
 class TestRanks:
@@ -96,16 +107,16 @@ class TestInitialLoadings:
         rng = np.random.default_rng(7)
         ts, _, _ = noiseless_series(rng, (5, 4, 6), (2, 1, 2), t=40, noise_sd=0.1)
         init = initial_loadings(ts)
-        x1 = _stack_unfoldings(ts.values, 0)
-        cov = np.einsum("tns,tnu->su", x1, x1) / (40 * 5 * 24)
+        m = _stack_unfoldings(ts.values, 0).reshape(-1, 24)
+        cov = m.T @ m / (40 * 5 * 24)
         for k in (1, 2, 5, 24):
             np.testing.assert_array_equal(
                 init.b_hat[:, :k], np.sqrt(24) * top_eigenvectors(cov, k)[0]
             )
         for j, s_j in enumerate((4, 6)):
-            xj = _stack_unfoldings(ts.values, j + 1)
-            cov_j = np.einsum("tsp,tsq->pq", xj, xj) / (40 * 5 * 24)
             p = 5 * 24 // s_j
+            m = _stack_unfoldings(ts.values, j + 1).reshape(-1, p)
+            cov_j = m.T @ m / (40 * 5 * 24)
             for k in (1, 2, p):
                 np.testing.assert_array_equal(
                     init.gamma_hat[j][:, :k], np.sqrt(p) * top_eigenvectors(cov_j, k)[0]
@@ -388,3 +399,53 @@ class TestFitFactorModel:
         for a, b in zip(auto.loadings.b, fixed.loadings.b):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(auto_factors.values, fixed_factors.values)
+
+
+@pytest.fixture(scope="module")
+def paper_windows():
+    """Training windows of the seed-0 paper panel, spread over the 170 windows
+    of the (9, 7, 24) backtest with 171 training weeks."""
+    ts, _, _ = simulate(SimSpec(dims=(9, 7, 24), ranks=Ranks(1, (1, 2)), num_periods=342, seed=0))
+    return [
+        TensorSeries(ts.values[w : w + 171], ts.period_starts[w : w + 171], ts.provider_ids)
+        for w in (0, 42, 85, 127, 169)
+    ]
+
+
+class TestEinsumOracle:
+    """The BLAS moment products against the einsum oracle in tests/helpers.py.
+
+    The sums run in another order, so results agree to a tolerance, not
+    bitwise; 1e-10 is about 700 times the largest forecast difference seen
+    over all 170 windows of both TFM handles.
+    """
+
+    def test_fixed_rank_loadings_match(self, paper_windows):
+        for ys in paper_windows:
+            xs = standardize(ys, estimate_standardization(ys))
+            ranks = Ranks(1, (1, 2))
+            new = projected_loadings(xs, initial_loadings(xs), ranks)
+            with einsum_moments():
+                old = projected_loadings(xs, einsum_initial_loadings(xs), ranks)
+            for a, b in zip([new.lam, *new.b], [old.lam, *old.b]):
+                # Eigenvector signs are free; align each column before comparing.
+                signs = np.sign(np.sum(a * b, axis=0))
+                np.testing.assert_allclose(a * signs, b, rtol=0, atol=1e-10)
+
+    def test_auto_ranks_match(self, paper_windows):
+        for ys in paper_windows:
+            xs = standardize(ys, estimate_standardization(ys))
+            bounds = rank_bounds(xs.tensor_dims)
+            new = select_ranks(xs, initial_loadings(xs), *bounds)
+            with einsum_moments():
+                old = select_ranks(xs, einsum_initial_loadings(xs), *bounds)
+            assert new == old
+
+    @pytest.mark.parametrize("ranks", [Ranks(1, (1, 2)), None], ids=["fixed", "auto"])
+    def test_forecasts_match(self, paper_windows, ranks):
+        fn = make_tensor_forecaster(ranks=ranks)
+        for ys in paper_windows:
+            new = fn(ys, 26)
+            with einsum_moments():
+                old = fn(ys, 26)
+            np.testing.assert_allclose(new, old, rtol=0, atol=1e-10)

@@ -149,6 +149,21 @@ class TestIngest:
         with pytest.raises(ValueError, match=r"a\.csv:3"):
             ingest_csv([path])
 
+    @pytest.mark.parametrize(
+        "stamp, reason",
+        [
+            ("2020-01-06 01:00:00+01:00", "UTC offset"),
+            ("2020-01-06 01:00:00.5", "not on the hourly grid"),
+            ("2020-01-06 01:00:00.000001", "not on the hourly grid"),
+            ("2020-01-06 01:30:00", "not on the hourly grid"),
+        ],
+    )
+    def test_aware_or_off_grid_timestamp_is_a_bad_timestamp(self, tmp_path, stamp, reason):
+        path = tmp_path / "a.csv"
+        path.write_text(f"Datetime,AAA_MW\n2020-01-06 00:00:00,1.0\n{stamp},2.0\n")
+        with pytest.raises(ValueError, match=rf"a\.csv:3: bad timestamp: .*{reason}"):
+            ingest_csv([path])
+
     def test_alignment_uses_intersection_span(self, tmp_path):
         start = datetime(2020, 1, 6)
         a = write_csv(tmp_path / "a.csv", "AAA", hourly_rows(start, range(10)))

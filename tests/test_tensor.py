@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import frobenius_norm, hadamard, kron, refold
-from tensorcast.tensor import mode_product, multi_mode_product, top_eigenvectors, unfold
+from helpers import frobenius_norm, hadamard, kron, refold, unfold
+from tensorcast.tensor import mode_product, multi_mode_product, top_eigenvectors
 
 
 def reference_unfold(x: np.ndarray, mode: int) -> np.ndarray:
