@@ -3,10 +3,11 @@
 Each baseline takes a (T, N, S1, S2) TensorSeries (days x hours per provider
 and week) and returns the forecast TensorSeries, as the tensor model does.
 All three share the per-cell standardization and the seasonal-plus-AR score
-forecaster (forecast_series) used by the tensor model. MFM and VFM take the
-score model as an argument, so with the tensor model's setting their accuracy
-differences come from the factorization alone; FPCA's scores always use
-ar_aic:
+forecaster (forecast_series) used by the tensor model; each fits all of a
+window's score blocks before forecasting them in one call. MFM and VFM take
+the score model as an argument, so with the tensor model's setting their
+accuracy differences come from the factorization alone; FPCA's scores
+always use ar_aic:
 
 * MFM: a two-mode (day x hour) factor model per provider, fitted by the
   tensor model's own fit_factor_model with days as the cross-section.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .factor_model import Ranks, fit_factor_model
+from .factor_model import FactorSeries, Ranks, fit_factor_model
 from .forecast import forecast_factors, forecast_observations, forecast_series, future_starts
 from .panel import TensorSeries, cell_moments, destandardize, estimate_standardization, standardize
 from .tensor import top_eigenvectors
@@ -92,16 +93,28 @@ def mfm_forecast(
     forecasts its per-cell mean.
     """
     ranks = Ranks(r=k_day, k=(k_hour,))
-    parts = split_providers(ts)
     out = np.empty((n, *ts.tensor_dims))
-    for i, ys in enumerate(parts):
+    fitted = []  # (provider index, model, factor values)
+    for i, ys in enumerate(split_providers(ts)):
         mu, sigma, floor = cell_moments(ys.values)
         if np.all(sigma < floor):
             out[:, i] = mu
             continue
         model, factors = fit_factor_model(ys, ranks=ranks)
-        ff = forecast_factors(factors, n, period=period, score_model=score_model, max_order=max_order)
-        out[:, i] = forecast_observations(ff, model.loadings, model.standardization).values
+        fitted.append((i, model, factors.values))
+    if fitted:
+        # One score forecast for every fitted provider's factors at once.
+        stacked = FactorSeries(
+            values=np.stack([values for *_, values in fitted], axis=1),
+            period_starts=ts.period_starts,
+            provider_ids=[ts.provider_ids[i] for i, *_ in fitted],
+        )
+        ff = forecast_factors(stacked, n, period=period, score_model=score_model,
+                              max_order=max_order)
+        for j, (i, model, _) in enumerate(fitted):
+            part = FactorSeries(values=ff.values[:, j], period_starts=ff.period_starts,
+                                provider_ids=model.provider_ids)
+            out[:, i] = forecast_observations(part, model.loadings, model.standardization).values
     return _label_forecast(ts, out)
 
 
@@ -138,15 +151,16 @@ def vfm_forecast(
     z = estimate_standardization(ts)
     x = standardize(ts, z).values
 
-    def extrapolate(block: np.ndarray) -> np.ndarray:
-        basis, scores = _pca_fit(_vectorize_weeks(block), r)
-        future = forecast_series(scores, period, n, score_model, max_order)
-        return _matricize_weeks(future @ basis.T, block.shape[1:])
-
-    if stacked:
-        common = extrapolate(x)
-    else:
-        common = np.stack([extrapolate(x[:, i]) for i in range(x.shape[1])], axis=1)
+    blocks = [x] if stacked else [x[:, i] for i in range(x.shape[1])]
+    fits = [_pca_fit(_vectorize_weeks(block), r) for block in blocks]
+    # One score forecast for every block's r scores at once.
+    future = forecast_series(np.concatenate([scores for _, scores in fits], axis=1),
+                             period, n, score_model, max_order)
+    common = [
+        _matricize_weeks(part @ basis.T, block.shape[1:])
+        for part, (basis, _), block in zip(np.split(future, len(fits), axis=1), fits, blocks)
+    ]
+    common = common[0] if stacked else np.stack(common, axis=1)
     return destandardize(_label_forecast(ts, common), z)
 
 
@@ -165,17 +179,17 @@ def _component_count(eigvals: np.ndarray, requested: int | None, limit: int) -> 
 
 def _day_curve_fit(
     curves: np.ndarray, ncomp: int | None
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean curve, principal component curves, and scores for one day slice.
 
-    Curves with no variation return (mean, None, None); the caller forecasts
-    the mean curve directly.
+    Curves with no variation have no components: an empty basis and score
+    block, so the forecast is the mean curve.
     """
     mean_curve = curves.mean(axis=0)
     centered = curves - mean_curve
     cov = centered.T @ centered / curves.shape[0]
     if np.max(np.abs(cov)) == 0.0:
-        return mean_curve, None, None
+        return mean_curve, np.empty((curves.shape[1], 0)), np.empty((curves.shape[0], 0))
     basis, eigvals = top_eigenvectors(cov, curves.shape[1])
     basis = basis[:, : _component_count(eigvals, ncomp, curves.shape[1])]
     return mean_curve, basis, centered @ basis
@@ -194,19 +208,20 @@ def fpca_forecast(
     Each (provider, day-of-week) slice gives a (T x hours) sample of daily
     curves on the standardized scale. Curves are centered, decomposed into
     principal component curves (enough to explain 95% of variance, at most 6,
-    unless ncomp is given), and the component scores are forecast with the
-    shared seasonal-plus-autoregression path. Forecast curves reassemble into
-    weekly matrices with day slices in their original row order.
+    unless ncomp is given), and the component scores of every slice are
+    forecast together with the shared seasonal-plus-autoregression path.
+    Forecast curves reassemble into weekly matrices with day slices in their
+    original row order.
     """
     _require_matrices(ts)
     z = estimate_standardization(ts)
     x = standardize(ts, z).values
+    slices = list(np.ndindex(*ts.tensor_dims[:2]))
+    fits = [_day_curve_fit(x[:, i, d], ncomp) for i, d in slices]
+    scores = np.concatenate([s for _, _, s in fits], axis=1)
+    future = forecast_series(scores, period, n, score_model, max_order)
+    bounds = np.cumsum([s.shape[1] for _, _, s in fits])[:-1]
     common = np.empty((n, *ts.tensor_dims))
-    for i, d in np.ndindex(*ts.tensor_dims[:2]):
-        mean_curve, basis, scores = _day_curve_fit(x[:, i, d], ncomp)
-        if basis is None:
-            common[:, i, d] = mean_curve
-        else:
-            future = forecast_series(scores, period, n, score_model, max_order)
-            common[:, i, d] = mean_curve + future @ basis.T
+    for (i, d), (mean_curve, basis, _), part in zip(slices, fits, np.split(future, bounds, axis=1)):
+        common[:, i, d] = mean_curve + part @ basis.T
     return destandardize(_label_forecast(ts, common), z)

@@ -26,7 +26,7 @@ from .factor_model import (
     Ranks,
     fit_factor_model,
 )
-from .forecast import forecast_factors, forecast_observations
+from .forecast import check_score_settings, forecast_factors, forecast_observations
 from .panel import TensorSeries
 from .tensor import mode_product
 
@@ -201,7 +201,12 @@ def make_tensor_forecaster(
     score_model: str = "ar1",
     max_order: int = 5,
 ) -> ForecastFn:
-    """Forecaster handle that refits the tensor factor model on each window."""
+    """Forecaster handle that refits the tensor factor model on each window.
+
+    Score settings no series could be forecast with are a ValueError here,
+    not in every window.
+    """
+    check_score_settings(period, score_model, max_order)
 
     def fn(train: TensorSeries, n: int) -> np.ndarray:
         model, factors = fit_factor_model(train, ranks=ranks, r_max=r_max, k_max=k_max)
@@ -226,11 +231,13 @@ def make_benchmark_forecaster(
     """Forecaster handle for one of the baselines: "MFM", "VFM", or "FPCA".
 
     MFM and VFM extrapolate their scores with score_model; FPCA always uses
-    ar_aic. max_order bounds the AR order wherever ar_aic runs.
+    ar_aic. max_order bounds the AR order wherever ar_aic runs. Bad score
+    settings are a ValueError here, as for make_tensor_forecaster.
     """
     tag = kind.upper()
     if tag not in ("MFM", "VFM", "FPCA"):
         raise ValueError(f"unknown benchmark {kind!r}")
+    check_score_settings(period, score_model, max_order)
 
     def fn(train: TensorSeries, n: int) -> np.ndarray:
         if tag == "MFM":

@@ -7,6 +7,17 @@ low-frequency movement is extrapolated rather than frozen), forecast
 recursively, and add the seasonal index of each future position back.
 Observation-space forecasts then reapply the loadings and the per-cell
 standardization, the same reconstruction used for in-sample fitted values.
+
+forecast_series takes a whole (T, ...) block of score series, and a model
+forecasts all of a window's scores in one call. Every step is one stacked
+pass over the block: the trend from cumulative sums, the seasonal means
+summed cycle by cycle, the AR fits as batched QR least squares, the AIC
+scores of every order from one QR of the augmented design, and a vectorised
+recursion. Sums over time run in a fixed order along each series, so a
+series' forecast does not depend on the block or chunk around it. They run
+in a different order than a per-series loop (np.convolve, np.linalg.lstsq),
+so results match that loop within 1e-10, not byte for byte; the loop is the
+oracle in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ __all__ = [
     "fit_ar",
     "fit_ar_aic",
     "forecast_ar",
+    "check_score_settings",
     "forecast_series",
     "future_starts",
     "forecast_factors",
@@ -38,12 +50,24 @@ __all__ = [
 # constant and forecast flat; AR(1) least squares is undefined there.
 _FLAT_TOLERANCE = 1e-12
 
+# A residual sum of squares at most this fraction of the response's sum of
+# squares is an exact fit: rounding, not a misfit. AIC scores it as -inf, so
+# the smallest order that fits exactly wins.
+_EXACT_FIT = 1e-28
+
+# forecast_series runs its block in chunks of this many series, which bounds
+# the stacked least-squares designs at a few hundred KiB for any block width.
+_CHUNK = 32
+
 SCORE_MODELS = ("ar1", "ar_aic")
 
 
 @dataclass
 class SeasonalDecomp:
-    """Additive decomposition x = trend + seasonal[t mod m] + remainder."""
+    """Additive decomposition x = trend + seasonal[t mod m] + remainder.
+
+    For a (T, k) block every array gains a trailing axis of k series.
+    """
 
     period: int
     seasonal: np.ndarray  # length m, sums to zero
@@ -53,114 +77,188 @@ class SeasonalDecomp:
 
 @dataclass(frozen=True)
 class AR1Fit:
-    """First-order autoregression x_t = c + phi x_{t-1} + e_t."""
+    """First-order autoregression x_t = c + phi x_{t-1} + e_t.
 
-    c: float
-    phi: float
-    variance: float
+    Floats for one series; (k,) arrays for a (T, k) block.
+    """
+
+    c: float | np.ndarray
+    phi: float | np.ndarray
+    variance: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class ARFit:
-    """Autoregression of order p: x_t = c + sum_i coeffs[i] x_{t-1-i} + e_t."""
+    """Autoregression of order p: x_t = c + sum_i coeffs[i] x_{t-1-i} + e_t.
 
-    intercept: float
-    coeffs: tuple[float, ...]
-    variance: float
+    For one series the coefficients are a tuple of floats. For a (T, k) block
+    intercept and variance are (k,) arrays and coeffs is (p, k); a series of
+    lower order than p has zeros in its trailing rows.
+    """
+
+    intercept: float | np.ndarray
+    coeffs: tuple[float, ...] | np.ndarray
+    variance: float | np.ndarray
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """A (T,) or (T, k) block as a C-contiguous (k, T) array, one series per row.
+
+    Sums over time then run along the contiguous last axis, which numpy adds
+    up the same way for one row or many: a series' result does not depend on
+    the block it sits in.
+    """
+    return np.ascontiguousarray(x.reshape(x.shape[0], -1).T)
+
+
+def _columns(rows: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Inverse of _rows for a (k, L) result: (L,) for a 1-D input, else (L, k)."""
+    return rows.T.reshape(rows.shape[1], *like.shape[1:])
+
+
+def _per_series(values: np.ndarray, like: np.ndarray) -> float | np.ndarray:
+    return float(values[0]) if like.ndim == 1 else values
+
+
 def classical_decompose(x: np.ndarray, period: int) -> SeasonalDecomp:
     """Classical additive decomposition with a centered moving-average trend.
 
-    For even periods the trend uses the standard 2 x m average (window m+1
-    with half weights at the ends). Seasonal indices are positionwise means of
-    the detrended interior, re-centered to sum to zero. Trend edges are filled
-    with the nearest defined value; the remainder uses the filled trend.
+    x is one series (T,) or a block of series (T, k), each decomposed on its
+    own. For even periods the trend uses the standard 2 x m average (window
+    m+1 with half weights at the ends). Seasonal indices are positionwise
+    means of the detrended interior, re-centered to sum to zero. Trend edges
+    are filled with the nearest defined value; the remainder uses the filled
+    trend.
     """
     x = np.asarray(x, dtype=float)
     m = int(period)
-    t = len(x)
+    t = x.shape[0]
     if m < 2:
         raise ValueError(f"period must be >= 2, got {m}")
     if t < 2 * m:
         raise ValueError(f"need at least {2 * m} points for period {m}, got {t}")
 
+    rows = _rows(x)
+    k = rows.shape[0]
+    half = m // 2
+    csum = np.zeros((k, t + 1))
+    np.cumsum(rows, axis=1, out=csum[:, 1:])
+    window_sums = csum[:, m:] - csum[:, :-m]  # sums of m consecutive values
     if m % 2 == 0:
-        weights = np.full(m + 1, 1.0 / m)
-        weights[0] = weights[-1] = 0.5 / m
+        interior = (window_sums[:, :-1] + window_sums[:, 1:]) / (2 * m)
     else:
-        weights = np.full(m, 1.0 / m)
-    half = len(weights) // 2
-    trend = np.full(t, np.nan)
-    trend[half : t - half] = np.convolve(x, weights, mode="valid")
+        interior = window_sums / m
+    trend = np.empty((k, t))
+    trend[:, half : t - half] = interior
+    trend[:, :half] = interior[:, :1]
+    trend[:, t - half :] = interior[:, -1:]
 
-    interior = slice(half, t - half)
-    detrended = x[interior] - trend[interior]
-    positions = np.arange(half, t - half) % m
-    seasonal = np.array([detrended[positions == p].mean() for p in range(m)])
-    seasonal -= seasonal.mean()
+    # The detrended interior starts at position half; laid out in whole
+    # cycles (zeros outside it), each position's sum adds one cycle at a time.
+    cycles = -(-(t - half) // m)
+    laid_out = np.zeros((k, cycles * m))
+    laid_out[:, half : t - half] = rows[:, half : t - half] - interior
+    by_cycle = laid_out.reshape(k, cycles, m)
+    seasonal = by_cycle[:, 0].copy()
+    for c in range(1, cycles):
+        seasonal += by_cycle[:, c]
+    seasonal /= np.bincount(np.arange(half, t - half) % m, minlength=m)
+    seasonal -= seasonal.mean(axis=1, keepdims=True)
 
-    trend[:half] = trend[half]
-    trend[t - half :] = trend[t - half - 1]
-    remainder = x - trend - seasonal[np.arange(t) % m]
-    return SeasonalDecomp(period=m, seasonal=seasonal, trend=trend, remainder=remainder)
+    remainder = rows - trend - seasonal[:, np.arange(t) % m]
+    return SeasonalDecomp(
+        period=m,
+        seasonal=_columns(seasonal, x),
+        trend=_columns(trend, x),
+        remainder=_columns(remainder, x),
+    )
+
+
+def _ar_factor(rows: np.ndarray, order: int, start: int) -> np.ndarray:
+    """Triangular factors of the stacked designs [1, x_{t-1}, ..., x_{t-order}, x_t]
+    over t >= start, one per row of rows: (k, order + 2, order + 2).
+
+    The leading (order + 1) block and the last column's head solve the least
+    squares of x_t on the lags; the last column's squared entries below row i
+    sum to the residual sum of squares of the order i - 1 regression.
+    """
+    t = rows.shape[1]
+    y = rows[:, start:]
+    lags = [rows[:, start - i : t - i] for i in range(1, order + 1)]
+    r = np.linalg.qr(np.stack([np.ones_like(y), *lags, y], axis=-1), mode="r")
+    if r.shape[1] < order + 2:  # as many observations as coefficients: an exact fit
+        r = np.concatenate([r, np.zeros((r.shape[0], order + 2 - r.shape[1], order + 2))], axis=1)
+    return r
+
+
+def _ar_lstsq(
+    rows: np.ndarray, order: int, start: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conditional least squares of x_t on an intercept and `order` lags for
+    t >= start, per row: intercepts (k,), coefficients (order, k) and residual
+    mean squares (k,)."""
+    r = _ar_factor(rows, order, start)
+    p = order + 1
+    beta = np.linalg.solve(r[:, :p, :p], r[:, :p, p:])[:, :, 0]
+    variance = r[:, p, p] ** 2 / (rows.shape[1] - start)
+    return beta[:, 0], np.ascontiguousarray(beta[:, 1:].T), variance
 
 
 def fit_ar1(x: np.ndarray) -> AR1Fit:
     """Conditional least squares for x_t = c + phi x_{t-1} + e_t.
 
-    The innovation variance is the residual mean square. A constant series
-    (zero lagged-regressor variance) is an error.
+    x is one series (T,) or a block (T, k) fitted column by column. The
+    innovation variance is the residual mean square. A constant series (zero
+    lagged-regressor variance) is an error.
     """
     x = np.asarray(x, dtype=float)
     if len(x) < 3:
         raise ValueError(f"need at least 3 observations, got {len(x)}")
-    lag, y = x[:-1], x[1:]
-    if np.ptp(lag) == 0.0:
+    rows = _rows(x)
+    if np.any(np.ptp(rows[:, :-1], axis=1) == 0.0):
         raise ValueError("constant series: lagged regressor has zero variance")
-    design = np.column_stack([np.ones(len(lag)), lag])
-    (c, phi), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ (c, phi)
-    return AR1Fit(c=float(c), phi=float(phi), variance=float(np.mean(resid**2)))
+    intercept, coeffs, variance = _ar_lstsq(rows, 1, 1)
+    return AR1Fit(
+        c=_per_series(intercept, x),
+        phi=_per_series(coeffs[0], x),
+        variance=_per_series(variance, x),
+    )
 
 
-def forecast_ar1(fit: AR1Fit, last: float, n: int) -> np.ndarray:
-    """Recursive n-step forecast: xhat_h = c + phi xhat_{h-1}, seeded by last."""
+def forecast_ar1(fit: AR1Fit, last: float | np.ndarray, n: int) -> np.ndarray:
+    """Recursive n-step forecast: xhat_h = c + phi xhat_{h-1}, seeded by last.
+
+    A block fit with a (k,) last gives an (n, k) forecast.
+    """
     if n < 1:
         raise ValueError(f"horizon must be >= 1, got {n}")
-    out = np.empty(n)
-    current = float(last)
+    current = np.asarray(last, dtype=float)
+    out = np.empty((n, *current.shape))
     for h in range(n):
         current = fit.c + fit.phi * current
         out[h] = current
     return out
 
 
-def _ar_design(x: np.ndarray, order: int, start: int) -> tuple[np.ndarray, np.ndarray]:
-    y = x[start:]
-    cols = [np.ones(len(y))] + [x[start - i : len(x) - i] for i in range(1, order + 1)]
-    return np.column_stack(cols), y
-
-
 def fit_ar(x: np.ndarray, order: int) -> ARFit:
     """Conditional least squares for an AR(order) with intercept; order 0 is
-    the mean model."""
+    the mean model. x is one series (T,) or a block (T, k) fitted column by
+    column."""
     x = np.asarray(x, dtype=float)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    if len(x) < order + 2:
-        raise ValueError(f"need at least {order + 2} observations for order {order}")
-    design, y = _ar_design(x, order, order)
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ beta
+    need = max(order + 2, 2 * order + 1)  # at least as many equations as coefficients
+    if len(x) < need:
+        raise ValueError(f"need at least {need} observations for order {order}")
+    intercept, coeffs, variance = _ar_lstsq(_rows(x), order, order)
     return ARFit(
-        intercept=float(beta[0]),
-        coeffs=tuple(float(b) for b in beta[1:]),
-        variance=float(np.mean(resid**2)),
+        intercept=_per_series(intercept, x),
+        coeffs=tuple(float(b) for b in coeffs[:, 0]) if x.ndim == 1 else coeffs,
+        variance=_per_series(variance, x),
     )
 
 
@@ -169,36 +267,68 @@ def fit_ar_aic(x: np.ndarray, max_order: int = 5) -> ARFit:
 
     All candidate orders are scored on the observations from max_order
     onward so their likelihoods are comparable; the winner is refit on the
-    full series. Ties go to the smaller order.
+    full series. Ties go to the smaller order. For a (T, k) block each column
+    picks its own order, the columns that share an order are refit together,
+    and the coefficients are zero-padded to the largest candidate order.
     """
     x = np.asarray(x, dtype=float)
-    pmax = max(0, min(int(max_order), (len(x) - 2) // 2))
-    aics = []
-    for p in range(pmax + 1):
-        design, y = _ar_design(x, p, pmax)
-        beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-        sigma2 = float(np.mean((y - design @ beta) ** 2))
-        n_eff = len(y)
-        aic = (n_eff * np.log(sigma2) if sigma2 > 0 else -np.inf) + 2 * (p + 1)
-        aics.append(aic)
-    best = int(np.argmin(aics))
-    return fit_ar(x, best)
+    t = x.shape[0]
+    if t < 2:
+        raise ValueError(f"need at least 2 observations, got {t}")
+    pmax = max(0, min(int(max_order), (t - 2) // 2))
+    # One factorization scores every nested order: rss[:, p] is the residual
+    # sum of squares of order p on the common sample.
+    r = _ar_factor(_rows(x), pmax, pmax)
+    tail = r[:, 1:, -1] ** 2
+    rss = np.cumsum(tail[:, ::-1], axis=1)[:, ::-1]
+    total = rss[:, :1] + r[:, :1, -1] ** 2
+    n_eff = t - pmax
+    with np.errstate(divide="ignore"):
+        fit_term = np.where(rss <= _EXACT_FIT * total, -np.inf, n_eff * np.log(rss / n_eff))
+    orders = np.argmin(fit_term + 2 * np.arange(1, pmax + 2), axis=1)
+    if x.ndim == 1:
+        return fit_ar(x, int(orders[0]))
+
+    block = x.reshape(t, -1)
+    k = block.shape[1]
+    intercept, coeffs, variance = np.empty(k), np.zeros((pmax, k)), np.empty(k)
+    for p in np.unique(orders):
+        cols = np.flatnonzero(orders == p)
+        fit = fit_ar(block[:, cols], int(p))
+        intercept[cols], coeffs[:p, cols], variance[cols] = fit.intercept, fit.coeffs, fit.variance
+    return ARFit(intercept=intercept, coeffs=coeffs, variance=variance)
 
 
 def forecast_ar(fit: ARFit, history: np.ndarray, n: int) -> np.ndarray:
-    """Recursive n-step forecast from the last `order` observed values."""
+    """Recursive n-step forecast from the last `order` observed values.
+
+    A block fit with (T, k) history gives an (n, k) forecast.
+    """
     if n < 1:
         raise ValueError(f"horizon must be >= 1, got {n}")
     history = np.asarray(history, dtype=float)
     if len(history) < fit.order:
         raise ValueError(f"need {fit.order} trailing values, got {len(history)}")
+    coeffs = np.asarray(fit.coeffs, dtype=float)
     window = list(history[len(history) - fit.order :])
-    out = np.empty(n)
+    out = np.empty((n, *np.shape(fit.intercept)))
     for h in range(n):
-        value = fit.intercept + sum(c * window[-1 - i] for i, c in enumerate(fit.coeffs))
-        out[h] = value
-        window.append(value)
+        lagged = 0.0
+        for i in range(fit.order):
+            lagged = lagged + coeffs[i] * window[-1 - i]
+        out[h] = fit.intercept + lagged
+        window.append(out[h])
     return out
+
+
+def check_score_settings(period: int, score_model: str, max_order: int) -> None:
+    """Reject score-forecast settings that no series could be forecast with."""
+    if score_model not in SCORE_MODELS:
+        raise ValueError(f"unknown score model {score_model!r}")
+    if period < 2:
+        raise ValueError(f"period must be >= 2, got {period}")
+    if max_order < 0:
+        raise ValueError(f"max_order must be >= 0, got {max_order}")
 
 
 def forecast_series(
@@ -212,25 +342,33 @@ def forecast_series(
     included). A numerically constant adjusted series gets a flat mean
     forecast, the exact extrapolation of a purely seasonal signal. Future
     positions T+h carry the seasonal index at (T+h-1) mod period.
+
+    The whole block goes through each step at once, in chunks of _CHUNK
+    series; a series' forecast is bit-identical whatever block or chunk it
+    sits in.
     """
     if n < 1:
         raise ValueError(f"horizon must be >= 1, got {n}")
-    if score_model not in SCORE_MODELS:
-        raise ValueError(f"unknown score model {score_model!r}")
+    check_score_settings(period, score_model, max_order)
     x = np.asarray(x, dtype=float)
     t = x.shape[0]
     series = x.reshape(t, -1)
     out = np.empty((n, series.shape[1]))
-    for j in range(series.shape[1]):
-        seasonal = classical_decompose(series[:, j], period).seasonal
-        adjusted = series[:, j] - seasonal[np.arange(t) % period]
-        if np.ptp(adjusted) <= _FLAT_TOLERANCE * max(1.0, float(np.max(np.abs(adjusted)))):
-            extrapolated = float(np.mean(adjusted))
-        elif score_model == "ar1":
-            extrapolated = forecast_ar1(fit_ar1(adjusted), adjusted[-1], n)
-        else:
-            extrapolated = forecast_ar(fit_ar_aic(adjusted, max_order), adjusted, n)
-        out[:, j] = extrapolated + seasonal[(t + np.arange(n)) % period]
+    for lo in range(0, series.shape[1], _CHUNK):
+        block = series[:, lo : lo + _CHUNK]
+        seasonal = classical_decompose(block, period).seasonal
+        adjusted = block - seasonal[np.arange(t) % period]
+        scale = np.maximum(1.0, np.max(np.abs(adjusted), axis=0))
+        flat = np.ptp(adjusted, axis=0) <= _FLAT_TOLERANCE * scale
+        extrapolated = np.empty((n, block.shape[1]))
+        extrapolated[:, flat] = _rows(adjusted[:, flat]).mean(axis=1)
+        if not flat.all():
+            live = adjusted[:, ~flat]
+            if score_model == "ar1":
+                extrapolated[:, ~flat] = forecast_ar1(fit_ar1(live), live[-1], n)
+            else:
+                extrapolated[:, ~flat] = forecast_ar(fit_ar_aic(live, max_order), live, n)
+        out[:, lo : lo + _CHUNK] = extrapolated + seasonal[(t + np.arange(n)) % period]
     return out.reshape(n, *x.shape[1:])
 
 

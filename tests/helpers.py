@@ -1,5 +1,6 @@
-"""Shared constructions for synthetic factor-model data in tests, and small
-tensor utilities that only the tests use."""
+"""Shared constructions for synthetic factor-model data in tests, small
+tensor utilities that only the tests use, and the scalar score forecaster
+that the batched one is checked against."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from tensorcast import factor_model
+from tensorcast import benchmarks, factor_model, forecast
 from tensorcast.evaluation import SimSpec, _prepare
 from tensorcast.factor_model import (
     FactorSeries,
@@ -18,6 +19,7 @@ from tensorcast.factor_model import (
     _stack_unfoldings,
     reconstruct_common,
 )
+from tensorcast.forecast import AR1Fit, ARFit, SeasonalDecomp
 from tensorcast.panel import PanelSeries, TensorSeries
 from tensorcast.tensor import mode_product, top_eigenvectors
 
@@ -201,3 +203,154 @@ def einsum_moments() -> Iterator[None]:
         yield
     finally:
         factor_model.initial_loadings, factor_model._projected_covariances = saved
+
+
+# ---------------------------------------------------------------------------
+# Scalar score forecaster: one series at a time, np.convolve trend, lstsq AR
+# fits and Python recursions. The oracle for the batched forecast module.
+
+
+def scalar_classical_decompose(x: np.ndarray, period: int) -> SeasonalDecomp:
+    """forecast.classical_decompose for one series."""
+    x = np.asarray(x, dtype=float)
+    m = int(period)
+    t = len(x)
+    if m < 2:
+        raise ValueError(f"period must be >= 2, got {m}")
+    if t < 2 * m:
+        raise ValueError(f"need at least {2 * m} points for period {m}, got {t}")
+
+    if m % 2 == 0:
+        weights = np.full(m + 1, 1.0 / m)
+        weights[0] = weights[-1] = 0.5 / m
+    else:
+        weights = np.full(m, 1.0 / m)
+    half = len(weights) // 2
+    trend = np.full(t, np.nan)
+    trend[half : t - half] = np.convolve(x, weights, mode="valid")
+
+    interior = slice(half, t - half)
+    detrended = x[interior] - trend[interior]
+    positions = np.arange(half, t - half) % m
+    seasonal = np.array([detrended[positions == p].mean() for p in range(m)])
+    seasonal -= seasonal.mean()
+
+    trend[:half] = trend[half]
+    trend[t - half :] = trend[t - half - 1]
+    remainder = x - trend - seasonal[np.arange(t) % m]
+    return SeasonalDecomp(period=m, seasonal=seasonal, trend=trend, remainder=remainder)
+
+
+def scalar_fit_ar1(x: np.ndarray) -> AR1Fit:
+    """forecast.fit_ar1 for one series, by lstsq."""
+    x = np.asarray(x, dtype=float)
+    if len(x) < 3:
+        raise ValueError(f"need at least 3 observations, got {len(x)}")
+    lag, y = x[:-1], x[1:]
+    if np.ptp(lag) == 0.0:
+        raise ValueError("constant series: lagged regressor has zero variance")
+    design = np.column_stack([np.ones(len(lag)), lag])
+    (c, phi), *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ (c, phi)
+    return AR1Fit(c=float(c), phi=float(phi), variance=float(np.mean(resid**2)))
+
+
+def scalar_forecast_ar1(fit: AR1Fit, last: float, n: int) -> np.ndarray:
+    out = np.empty(n)
+    current = float(last)
+    for h in range(n):
+        current = fit.c + fit.phi * current
+        out[h] = current
+    return out
+
+
+def _scalar_ar_design(x: np.ndarray, order: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+    y = x[start:]
+    cols = [np.ones(len(y))] + [x[start - i : len(x) - i] for i in range(1, order + 1)]
+    return np.column_stack(cols), y
+
+
+def scalar_fit_ar(x: np.ndarray, order: int) -> ARFit:
+    """forecast.fit_ar for one series, by lstsq."""
+    x = np.asarray(x, dtype=float)
+    design, y = _scalar_ar_design(x, order, order)
+    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ beta
+    return ARFit(
+        intercept=float(beta[0]),
+        coeffs=tuple(float(b) for b in beta[1:]),
+        variance=float(np.mean(resid**2)),
+    )
+
+
+def scalar_fit_ar_aic(x: np.ndarray, max_order: int = 5) -> ARFit:
+    """forecast.fit_ar_aic for one series: one lstsq per candidate order."""
+    x = np.asarray(x, dtype=float)
+    pmax = max(0, min(int(max_order), (len(x) - 2) // 2))
+    aics = []
+    for p in range(pmax + 1):
+        design, y = _scalar_ar_design(x, p, pmax)
+        beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+        sigma2 = float(np.mean((y - design @ beta) ** 2))
+        n_eff = len(y)
+        aic = (n_eff * np.log(sigma2) if sigma2 > 0 else -np.inf) + 2 * (p + 1)
+        aics.append(aic)
+    best = int(np.argmin(aics))
+    return scalar_fit_ar(x, best)
+
+
+def scalar_forecast_ar(fit: ARFit, history: np.ndarray, n: int) -> np.ndarray:
+    history = np.asarray(history, dtype=float)
+    window = list(history[len(history) - fit.order :])
+    out = np.empty(n)
+    for h in range(n):
+        value = fit.intercept + sum(c * window[-1 - i] for i, c in enumerate(fit.coeffs))
+        out[h] = value
+        window.append(value)
+    return out
+
+
+def scalar_adjusted(x: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Seasonal indices, seasonally adjusted series and the flat test of one series."""
+    seasonal = scalar_classical_decompose(x, period).seasonal
+    adjusted = x - seasonal[np.arange(len(x)) % period]
+    tolerance = forecast._FLAT_TOLERANCE * max(1.0, float(np.max(np.abs(adjusted))))
+    return seasonal, adjusted, bool(np.ptp(adjusted) <= tolerance)
+
+
+def scalar_forecast_series(
+    x: np.ndarray, period: int, n: int, score_model: str = "ar1", max_order: int = 5
+) -> np.ndarray:
+    """forecast.forecast_series as a loop over the series of the block."""
+    x = np.asarray(x, dtype=float)
+    t = x.shape[0]
+    series = x.reshape(t, -1)
+    out = np.empty((n, series.shape[1]))
+    for j in range(series.shape[1]):
+        seasonal, adjusted, flat = scalar_adjusted(series[:, j], period)
+        if flat:
+            extrapolated = float(np.mean(adjusted))
+        elif score_model == "ar1":
+            extrapolated = scalar_forecast_ar1(scalar_fit_ar1(adjusted), adjusted[-1], n)
+        else:
+            extrapolated = scalar_forecast_ar(scalar_fit_ar_aic(adjusted, max_order), adjusted, n)
+        out[:, j] = extrapolated + seasonal[(t + np.arange(n)) % period]
+    return out.reshape(n, *x.shape[1:])
+
+
+@contextmanager
+def recorded_score_blocks() -> Iterator[list[tuple[np.ndarray, int, int, str, int]]]:
+    """Record (x, period, n, score_model, max_order) of every forecast_series
+    call made inside the block, by the baselines and by forecast_factors."""
+    calls: list[tuple[np.ndarray, int, int, str, int]] = []
+    real, saved = forecast.forecast_series, benchmarks.forecast_series
+
+    def record(x, period, n, score_model="ar1", max_order=5):
+        calls.append((np.array(x, dtype=float), period, n, score_model, max_order))
+        return real(x, period, n, score_model, max_order)
+
+    forecast.forecast_series = benchmarks.forecast_series = record
+    try:
+        yield calls
+    finally:
+        forecast.forecast_series, benchmarks.forecast_series = real, saved

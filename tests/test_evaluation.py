@@ -8,8 +8,6 @@ import json
 import numpy as np
 import pytest
 
-import tensorcast.benchmarks as benchmarks_module
-import tensorcast.forecast as forecast_module
 from tensorcast.evaluation import (
     EvalCell,
     EvalReport,
@@ -26,7 +24,7 @@ from tensorcast.evaluation import (
 from tensorcast.factor_model import Ranks
 from tensorcast.panel import TensorSeries
 
-from helpers import make_series, simulate_compact
+from helpers import make_series, recorded_score_blocks, simulate_compact
 
 
 def random_series(rng: np.random.Generator, t: int, dims=(2, 3, 4)) -> TensorSeries:
@@ -249,20 +247,29 @@ def test_benchmark_forecaster_handles_run():
         make_benchmark_forecaster("ARIMA")
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"score_model": "bogus"}, "unknown score model 'bogus'"),
+        ({"period": 1}, "period must be >= 2, got 1"),
+        ({"max_order": -1}, "max_order must be >= 0, got -1"),
+    ],
+)
+def test_forecaster_handles_reject_bad_score_settings_at_construction(setting, message):
+    # Accepted, these would fail every window of a backtest with the same error.
+    with pytest.raises(ValueError, match=message):
+        make_tensor_forecaster(**setting)
+    for kind in ("MFM", "VFM", "FPCA"):
+        with pytest.raises(ValueError, match=message):
+            make_benchmark_forecaster(kind, **setting)
+
+
 @pytest.mark.parametrize("kind", ["MFM", "VFM"])
-def test_benchmark_forecaster_passes_score_model(kind, monkeypatch):
-    seen = []
-
-    def recording(x, period, n, score_model="ar1", max_order=5):
-        seen.append((score_model, max_order))
-        return original(x, period, n, score_model, max_order)
-
-    original = forecast_module.forecast_series
-    monkeypatch.setattr(forecast_module, "forecast_series", recording)
-    monkeypatch.setattr(benchmarks_module, "forecast_series", recording)
+def test_benchmark_forecaster_passes_score_model(kind):
     ts = random_series(np.random.default_rng(9), 24, dims=(2, 3, 4))
-    make_benchmark_forecaster(kind, period=6, score_model="ar_aic", max_order=2)(ts, 2)
-    assert seen and set(seen) == {("ar_aic", 2)}
+    with recorded_score_blocks() as calls:
+        make_benchmark_forecaster(kind, period=6, score_model="ar_aic", max_order=2)(ts, 2)
+    assert calls and {call[3:] for call in calls} == {("ar_aic", 2)}
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from helpers import make_series, noiseless_series, random_loading_set, weekly_starts
+from helpers import (
+    make_series,
+    noiseless_series,
+    random_loading_set,
+    recorded_score_blocks,
+    scalar_adjusted,
+    scalar_classical_decompose,
+    scalar_fit_ar_aic,
+    scalar_forecast_series,
+    weekly_starts,
+)
+from tensorcast import forecast
+from tensorcast.evaluation import SimSpec, make_benchmark_forecaster, simulate
 from tensorcast.factor_model import (
     FactorSeries,
     Ranks,
@@ -328,3 +343,147 @@ def test_future_starts_continue_even_spacing_and_reject_irregular_starts():
     for forecaster in (mfm_forecast, vfm_forecast, fpca_forecast):
         with pytest.raises(ValueError, match=r"not evenly spaced: start 4 "):
             forecaster(ts, 2, period=2)
+
+
+# ---------------------------------------------------------------------------
+# The batched forecaster against the scalar oracle (tests/helpers.py)
+
+# Stacked QR least squares and cumulative-sum trends reorder the scalar path's
+# floating-point sums; forecasts agree to this absolute tolerance.
+ORACLE_TOLERANCE = 1e-10
+
+
+def _forecast_test_series():
+    """(x, period, max_order) of the series the forecast tests above use."""
+    rng = np.random.default_rng(3)
+    seasonal = np.array([2.0, -1.0, 0.5, -0.5, -2.0, 1.0])
+    block = np.empty((40, 3))
+    block[:, 0] = rng.standard_normal(40).cumsum()
+    block[:, 1] = 2.0 + np.array([1.0, -1.0, 0.5, -0.5])[np.arange(40) % 4]
+    block[:, 2] = rng.standard_normal(40)
+    grid = np.arange(24)
+    periodic = np.stack([np.sin(2 * np.pi * grid / 6) + 2.0, np.cos(2 * np.pi * grid / 6) - 1.0], 1)
+    return [
+        (3.0 + seasonal[np.arange(24) % 6], 6, 5),
+        (2.0 + 0.03 * np.arange(156), 52, 5),
+        (np.zeros(30), 4, 5),
+        (block, 4, 2),
+        (periodic, 6, 5),
+        (np.random.default_rng(6).standard_normal((30, 2, 1, 2)), 4, 5),
+    ]
+
+
+@pytest.mark.parametrize("score_model", ["ar1", "ar_aic"])
+def test_forecast_series_matches_scalar_oracle_on_forecast_test_series(score_model):
+    for x, period, max_order in _forecast_test_series():
+        batched = forecast_series(x, period, 26, score_model, max_order)
+        scalar = scalar_forecast_series(x, period, 26, score_model, max_order)
+        assert batched.shape == scalar.shape
+        assert np.max(np.abs(batched - scalar)) <= ORACLE_TOLERANCE
+
+
+@pytest.mark.parametrize("t, period", [(40, 5), (30, 4), (208, 52)])
+def test_block_decomposition_matches_scalar_per_column(t, period):
+    block = np.random.default_rng(t).standard_normal((t, 3)).cumsum(axis=0)
+    d = classical_decompose(block, period)
+    for j in range(3):
+        s = scalar_classical_decompose(block[:, j], period)
+        for name in ("seasonal", "trend", "remainder"):
+            assert np.max(np.abs(getattr(d, name)[:, j] - getattr(s, name))) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def baseline_score_blocks():
+    """forecast_series calls of MFM, VFM and FPCA (4 components, as in the
+    backtest-baselines benchmark) on windows 0, 33, 66 and 99 of the seed-0
+    paper panel: 171 training weeks, 26 steps ahead."""
+    ts = simulate(SimSpec(dims=(9, 7, 24), ranks=Ranks(1, (1, 2)), num_periods=342, seed=0))[0]
+    handles = {
+        "MFM": make_benchmark_forecaster("MFM"),
+        "VFM": make_benchmark_forecaster("VFM"),
+        "FPCA": make_benchmark_forecaster("FPCA", ncomp=4),
+    }
+    calls = {}
+    for w in (0, 33, 66, 99):
+        train = TensorSeries(ts.values[w : w + 171], ts.period_starts[w : w + 171], ts.provider_ids)
+        for name, handle in handles.items():
+            with recorded_score_blocks() as recorded:
+                handle(train, 26)
+            calls[name, w] = recorded
+    return calls
+
+
+def test_baselines_forecast_all_scores_of_a_window_in_one_call(baseline_score_blocks):
+    widths = {name: recorded[0][0].reshape(171, -1).shape[1]
+              for (name, _), recorded in baseline_score_blocks.items()}
+    assert all(len(recorded) == 1 for recorded in baseline_score_blocks.values())
+    assert widths == {"MFM": 9 * 2, "VFM": 9 * 2, "FPCA": 9 * 7 * 4}
+
+
+@pytest.mark.parametrize("score_model", ["ar1", "ar_aic"])
+def test_forecast_series_matches_scalar_oracle_on_baseline_score_blocks(
+    baseline_score_blocks, score_model
+):
+    for recorded in baseline_score_blocks.values():
+        x, period, n, _, max_order = recorded[0]
+        batched = forecast_series(x, period, n, score_model, max_order)
+        scalar = scalar_forecast_series(x, period, n, score_model, max_order)
+        assert np.max(np.abs(batched - scalar)) <= ORACLE_TOLERANCE
+
+
+def test_fpca_aic_orders_match_scalar_oracle(baseline_score_blocks):
+    for (name, _), recorded in baseline_score_blocks.items():
+        if name != "FPCA":
+            continue
+        x, period, _, score_model, max_order = recorded[0]
+        assert score_model == "ar_aic"
+        seasonal = classical_decompose(x, period).seasonal
+        coeffs = fit_ar_aic(x - seasonal[np.arange(len(x)) % period], max_order).coeffs
+        # Block fits zero-pad each series' coefficients to the largest order.
+        batched = np.max(np.arange(1, len(coeffs) + 1)[:, None] * (coeffs != 0), axis=0, initial=0)
+        scalar = []
+        for column in x.T:
+            _, adjusted, flat = scalar_adjusted(column, period)
+            assert not flat
+            scalar.append(scalar_fit_ar_aic(adjusted, max_order).order)
+        np.testing.assert_array_equal(batched, scalar)
+
+
+@pytest.mark.parametrize(
+    "score_model, stages",
+    [
+        ("ar1", {"classical_decompose", "fit_ar1", "forecast_ar1"}),
+        ("ar_aic", {"classical_decompose", "fit_ar_aic", "fit_ar", "forecast_ar"}),
+    ],
+)
+def test_forecast_series_runs_the_traced_stage_functions(monkeypatch, score_model, stages):
+    # The benchmark's traced runs time these names and fail when one never
+    # fires, so forecast_series must reach them through the module namespace.
+    called = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            called[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("classical_decompose", "fit_ar1", "forecast_ar1", "fit_ar_aic", "fit_ar",
+                 "forecast_ar"):
+        monkeypatch.setattr(forecast, name, counted(name, getattr(forecast, name)))
+    block = np.random.default_rng(20).standard_normal((40, 3)).cumsum(axis=0)
+    forecast.forecast_series(block, 4, 5, score_model, max_order=2)
+    assert set(called) == stages
+
+
+def test_forecast_series_memory_is_bounded_by_its_chunks():
+    # An unchunked (171, 252) ar_aic block stacks designs of about 7 MiB.
+    block = np.random.default_rng(21).standard_normal((171, 252)).cumsum(axis=0)
+    forecast_series(block, 52, 26, "ar_aic")
+    tracemalloc.start()
+    try:
+        forecast_series(block, 52, 26, "ar_aic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
