@@ -200,7 +200,6 @@ def fpca_forecast(
     n: int,
     ncomp: int | None = None,
     period: int = 52,
-    score_model: str = "ar_aic",
     max_order: int = 5,
 ) -> TensorSeries:
     """Functional-PCA forecasts: one curve basis per provider and day of week.
@@ -209,9 +208,9 @@ def fpca_forecast(
     curves on the standardized scale. Curves are centered, decomposed into
     principal component curves (enough to explain 95% of variance, at most 6,
     unless ncomp is given), and the component scores of every slice are
-    forecast together with the shared seasonal-plus-autoregression path.
-    Forecast curves reassemble into weekly matrices with day slices in their
-    original row order.
+    forecast together with the shared seasonal-plus-autoregression path, each
+    AR order chosen by AIC (score model ar_aic). Forecast curves reassemble
+    into weekly matrices with day slices in their original row order.
     """
     _require_matrices(ts)
     z = estimate_standardization(ts)
@@ -219,7 +218,7 @@ def fpca_forecast(
     slices = list(np.ndindex(*ts.tensor_dims[:2]))
     fits = [_day_curve_fit(x[:, i, d], ncomp) for i, d in slices]
     scores = np.concatenate([s for _, _, s in fits], axis=1)
-    future = forecast_series(scores, period, n, score_model, max_order)
+    future = forecast_series(scores, period, n, "ar_aic", max_order)
     bounds = np.cumsum([s.shape[1] for _, _, s in fits])[:-1]
     common = np.empty((n, *ts.tensor_dims))
     for (i, d), (mean_curve, basis, _), part in zip(slices, fits, np.split(future, bounds, axis=1)):

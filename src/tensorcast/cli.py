@@ -22,6 +22,7 @@ import sys
 import traceback
 from collections import namedtuple
 from dataclasses import dataclass
+from datetime import datetime
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -141,13 +142,21 @@ def _unless(sentinel: str, parse: Parser) -> Parser:
     return lambda where, raw: None if raw.lower() == sentinel else parse(where, raw)
 
 
-def _parse_span(where: str, raw: str) -> tuple[str, str] | None:
+def _parse_span(where: str, raw: str) -> tuple[datetime, datetime] | None:
     if not raw:
         return None
     parts = [p.strip() for p in raw.split("..")]
     if len(parts) != 2 or not all(parts):
         raise ConfigError(f"{where}: expected START..END, got {raw!r}")
-    return parts[0], parts[1]
+    try:
+        start, end = (datetime.fromisoformat(p) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    if start.tzinfo or end.tzinfo:
+        raise ConfigError(f"{where}: give local clock times without a UTC offset, got {raw!r}")
+    if start > end:
+        raise ConfigError(f"{where}: start {parts[0]} is after end {parts[1]}")
+    return start, end
 
 
 def _parse_horizons(where: str, raw: str) -> tuple[int, ...]:
@@ -195,7 +204,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
                   "per-mode seasonal rank bounds; empty = min(3, S_j - 1)"),
         "period": ("52", _int(2), "seasonal period of the per-factor score models"),
         "score_model": ("ar1", _choice(*SCORE_MODELS),
-                        "factor score extrapolation: 'ar1' or 'ar_aic'"),
+                        "TFM, MFM and VFM score extrapolation: 'ar1' or 'ar_aic'; "
+                        "FPCA always uses ar_aic"),
         "max_order": ("5", _int(0), "maximum AR order when score_model = ar_aic"),
         "archive": ("model.npz", _text, "fitted-model archive; relative names land in out"),
     },

@@ -30,8 +30,6 @@ from .factor_model import FactorSeries, LoadingSet, fitted_values
 from .panel import Standardization, TensorSeries
 
 __all__ = [
-    "SeasonalDecomp",
-    "AR1Fit",
     "ARFit",
     "classical_decompose",
     "fit_ar1",
@@ -60,31 +58,6 @@ _EXACT_FIT = 1e-28
 _CHUNK = 32
 
 SCORE_MODELS = ("ar1", "ar_aic")
-
-
-@dataclass
-class SeasonalDecomp:
-    """Additive decomposition x = trend + seasonal[t mod m] + remainder.
-
-    For a (T, k) block every array gains a trailing axis of k series.
-    """
-
-    period: int
-    seasonal: np.ndarray  # length m, sums to zero
-    trend: np.ndarray  # length T, edges filled with nearest interior value
-    remainder: np.ndarray  # length T
-
-
-@dataclass(frozen=True)
-class AR1Fit:
-    """First-order autoregression x_t = c + phi x_{t-1} + e_t.
-
-    Floats for one series; (k,) arrays for a (T, k) block.
-    """
-
-    c: float | np.ndarray
-    phi: float | np.ndarray
-    variance: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -124,15 +97,16 @@ def _per_series(values: np.ndarray, like: np.ndarray) -> float | np.ndarray:
     return float(values[0]) if like.ndim == 1 else values
 
 
-def classical_decompose(x: np.ndarray, period: int) -> SeasonalDecomp:
-    """Classical additive decomposition with a centered moving-average trend.
+def classical_decompose(x: np.ndarray, period: int) -> np.ndarray:
+    """Seasonal indices of the classical additive decomposition
+    x = trend + seasonal[t mod m] + remainder, with a centered moving-average
+    trend.
 
     x is one series (T,) or a block of series (T, k), each decomposed on its
-    own. For even periods the trend uses the standard 2 x m average (window
-    m+1 with half weights at the ends). Seasonal indices are positionwise
-    means of the detrended interior, re-centered to sum to zero. Trend edges
-    are filled with the nearest defined value; the remainder uses the filled
-    trend.
+    own; the result is (m,) or (m, k). For even periods the trend uses the
+    standard 2 x m average (window m+1 with half weights at the ends).
+    Seasonal indices are positionwise means of the detrended interior,
+    re-centered to sum to zero.
     """
     x = np.asarray(x, dtype=float)
     m = int(period)
@@ -152,10 +126,6 @@ def classical_decompose(x: np.ndarray, period: int) -> SeasonalDecomp:
         interior = (window_sums[:, :-1] + window_sums[:, 1:]) / (2 * m)
     else:
         interior = window_sums / m
-    trend = np.empty((k, t))
-    trend[:, half : t - half] = interior
-    trend[:, :half] = interior[:, :1]
-    trend[:, t - half :] = interior[:, -1:]
 
     # The detrended interior starts at position half; laid out in whole
     # cycles (zeros outside it), each position's sum adds one cycle at a time.
@@ -168,14 +138,7 @@ def classical_decompose(x: np.ndarray, period: int) -> SeasonalDecomp:
         seasonal += by_cycle[:, c]
     seasonal /= np.bincount(np.arange(half, t - half) % m, minlength=m)
     seasonal -= seasonal.mean(axis=1, keepdims=True)
-
-    remainder = rows - trend - seasonal[:, np.arange(t) % m]
-    return SeasonalDecomp(
-        period=m,
-        seasonal=_columns(seasonal, x),
-        trend=_columns(trend, x),
-        remainder=_columns(remainder, x),
-    )
+    return _columns(seasonal, x)
 
 
 def _ar_factor(rows: np.ndarray, order: int, start: int) -> np.ndarray:
@@ -208,40 +171,22 @@ def _ar_lstsq(
     return beta[:, 0], np.ascontiguousarray(beta[:, 1:].T), variance
 
 
-def fit_ar1(x: np.ndarray) -> AR1Fit:
-    """Conditional least squares for x_t = c + phi x_{t-1} + e_t.
+def fit_ar1(x: np.ndarray) -> ARFit:
+    """fit_ar(x, 1): x_t = c + phi x_{t-1} + e_t, with coeffs (phi,).
 
-    x is one series (T,) or a block (T, k) fitted column by column. The
-    innovation variance is the residual mean square. A constant series (zero
-    lagged-regressor variance) is an error.
+    A constant series (zero lagged-regressor variance) is an error.
     """
     x = np.asarray(x, dtype=float)
     if len(x) < 3:
         raise ValueError(f"need at least 3 observations, got {len(x)}")
-    rows = _rows(x)
-    if np.any(np.ptp(rows[:, :-1], axis=1) == 0.0):
+    if np.any(np.ptp(x[:-1], axis=0) == 0.0):
         raise ValueError("constant series: lagged regressor has zero variance")
-    intercept, coeffs, variance = _ar_lstsq(rows, 1, 1)
-    return AR1Fit(
-        c=_per_series(intercept, x),
-        phi=_per_series(coeffs[0], x),
-        variance=_per_series(variance, x),
-    )
+    return fit_ar(x, 1)
 
 
-def forecast_ar1(fit: AR1Fit, last: float | np.ndarray, n: int) -> np.ndarray:
-    """Recursive n-step forecast: xhat_h = c + phi xhat_{h-1}, seeded by last.
-
-    A block fit with a (k,) last gives an (n, k) forecast.
-    """
-    if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
-    current = np.asarray(last, dtype=float)
-    out = np.empty((n, *current.shape))
-    for h in range(n):
-        current = fit.c + fit.phi * current
-        out[h] = current
-    return out
+def forecast_ar1(fit: ARFit, last: float | np.ndarray, n: int) -> np.ndarray:
+    """forecast_ar seeded by the last value alone: a (k,) last gives (n, k)."""
+    return forecast_ar(fit, np.asarray(last, dtype=float)[None], n)
 
 
 def fit_ar(x: np.ndarray, order: int) -> ARFit:
@@ -356,7 +301,7 @@ def forecast_series(
     out = np.empty((n, series.shape[1]))
     for lo in range(0, series.shape[1], _CHUNK):
         block = series[:, lo : lo + _CHUNK]
-        seasonal = classical_decompose(block, period).seasonal
+        seasonal = classical_decompose(block, period)
         adjusted = block - seasonal[np.arange(t) % period]
         scale = np.maximum(1.0, np.max(np.abs(adjusted), axis=0))
         flat = np.ptp(adjusted, axis=0) <= _FLAT_TOLERANCE * scale

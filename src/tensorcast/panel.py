@@ -106,15 +106,6 @@ class CalendarSpec:
         start_shift = 24 * _WEEKDAYS.index(self.week_start)
         return int((hour_index - start_shift) % self.period_hours)
 
-    def seasonal_indices(self, hour_index: int) -> tuple[int, ...]:
-        """Decompose the period offset into per-level indices (0-based)."""
-        offset = self.period_offset(hour_index)
-        out = []
-        for extent in reversed(self.periods):
-            out.append(offset % extent)
-            offset //= extent
-        return tuple(reversed(out))
-
 
 @dataclass
 class TensorSeries:
@@ -125,6 +116,10 @@ class TensorSeries:
     provider_ids: list[str]
 
     def __post_init__(self):
+        if self.values.ndim < 2:
+            raise ValueError(
+                f"values of shape {self.values.shape} need a period axis and a provider axis"
+            )
         if len(self.period_starts) != self.values.shape[0]:
             raise ValueError("one start timestamp per period required")
         if self.values.shape[1] != len(self.provider_ids):
@@ -266,6 +261,8 @@ def ingest_csv(
     if span is not None:
         first, last = (_hour_index(datetime.fromisoformat(t) if isinstance(t, str) else t)
                        for t in span)
+        if first > last:
+            raise ValueError(f"span {span[0]}..{span[1]} is reversed: its start is after its end")
     else:
         first = max(int(hours[0]) for _, hours, _, _ in parsed)
         last = min(int(hours[-1]) for _, hours, _, _ in parsed)

@@ -19,13 +19,24 @@ from tensorcast.factor_model import (
     _stack_unfoldings,
     reconstruct_common,
 )
-from tensorcast.forecast import AR1Fit, ARFit, SeasonalDecomp
-from tensorcast.panel import PanelSeries, TensorSeries
+from tensorcast.forecast import ARFit
+from tensorcast.panel import CalendarSpec, PanelSeries, TensorSeries
 from tensorcast.tensor import mode_product, top_eigenvectors
 
 
 def weekly_starts(t: int) -> np.ndarray:
     return np.datetime64("2020-01-06T00", "h") + (168 * np.arange(t)).astype("timedelta64[h]")
+
+
+def seasonal_indices(cal: CalendarSpec, hour_index: int) -> tuple[int, ...]:
+    """Per-level seasonal indices (0-based) of an hour: its period offset
+    decomposed mixed-radix, the last period varying fastest."""
+    offset = cal.period_offset(hour_index)
+    out = []
+    for extent in reversed(cal.periods):
+        out.append(offset % extent)
+        offset //= extent
+    return tuple(reversed(out))
 
 
 def unfold_panel(ts: TensorSeries) -> PanelSeries:
@@ -210,8 +221,8 @@ def einsum_moments() -> Iterator[None]:
 # fits and Python recursions. The oracle for the batched forecast module.
 
 
-def scalar_classical_decompose(x: np.ndarray, period: int) -> SeasonalDecomp:
-    """forecast.classical_decompose for one series."""
+def scalar_classical_decompose(x: np.ndarray, period: int) -> np.ndarray:
+    """forecast.classical_decompose for one series: its seasonal indices."""
     x = np.asarray(x, dtype=float)
     m = int(period)
     t = len(x)
@@ -226,42 +237,11 @@ def scalar_classical_decompose(x: np.ndarray, period: int) -> SeasonalDecomp:
     else:
         weights = np.full(m, 1.0 / m)
     half = len(weights) // 2
-    trend = np.full(t, np.nan)
-    trend[half : t - half] = np.convolve(x, weights, mode="valid")
-
-    interior = slice(half, t - half)
-    detrended = x[interior] - trend[interior]
+    detrended = x[half : t - half] - np.convolve(x, weights, mode="valid")
     positions = np.arange(half, t - half) % m
     seasonal = np.array([detrended[positions == p].mean() for p in range(m)])
     seasonal -= seasonal.mean()
-
-    trend[:half] = trend[half]
-    trend[t - half :] = trend[t - half - 1]
-    remainder = x - trend - seasonal[np.arange(t) % m]
-    return SeasonalDecomp(period=m, seasonal=seasonal, trend=trend, remainder=remainder)
-
-
-def scalar_fit_ar1(x: np.ndarray) -> AR1Fit:
-    """forecast.fit_ar1 for one series, by lstsq."""
-    x = np.asarray(x, dtype=float)
-    if len(x) < 3:
-        raise ValueError(f"need at least 3 observations, got {len(x)}")
-    lag, y = x[:-1], x[1:]
-    if np.ptp(lag) == 0.0:
-        raise ValueError("constant series: lagged regressor has zero variance")
-    design = np.column_stack([np.ones(len(lag)), lag])
-    (c, phi), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ (c, phi)
-    return AR1Fit(c=float(c), phi=float(phi), variance=float(np.mean(resid**2)))
-
-
-def scalar_forecast_ar1(fit: AR1Fit, last: float, n: int) -> np.ndarray:
-    out = np.empty(n)
-    current = float(last)
-    for h in range(n):
-        current = fit.c + fit.phi * current
-        out[h] = current
-    return out
+    return seasonal
 
 
 def _scalar_ar_design(x: np.ndarray, order: int, start: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,6 +261,16 @@ def scalar_fit_ar(x: np.ndarray, order: int) -> ARFit:
         coeffs=tuple(float(b) for b in beta[1:]),
         variance=float(np.mean(resid**2)),
     )
+
+
+def scalar_fit_ar1(x: np.ndarray) -> ARFit:
+    """forecast.fit_ar1 for one series, by lstsq."""
+    x = np.asarray(x, dtype=float)
+    if len(x) < 3:
+        raise ValueError(f"need at least 3 observations, got {len(x)}")
+    if np.ptp(x[:-1]) == 0.0:
+        raise ValueError("constant series: lagged regressor has zero variance")
+    return scalar_fit_ar(x, 1)
 
 
 def scalar_fit_ar_aic(x: np.ndarray, max_order: int = 5) -> ARFit:
@@ -312,7 +302,7 @@ def scalar_forecast_ar(fit: ARFit, history: np.ndarray, n: int) -> np.ndarray:
 
 def scalar_adjusted(x: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """Seasonal indices, seasonally adjusted series and the flat test of one series."""
-    seasonal = scalar_classical_decompose(x, period).seasonal
+    seasonal = scalar_classical_decompose(x, period)
     adjusted = x - seasonal[np.arange(len(x)) % period]
     tolerance = forecast._FLAT_TOLERANCE * max(1.0, float(np.max(np.abs(adjusted))))
     return seasonal, adjusted, bool(np.ptp(adjusted) <= tolerance)
@@ -331,7 +321,7 @@ def scalar_forecast_series(
         if flat:
             extrapolated = float(np.mean(adjusted))
         elif score_model == "ar1":
-            extrapolated = scalar_forecast_ar1(scalar_fit_ar1(adjusted), adjusted[-1], n)
+            extrapolated = scalar_forecast_ar(scalar_fit_ar1(adjusted), adjusted, n)
         else:
             extrapolated = scalar_forecast_ar(scalar_fit_ar_aic(adjusted, max_order), adjusted, n)
         out[:, j] = extrapolated + seasonal[(t + np.arange(n)) % period]

@@ -116,6 +116,27 @@ def test_malformed_values_exit_2(tmp_path):
         assert main(["fit", "--config", str(cfg)]) == 2, sections
 
 
+def test_ingest_clips_to_the_configured_span(tmp_path, capsys):
+    write_provider_csv(tmp_path / "aaa.csv", "AAA", 4 * 168, lambda h: 100 + h % 24)
+    cfg = write_config(tmp_path / "run.ini", {
+        "data": {"paths": "aaa.csv", "span": "2020-01-13 00:00:00..2020-01-26 23:00:00"}})
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    ts = load_tensor_series(tmp_path / "out" / "tensors.npz")
+    assert ts.values.shape[0] == 2 and str(ts.period_starts[0]) == "2020-01-13T00"
+
+
+@pytest.mark.parametrize("span, message", [
+    ("2020-01-20 00:00:00..2020-01-07 00:00:00", "start 2020-01-20 00:00:00 is after end"),
+    ("foo..bar", "Invalid isoformat string"),
+    ("2020-01-07 00:00:00+01:00..2020-01-08 00:00:00", "without a UTC offset"),
+])
+def test_bad_span_exits_2_and_names_the_key(tmp_path, capsys, span, message):
+    cfg = write_config(tmp_path / "run.ini", {"data": {"paths": "a.csv", "span": span}})
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "data.span" in err and message in err
+
+
 def test_schema_defaults_equal_an_empty_config(tmp_path):
     explicit = {section: {key: default for key, (default, _, _) in keys.items()}
                 for section, keys in _SCHEMA.items()}

@@ -264,12 +264,15 @@ def test_forecaster_handles_reject_bad_score_settings_at_construction(setting, m
             make_benchmark_forecaster(kind, **setting)
 
 
-@pytest.mark.parametrize("kind", ["MFM", "VFM"])
+@pytest.mark.parametrize("kind", ["MFM", "VFM", "FPCA"])
 def test_benchmark_forecaster_passes_score_model(kind):
+    # FPCA forecasts its curve scores with ar_aic whatever score_model says.
     ts = random_series(np.random.default_rng(9), 24, dims=(2, 3, 4))
-    with recorded_score_blocks() as calls:
-        make_benchmark_forecaster(kind, period=6, score_model="ar_aic", max_order=2)(ts, 2)
-    assert calls and {call[3:] for call in calls} == {("ar_aic", 2)}
+    for score_model in ("ar1", "ar_aic"):
+        with recorded_score_blocks() as calls:
+            make_benchmark_forecaster(kind, period=6, score_model=score_model, max_order=2)(ts, 2)
+        expected = "ar_aic" if kind == "FPCA" else score_model
+        assert calls and {call[3:] for call in calls} == {(expected, 2)}
 
 
 # ---------------------------------------------------------------------------

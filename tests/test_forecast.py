@@ -30,7 +30,7 @@ from tensorcast.factor_model import (
     reconstruct_common,
 )
 from tensorcast.forecast import (
-    AR1Fit,
+    ARFit,
     classical_decompose,
     fit_ar,
     fit_ar1,
@@ -50,19 +50,14 @@ class TestClassicalDecompose:
     def test_pure_seasonal_signal(self):
         s = np.array([1.0, -2.0, 0.5, 0.5])
         x = s[np.arange(16) % 4]
-        d = classical_decompose(x, 4)
-        np.testing.assert_allclose(d.seasonal, s, atol=1e-12)
-        half = 2
-        np.testing.assert_allclose(d.trend[half:-half], 0.0, atol=1e-12)
-        np.testing.assert_allclose(d.remainder, 0.0, atol=1e-12)
+        np.testing.assert_allclose(classical_decompose(x, 4), s, atol=1e-12)
 
     def test_linear_trend_no_seasonality(self):
         t = np.arange(20, dtype=float)
         x = 3.0 + 0.7 * t
-        d = classical_decompose(x, 4)
-        np.testing.assert_allclose(d.seasonal, 0.0, atol=1e-10)
-        # A centered moving average reproduces a linear function exactly.
-        np.testing.assert_allclose(d.trend[2:-2], x[2:-2], atol=1e-10)
+        # A centered moving average reproduces a linear function exactly, so
+        # nothing of the line is left in the seasonal indices.
+        np.testing.assert_allclose(classical_decompose(x, 4), 0.0, atol=1e-10)
 
     def test_composite_signal_recovery(self):
         rng = np.random.default_rng(0)
@@ -71,10 +66,7 @@ class TestClassicalDecompose:
         s -= s.mean()
         trend = 1.5 + 0.02 * np.arange(t)
         x = trend + s[np.arange(t) % m]
-        d = classical_decompose(x, m)
-        np.testing.assert_allclose(d.seasonal, s, atol=1e-9)
-        half = m // 2
-        np.testing.assert_allclose(d.trend[half : t - half], trend[half : t - half], atol=1e-9)
+        np.testing.assert_allclose(classical_decompose(x, m), s, atol=1e-9)
 
     def test_too_short_errors(self):
         with pytest.raises(ValueError):
@@ -83,25 +75,17 @@ class TestClassicalDecompose:
     def test_seasonal_sums_to_zero_and_shift_invariant(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(40)
-        d = classical_decompose(x, 5)
-        assert abs(d.seasonal.sum()) < 1e-10
-        shifted = classical_decompose(x + 17.0, 5)
-        np.testing.assert_allclose(shifted.seasonal, d.seasonal, atol=1e-10)
-
-    def test_components_reconstruct_interior(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(30)
-        d = classical_decompose(x, 4)
-        recon = d.trend + d.seasonal[np.arange(30) % 4] + d.remainder
-        np.testing.assert_allclose(recon, x, atol=1e-12)
+        seasonal = classical_decompose(x, 5)
+        assert abs(seasonal.sum()) < 1e-10
+        np.testing.assert_allclose(classical_decompose(x + 17.0, 5), seasonal, atol=1e-10)
 
 
 class TestFitAr1:
     def test_deterministic_halving_recursion(self):
         x = 0.5 ** np.arange(30)
         fit = fit_ar1(x)
-        assert abs(fit.phi - 0.5) < 1e-12
-        assert abs(fit.c) < 1e-12
+        assert abs(fit.coeffs[0] - 0.5) < 1e-12
+        assert abs(fit.intercept) < 1e-12
         assert fit.variance < 1e-12
 
     def test_recovers_simulated_coefficient(self):
@@ -111,7 +95,7 @@ class TestFitAr1:
         for t in range(1, 2000):
             x[t] = 1.0 + 0.7 * x[t - 1] + rng.standard_normal()
         fit = fit_ar1(x)
-        assert abs(fit.phi - 0.7) < 0.05
+        assert abs(fit.coeffs[0] - 0.7) < 0.05
 
     def test_constant_series_errors(self):
         with pytest.raises(ValueError, match="constant"):
@@ -124,21 +108,21 @@ class TestFitAr1:
 
 class TestForecastAr1:
     def test_phi_zero_forecasts_mean(self):
-        out = forecast_ar1(AR1Fit(c=3.0, phi=0.0, variance=1.0), last=100.0, n=4)
+        out = forecast_ar1(ARFit(intercept=3.0, coeffs=(0.0,), variance=1.0), last=100.0, n=4)
         np.testing.assert_array_equal(out, [3.0, 3.0, 3.0, 3.0])
 
     def test_random_walk_forecasts_flat(self):
-        out = forecast_ar1(AR1Fit(c=0.0, phi=1.0, variance=1.0), last=7.0, n=5)
+        out = forecast_ar1(ARFit(intercept=0.0, coeffs=(1.0,), variance=1.0), last=7.0, n=5)
         np.testing.assert_array_equal(out, np.full(5, 7.0))
 
     def test_halving_recursion(self):
-        out = forecast_ar1(AR1Fit(c=0.0, phi=0.5, variance=0.0), last=8.0, n=3)
+        out = forecast_ar1(ARFit(intercept=0.0, coeffs=(0.5,), variance=0.0), last=8.0, n=3)
         np.testing.assert_array_equal(out, [4.0, 2.0, 1.0])
 
     def test_converges_to_stationary_mean(self):
         c, phi, last = 2.0, 0.8, 11.0
         mean = c / (1 - phi)
-        out = forecast_ar1(AR1Fit(c=c, phi=phi, variance=0.0), last=last, n=60)
+        out = forecast_ar1(ARFit(intercept=c, coeffs=(phi,), variance=0.0), last=last, n=60)
         for h in (1, 10, 30, 60):
             assert abs(out[h - 1] - mean) < abs(phi) ** h * abs(last - mean) + 1e-12
 
@@ -154,9 +138,9 @@ class TestFitArGeneral:
     def test_order_one_matches_fit_ar1(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(50).cumsum()
-        a, b = fit_ar(x, 1), fit_ar1(x)
-        assert a.intercept == pytest.approx(b.c, abs=1e-10)
-        assert a.coeffs[0] == pytest.approx(b.phi, abs=1e-10)
+        fit = fit_ar1(x)
+        assert fit == fit_ar(x, 1)
+        np.testing.assert_array_equal(forecast_ar1(fit, x[-1], 6), forecast_ar(fit, x, 6))
 
     def test_exact_ar2_recursion_recovered(self):
         x = np.empty(40)
@@ -385,11 +369,10 @@ def test_forecast_series_matches_scalar_oracle_on_forecast_test_series(score_mod
 @pytest.mark.parametrize("t, period", [(40, 5), (30, 4), (208, 52)])
 def test_block_decomposition_matches_scalar_per_column(t, period):
     block = np.random.default_rng(t).standard_normal((t, 3)).cumsum(axis=0)
-    d = classical_decompose(block, period)
+    seasonal = classical_decompose(block, period)
+    assert seasonal.shape == (period, 3)
     for j in range(3):
-        s = scalar_classical_decompose(block[:, j], period)
-        for name in ("seasonal", "trend", "remainder"):
-            assert np.max(np.abs(getattr(d, name)[:, j] - getattr(s, name))) <= 1e-12
+        assert np.max(np.abs(seasonal[:, j] - scalar_classical_decompose(block[:, j], period))) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -437,7 +420,7 @@ def test_fpca_aic_orders_match_scalar_oracle(baseline_score_blocks):
             continue
         x, period, _, score_model, max_order = recorded[0]
         assert score_model == "ar_aic"
-        seasonal = classical_decompose(x, period).seasonal
+        seasonal = classical_decompose(x, period)
         coeffs = fit_ar_aic(x - seasonal[np.arange(len(x)) % period], max_order).coeffs
         # Block fits zero-pad each series' coefficients to the largest order.
         batched = np.max(np.arange(1, len(coeffs) + 1)[:, None] * (coeffs != 0), axis=0, initial=0)
@@ -452,7 +435,7 @@ def test_fpca_aic_orders_match_scalar_oracle(baseline_score_blocks):
 @pytest.mark.parametrize(
     "score_model, stages",
     [
-        ("ar1", {"classical_decompose", "fit_ar1", "forecast_ar1"}),
+        ("ar1", {"classical_decompose", "fit_ar1", "fit_ar", "forecast_ar1", "forecast_ar"}),
         ("ar_aic", {"classical_decompose", "fit_ar_aic", "fit_ar", "forecast_ar"}),
     ],
 )

@@ -8,11 +8,12 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from helpers import unfold_panel
+from helpers import seasonal_indices, unfold_panel, weekly_starts
 from tensorcast.panel import (
     CalendarSpec,
     PanelSeries,
     Standardization,
+    TensorSeries,
     destandardize,
     estimate_standardization,
     fold,
@@ -225,6 +226,11 @@ class TestIngest:
         with pytest.raises(ValueError, match="span"):
             ingest_csv([a, b])
 
+    def test_reversed_span_is_named(self, tmp_path):
+        path = write_csv(tmp_path / "a.csv", "AAA", hourly_rows(datetime(2020, 1, 6), range(48)))
+        with pytest.raises(ValueError, match="span 2020-01-07 10:00:00..2020-01-06 10:00:00 is reversed"):
+            ingest_csv([path], span=("2020-01-07 10:00:00", "2020-01-06 10:00:00"))
+
     def test_explicit_span_restricts(self, tmp_path):
         start = datetime(2020, 1, 6)
         path = write_csv(tmp_path / "a.csv", "AAA", hourly_rows(start, range(48)))
@@ -275,15 +281,15 @@ class TestCalendarSpec:
     def test_seasonal_indices_monday_anchor(self):
         cal = CalendarSpec()
         # 2001-01-01 was a Monday; hour 0 is Monday 00:00.
-        assert cal.seasonal_indices(0) == (0, 0)
-        assert cal.seasonal_indices(25) == (1, 1)
-        assert cal.seasonal_indices(167) == (6, 23)
+        assert seasonal_indices(cal, 0) == (0, 0)
+        assert seasonal_indices(cal, 25) == (1, 1)
+        assert seasonal_indices(cal, 167) == (6, 23)
 
     def test_sunday_anchor_shifts_day_index(self):
         cal = CalendarSpec(week_start="sunday")
         # Monday is day 1 of a Sunday-anchored week.
-        assert cal.seasonal_indices(0) == (1, 0)
-        assert cal.seasonal_indices(6 * 24) == (0, 0)
+        assert seasonal_indices(cal, 0) == (1, 0)
+        assert seasonal_indices(cal, 6 * 24) == (0, 0)
 
 
 class TestFold:
@@ -343,9 +349,7 @@ class TestFold:
         assert str(ts.period_starts[0]) == "2020-01-05T00"
 
 
-def series_from_values(values: np.ndarray) -> "TensorSeries":
-    from tensorcast.panel import TensorSeries
-
+def series_from_values(values: np.ndarray) -> TensorSeries:
     t = values.shape[0]
     starts = np.datetime64("2020-01-06T00", "h") + (168 * np.arange(t)).astype("timedelta64[h]")
     return TensorSeries(
@@ -455,6 +459,10 @@ class TestArchive:
 
 
 class TestTensorSeries:
+    def test_values_without_a_provider_axis_are_rejected(self):
+        with pytest.raises(ValueError, match=r"values of shape \(4,\) need a period axis"):
+            TensorSeries(values=np.zeros(4), period_starts=weekly_starts(4), provider_ids=["P0"])
+
     def test_hand_built_series_rejects_non_finite_values(self):
         values = np.zeros((4, 2, 3, 5))
         values[2, 1, 0, 3] = np.inf
