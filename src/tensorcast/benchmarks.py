@@ -13,6 +13,9 @@ always use ar_aic:
   tensor model's own fit_factor_model with days as the cross-section.
 * VFM: weeks flattened to vectors, factors by plain PCA.
 * FPCA: one principal-component basis per day of the week over daily curves.
+
+VFM and FPCA decompose all of a window's covariances in one stacked
+top_eigenvectors call (_centred_pca).
 """
 
 from __future__ import annotations
@@ -60,18 +63,17 @@ def split_providers(ts: TensorSeries) -> list[TensorSeries]:
 
 
 def _vectorize_weeks(values: np.ndarray) -> np.ndarray:
-    # (T, ..., S1, S2) -> (T, ... * S2 * S1). Within each matrix the
-    # flattened coordinate is s2 * S1 + s1: the day index runs fastest,
-    # matching the row order of kron(hour_basis, day_basis). The result is a
-    # C-contiguous copy; the PCA products depend on operand layout in the
-    # last bits.
-    return np.ascontiguousarray(values.swapaxes(-1, -2)).reshape(values.shape[0], -1)
+    # (..., S1, S2) -> (..., S2 * S1). Within each matrix the flattened
+    # coordinate is s2 * S1 + s1: the day index runs fastest, matching the
+    # row order of kron(hour_basis, day_basis). The result is a C-contiguous
+    # copy; the PCA products depend on operand layout in the last bits.
+    return np.ascontiguousarray(values.swapaxes(-1, -2)).reshape(*values.shape[:-2], -1)
 
 
 def _matricize_weeks(vecs: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     # Inverse of _vectorize_weeks for matrices of dims (..., S1, S2).
-    *lead, s1, s2 = dims
-    return vecs.reshape(vecs.shape[0], *lead, s2, s1).swapaxes(-1, -2)
+    s1, s2 = dims[-2:]
+    return vecs.reshape(*vecs.shape[:-1], s2, s1).swapaxes(-1, -2)
 
 
 def mfm_forecast(
@@ -93,12 +95,12 @@ def mfm_forecast(
     forecasts its per-cell mean.
     """
     ranks = Ranks(r=k_day, k=(k_hour,))
+    mu, sigma, floor = cell_moments(ts.values)
     out = np.empty((n, *ts.tensor_dims))
     fitted = []  # (provider index, model, factor values)
     for i, ys in enumerate(split_providers(ts)):
-        mu, sigma, floor = cell_moments(ys.values)
-        if np.all(sigma < floor):
-            out[:, i] = mu
+        if np.all(sigma[i] < floor[i]):
+            out[:, i] = mu[i]
             continue
         model, factors = fit_factor_model(ys, ranks=ranks)
         fitted.append((i, model, factors.values))
@@ -118,16 +120,22 @@ def mfm_forecast(
     return _label_forecast(ts, out)
 
 
-def _pca_fit(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal top-r principal directions and scores of centered rows."""
-    t, p = x.shape
-    if not 1 <= r <= p:
-        raise ValueError(f"component count {r} out of range 1..{p}")
-    cov = x.T @ x / t
-    if np.max(np.abs(cov)) == 0.0:
-        raise ValueError("degenerate covariance: data has no variation")
-    basis, _ = top_eigenvectors(cov, r)
-    return basis, x @ basis
+def _centred_pca(blocks: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Centred PCA of each (T, p) block of a (B, T, p) stack.
+
+    Centres the blocks in place, so callers pass a stack they own. Returns
+    the mean rows (B, p), the k leading principal directions (B, p, k) and
+    their variances (B, k), descending, and whether each block varies at all
+    (B,). The directions come from one top_eigenvectors call on the stacked
+    covariances.
+    """
+    mean = blocks.mean(axis=1)
+    blocks -= mean[:, None]
+    cov = blocks.swapaxes(1, 2) @ blocks
+    cov /= blocks.shape[1]
+    varies = cov.reshape(len(cov), -1).any(axis=1)
+    basis, variances = top_eigenvectors(cov, k)
+    return mean, basis, variances, varies
 
 
 def vfm_forecast(
@@ -149,50 +157,38 @@ def vfm_forecast(
     if ts.num_periods <= r:
         raise ValueError(f"need more periods than components, got T={ts.num_periods} with r={r}")
     z = estimate_standardization(ts)
+    t, num = ts.values.shape[:2]
+    # (B, T, p) week vectors: one block per provider, or one of all providers.
     x = standardize(ts, z).values
-
-    blocks = [x] if stacked else [x[:, i] for i in range(x.shape[1])]
-    fits = [_pca_fit(_vectorize_weeks(block), r) for block in blocks]
+    blocks = _vectorize_weeks(x).reshape(1, t, -1) if stacked else _vectorize_weeks(x.swapaxes(0, 1))
+    del x  # the blocks are a copy; keep one panel-sized array alive, not two
+    if not 1 <= r <= blocks.shape[2]:
+        raise ValueError(f"component count {r} out of range 1..{blocks.shape[2]}")
+    mean, basis, _, varies = _centred_pca(blocks, r)
+    if not varies.all():
+        raise ValueError("degenerate covariance: data has no variation")
     # One score forecast for every block's r scores at once.
-    future = forecast_series(np.concatenate([scores for _, scores in fits], axis=1),
-                             period, n, score_model, max_order)
-    common = [
-        _matricize_weeks(part @ basis.T, block.shape[1:])
-        for part, (basis, _), block in zip(np.split(future, len(fits), axis=1), fits, blocks)
-    ]
-    common = common[0] if stacked else np.stack(common, axis=1)
+    scores = (blocks @ basis).swapaxes(0, 1).reshape(t, -1)
+    future = forecast_series(scores, period, n, score_model, max_order)
+    parts = future.reshape(n, len(blocks), r).swapaxes(0, 1)
+    vecs = (mean[:, None] + parts @ basis.swapaxes(1, 2)).swapaxes(0, 1)
+    common = _matricize_weeks(vecs.reshape(n, num, -1), ts.tensor_dims)
     return destandardize(_label_forecast(ts, common), z)
 
 
-def _component_count(eigvals: np.ndarray, requested: int | None, limit: int) -> int:
+def _component_count(eigvals: np.ndarray, requested: int | None, limit: int) -> np.ndarray:
+    """Components kept per eigenvalue row (..., p): requested, or enough for
+    _FPCA_VARIANCE_TARGET of the variance, at most _FPCA_MAX_COMPONENTS."""
     if requested is not None:
         if not 1 <= requested <= limit:
             raise ValueError(f"component count {requested} out of range 1..{limit}")
-        return requested
-    total = float(np.sum(np.clip(eigvals, 0.0, None)))
-    if total == 0.0:
-        return 1
-    share = np.cumsum(np.clip(eigvals, 0.0, None)) / total
-    chosen = int(np.searchsorted(share, _FPCA_VARIANCE_TARGET)) + 1
-    return min(chosen, _FPCA_MAX_COMPONENTS, limit)
-
-
-def _day_curve_fit(
-    curves: np.ndarray, ncomp: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean curve, principal component curves, and scores for one day slice.
-
-    Curves with no variation have no components: an empty basis and score
-    block, so the forecast is the mean curve.
-    """
-    mean_curve = curves.mean(axis=0)
-    centered = curves - mean_curve
-    cov = centered.T @ centered / curves.shape[0]
-    if np.max(np.abs(cov)) == 0.0:
-        return mean_curve, np.empty((curves.shape[1], 0)), np.empty((curves.shape[0], 0))
-    basis, eigvals = top_eigenvectors(cov, curves.shape[1])
-    basis = basis[:, : _component_count(eigvals, ncomp, curves.shape[1])]
-    return mean_curve, basis, centered @ basis
+        return np.full(eigvals.shape[:-1], requested)
+    variances = np.clip(eigvals, 0.0, None)
+    total = np.sum(variances, axis=-1, keepdims=True)
+    share = np.divide(np.cumsum(variances, axis=-1), total, out=np.zeros_like(variances),
+                      where=total > 0.0)
+    covered = np.sum(share < _FPCA_VARIANCE_TARGET, axis=-1) + 1
+    return np.where(total[..., 0] > 0.0, np.minimum(covered, min(_FPCA_MAX_COMPONENTS, limit)), 1)
 
 
 def fpca_forecast(
@@ -215,12 +211,18 @@ def fpca_forecast(
     _require_matrices(ts)
     z = estimate_standardization(ts)
     x = standardize(ts, z).values
-    slices = list(np.ndindex(*ts.tensor_dims[:2]))
-    fits = [_day_curve_fit(x[:, i, d], ncomp) for i, d in slices]
-    scores = np.concatenate([s for _, _, s in fits], axis=1)
-    future = forecast_series(scores, period, n, "ar_aic", max_order)
-    bounds = np.cumsum([s.shape[1] for _, _, s in fits])[:-1]
-    common = np.empty((n, *ts.tensor_dims))
-    for (i, d), (mean_curve, basis, _), part in zip(slices, fits, np.split(future, bounds, axis=1)):
-        common[:, i, d] = mean_curve + part @ basis.T
+    t, s2 = x.shape[0], x.shape[-1]
+    # One (T, hours) block of daily curves per (provider, day) slice, in
+    # provider-major order: a view of x, which nothing else reads.
+    blocks = x.reshape(t, -1, s2).swapaxes(0, 1)
+    mean, basis, eigvals, varies = _centred_pca(blocks, s2)
+    # Curves with no variation have no components: their forecast is the mean curve.
+    counts = np.where(varies, _component_count(eigvals, ncomp, s2), 0)
+    basis = basis[:, :, : counts.max()]
+    kept = np.arange(basis.shape[2]) < counts[:, None]  # (slices, components) mask
+    scores = (blocks @ basis).swapaxes(0, 1)[:, kept]
+    padded = np.zeros((n, *kept.shape))
+    padded[:, kept] = forecast_series(scores, period, n, "ar_aic", max_order)
+    curves = mean[:, None] + padded.swapaxes(0, 1) @ basis.swapaxes(1, 2)
+    common = curves.swapaxes(0, 1).reshape(n, *ts.tensor_dims)
     return destandardize(_label_forecast(ts, common), z)

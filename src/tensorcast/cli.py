@@ -154,6 +154,8 @@ def _parse_span(where: str, raw: str) -> tuple[datetime, datetime] | None:
         raise ConfigError(f"{where}: {exc}") from None
     if start.tzinfo or end.tzinfo:
         raise ConfigError(f"{where}: give local clock times without a UTC offset, got {raw!r}")
+    if any(t.minute or t.second or t.microsecond for t in (start, end)):
+        raise ConfigError(f"{where}: ends must be on the hourly grid (whole hours), got {raw!r}")
     if start > end:
         raise ConfigError(f"{where}: start {parts[0]} is after end {parts[1]}")
     return start, end

@@ -1,4 +1,4 @@
-"""Dense tensor algebra: mode products and symmetric eigendecomposition.
+"""Dense tensor algebra: mode products and batched symmetric eigendecomposition.
 
 Tensors are plain numpy arrays. The canonical linearization is column-major
 (first index varies fastest). The mode-k unfolding X_(k) of a tensor x is the
@@ -46,30 +46,135 @@ def multi_mode_product(x: np.ndarray, matrices: Iterable[np.ndarray | None]) -> 
     return out
 
 
-def top_eigenvectors(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading eigenpairs of a symmetric matrix.
+# A request for the k leading eigenpairs of p x p matrices goes to block
+# subspace iteration with Rayleigh-Ritz extraction (Saad, Numerical Methods for
+# Large Eigenvalue Problems, 2011) when its block of k + _EXTRA columns is at
+# most p / _PARTIAL_RATIO; every other request is one full np.linalg.eigh.
+# Each orthonormalisation follows _POWERS products with the matrix, from a
+# start block seeded with _START_SEED. A member is accepted once its Ritz
+# pairs are certified to _CERTIFY_TOL; the rest take the full path after at
+# most _MAX_SWEEPS orthonormalisations, twice the 5 that every VFM covariance
+# of the seed-0 paper panel needed.
+_EXTRA = 4
+_PARTIAL_RATIO = 8
+_POWERS = 3
+_MAX_SWEEPS = 10
+_CERTIFY_TOL = 1e-12
+_START_SEED = 0
 
-    Returns (V, w) with the k orthonormal eigenvectors for the k largest
-    eigenvalues as columns of V and the eigenvalues in descending order.
+
+def top_eigenvectors(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading eigenpairs of a symmetric matrix, or of each matrix of a stack.
+
+    For s of shape (..., p, p) returns (V, w): V is (..., p, k) with the k
+    orthonormal eigenvectors for the k largest eigenvalues of each matrix as
+    columns, and w is (..., k) with those eigenvalues in descending order.
     Each column is scaled so its largest-magnitude entry is positive (first
     such entry on ties), which pins down the sign left free by the
-    eigenproblem.
+    eigenproblem. A member's result does not depend on the other members.
+
+    Full-path results are exact LAPACK output. On the partial path (small k
+    against p) a member is accepted only when its Ritz values satisfy
+    theta_k > beta, where beta = sqrt(max(||S||_F^2 - sum_{i<=k} theta_i^2, 0))
+    bounds every eigenvalue outside the leading k, and each Ritz vector's
+    residual r_i is at most 1e-12 of its gap
+    min(min_{j!=i} |theta_i - theta_j| - ||r_j||, theta_i - beta): by Davis
+    and Kahan (1970) the sine of its angle to the true eigenvector is then at
+    most 1e-12. Members that are not accepted are decomposed in full.
     """
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    if not 1 <= k <= s.shape[0]:
-        raise ValueError(f"k={k} out of range for a {s.shape[0]}x{s.shape[0]} matrix")
-    scale = max(np.max(np.abs(s)), 1.0)
-    if np.max(np.abs(s - s.T)) > 1e-8 * scale:
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {s.shape}")
+    p = s.shape[-1]
+    if not 1 <= k <= p:
+        raise ValueError(f"k={k} out of range for a {p}x{p} matrix")
+    # A matrix stays 2-D and a stack becomes (B, p, p); `lead` indexes the
+    # stack axis in the gathers below and is empty for a matrix, so a 2-D
+    # call runs the per-matrix operations and nothing more.
+    x = s if s.ndim == 2 else s.reshape(-1, p, p)
+    lead = () if s.ndim == 2 else (np.arange(len(x))[:, None],)
+    flipped = x.swapaxes(-1, -2)
+    # The asymmetry and then the average are formed in one buffer the size of
+    # the input: a temporary per step raised the peak RSS of a baselines
+    # backtest, whose VFM stack is 2 MB, by about 1 MiB.
+    scale = np.maximum(np.abs(x).max(axis=(-2, -1)), 1.0)
+    buf = np.subtract(x, flipped)
+    if (np.abs(buf, out=buf).max(axis=(-2, -1)) > 1e-8 * scale).any():
         raise ValueError("matrix is not symmetric within 1e-8 relative tolerance")
     # Covariances assembled from outer-product sums are symmetric only up to
     # roundoff; average with the transpose before decomposing.
-    w, v = np.linalg.eigh(0.5 * (s + s.T))
-    order = np.argsort(w)[::-1][:k]
-    w = w[order]
-    v = v[:, order]
-    anchor = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[anchor, np.arange(k)])
-    signs[signs == 0] = 1.0
-    return v * signs, w
+    x = np.multiply(np.add(x, flipped, out=buf), 0.5, out=buf)
+    if k + _EXTRA <= p / _PARTIAL_RATIO:
+        v, w = _certified_leading(x.reshape(-1, p, p), k)
+        v, w = v.reshape(x.shape[:-1] + (k,)), w.reshape(x.shape[:-2] + (k,))
+    else:
+        v, w = _full_leading(x, k, lead)
+    anchor = np.abs(v).argmax(axis=-2)
+    signs = np.where(v[(*lead, anchor, np.arange(k))] < 0.0, -1.0, 1.0)
+    return (v * signs[..., None, :]).reshape(s.shape[:-1] + (k,)), w.reshape(s.shape[:-2] + (k,))
+
+
+def _full_leading(s: np.ndarray, k: int, lead: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The k leading eigenpairs of a symmetric matrix, or of each matrix of a
+    (B, p, p) stack with lead = (column of stack indices,), by
+    np.linalg.eigh; eigenvalues descending, vector signs not yet fixed."""
+    w, v = np.linalg.eigh(s)
+    order = np.argsort(w)[..., ::-1][..., :k]
+    # Gather the columns through the transpose, so each matrix of the result
+    # is column-major like the v[:, order] of a 2-D eigh output; the products
+    # made with the basis downstream depend on its layout in the last bits.
+    return v.swapaxes(-1, -2)[(*lead, order)].swapaxes(-1, -2), w[(*lead, order)]
+
+
+def _certified_leading(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k leading eigenpairs of each symmetric matrix of a (B, p, p) stack by
+    certified subspace iteration, with full eigh for the members it does not
+    certify; eigenvalues descending, vector signs not yet fixed."""
+    b, p, _ = s.shape
+    vecs, vals = np.empty((b, p, k)), np.empty((b, k))
+    flat = s.reshape(b, p * p)
+    # One dot product per member, so a member's norm, and with it every step
+    # below, is the same alone as in any stack (np.einsum's is not).
+    norm = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+    pending = np.flatnonzero(norm > 0.0)
+    c, scale = (s if pending.size == b else s[pending]), norm[pending, None, None]
+    start = np.random.default_rng(_START_SEED).standard_normal((p, k + _EXTRA))
+    q = np.broadcast_to(np.linalg.qr(start)[0], (pending.size, p, k + _EXTRA))
+    off_diagonal = ~np.eye(k, dtype=bool)
+    accepted = np.zeros(b, dtype=bool)
+    shortfall = np.full(pending.size, np.inf)
+    for sweep in range(_MAX_SWEEPS if pending.size else 0):
+        cq = c @ q
+        theta, y = np.linalg.eigh(q.swapaxes(1, 2) @ cq)
+        theta, y = theta[:, : -k - 1 : -1], y[:, :, : -k - 1 : -1]
+        ritz = q @ y
+        resid = np.linalg.norm(cq @ y - ritz * theta[:, None, :], axis=1)
+        beta = np.sqrt(np.maximum(scale[:, 0, 0] ** 2 - np.sum(theta * theta, axis=1), 0.0))
+        apart = np.abs(theta[:, :, None] - theta[:, None, :]) - resid[:, None, :]
+        nearest = np.min(np.where(off_diagonal, apart, np.inf), axis=2)
+        gap = np.minimum(nearest, theta - beta[:, None])
+        done = (theta[:, -1] > beta) & np.all((gap > 0.0) & (resid <= _CERTIFY_TOL * gap), axis=1)
+        members = pending[done]
+        vecs[members], vals[members], accepted[members] = ritz[done], theta[done], True
+        # A member with theta_k still at most beta whose shortfall beta -
+        # theta_k closed, in this sweep, by less than its size over the sweeps
+        # left cannot be certified within the cap at that pace, which only
+        # slows as the iteration converges: it leaves now for the full path.
+        short = beta - theta[:, -1]
+        stalled = (short >= 0.0) & ((shortfall - short) * (_MAX_SWEEPS - 1 - sweep) < short)
+        keep = ~(done | stalled)
+        if not keep.all():
+            pending, c, cq, scale, short = pending[keep], c[keep], cq[keep], scale[keep], short[keep]
+            if not pending.size:
+                break
+        shortfall = short
+        # Dividing each product by the Frobenius norm, which bounds every
+        # eigenvalue, keeps the powers of the block from overflowing.
+        q = cq / scale
+        for _ in range(_POWERS - 1):
+            q = c @ q / scale
+        q = np.linalg.qr(q)[0]
+    rest = np.flatnonzero(~accepted)
+    if rest.size:
+        vecs[rest], vals[rest] = _full_leading(s[rest], k, (np.arange(rest.size)[:, None],))
+    return vecs, vals

@@ -1,6 +1,7 @@
 """Shared constructions for synthetic factor-model data in tests, small
-tensor utilities that only the tests use, and the scalar score forecaster
-that the batched one is checked against."""
+tensor utilities that only the tests use, and the oracles that the batched
+code is checked against: the scalar score forecaster, the per-matrix full
+eigendecomposition and the per-slice functional PCA."""
 
 from __future__ import annotations
 
@@ -20,8 +21,14 @@ from tensorcast.factor_model import (
     reconstruct_common,
 )
 from tensorcast.forecast import ARFit
-from tensorcast.panel import CalendarSpec, PanelSeries, TensorSeries
-from tensorcast.tensor import mode_product, top_eigenvectors
+from tensorcast.panel import (
+    CalendarSpec,
+    PanelSeries,
+    TensorSeries,
+    estimate_standardization,
+    standardize,
+)
+from tensorcast.tensor import mode_product
 
 
 def weekly_starts(t: int) -> np.ndarray:
@@ -168,6 +175,88 @@ def simulate_compact(spec: SimSpec) -> tuple[TensorSeries, LoadingSet, FactorSer
     return ts, loadings, factors
 
 
+def oracle_top_eigenvectors(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """tensor.top_eigenvectors for one matrix by a full np.linalg.eigh: the
+    oracle for the stacked and the certified partial paths."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {s.shape}")
+    if not 1 <= k <= s.shape[0]:
+        raise ValueError(f"k={k} out of range for a {s.shape[0]}x{s.shape[0]} matrix")
+    scale = max(np.max(np.abs(s)), 1.0)
+    if np.max(np.abs(s - s.T)) > 1e-8 * scale:
+        raise ValueError("matrix is not symmetric within 1e-8 relative tolerance")
+    w, v = np.linalg.eigh(0.5 * (s + s.T))
+    order = np.argsort(w)[::-1][:k]
+    w = w[order]
+    v = v[:, order]
+    anchor = np.argmax(np.abs(v), axis=0)
+    signs = np.sign(v[anchor, np.arange(k)])
+    signs[signs == 0] = 1.0
+    return v * signs, w
+
+
+def looped_top_eigenvectors(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """oracle_top_eigenvectors over each matrix of a (..., p, p) stack."""
+    s = np.asarray(s, dtype=float)
+    pairs = [oracle_top_eigenvectors(m, k) for m in s.reshape(-1, *s.shape[-2:])]
+    vecs = np.stack([v for v, _ in pairs]).reshape(*s.shape[:-1], k)
+    return vecs, np.stack([w for _, w in pairs]).reshape(*s.shape[:-2], k)
+
+
+@contextmanager
+def full_eigh() -> Iterator[None]:
+    """Run the baselines on the per-matrix full-eigh oracle inside the block."""
+    saved = benchmarks.top_eigenvectors
+    benchmarks.top_eigenvectors = looped_top_eigenvectors
+    try:
+        yield
+    finally:
+        benchmarks.top_eigenvectors = saved
+
+
+def scalar_component_count(eigvals: np.ndarray, requested: int | None, limit: int) -> int:
+    """benchmarks._component_count for one slice's eigenvalues."""
+    if requested is not None:
+        return requested
+    total = float(np.sum(np.clip(eigvals, 0.0, None)))
+    if total == 0.0:
+        return 1
+    share = np.cumsum(np.clip(eigvals, 0.0, None)) / total
+    chosen = int(np.searchsorted(share, benchmarks._FPCA_VARIANCE_TARGET)) + 1
+    return min(chosen, benchmarks._FPCA_MAX_COMPONENTS, limit)
+
+
+def looped_fpca_forecast(
+    ts: TensorSeries, n: int, ncomp: int | None = None, period: int = 52, max_order: int = 5
+) -> tuple[np.ndarray, list[int]]:
+    """benchmarks.fpca_forecast as a loop over the (provider, day) slices, each
+    with its own full eigh; returns the forecast values and the per-slice
+    component counts."""
+    z = estimate_standardization(ts)
+    x = standardize(ts, z).values
+    fits = []
+    for i, d in np.ndindex(*ts.tensor_dims[:2]):
+        curves = x[:, i, d]
+        mean_curve = curves.mean(axis=0)
+        centered = curves - mean_curve
+        cov = centered.T @ centered / curves.shape[0]
+        if np.max(np.abs(cov)) == 0.0:
+            fits.append((mean_curve, np.empty((curves.shape[1], 0)), np.empty((curves.shape[0], 0))))
+            continue
+        basis, eigvals = oracle_top_eigenvectors(cov, curves.shape[1])
+        basis = basis[:, : scalar_component_count(eigvals, ncomp, curves.shape[1])]
+        fits.append((mean_curve, basis, centered @ basis))
+    scores = np.concatenate([s for _, _, s in fits], axis=1)
+    future = forecast.forecast_series(scores, period, n, "ar_aic", max_order)
+    bounds = np.cumsum([s.shape[1] for _, _, s in fits])[:-1]
+    common = np.empty((n, *ts.tensor_dims))
+    slices = np.ndindex(*ts.tensor_dims[:2])
+    for (i, d), (mean_curve, basis, _), part in zip(slices, fits, np.split(future, bounds, axis=1)):
+        common[:, i, d] = mean_curve + part @ basis.T
+    return z.mu + z.sigma * common, [basis.shape[1] for _, basis, _ in fits]
+
+
 def einsum_initial_loadings(xs: TensorSeries) -> InitialLoadings:
     """factor_model.initial_loadings with each moment summed by ``np.einsum``
     over the stacked unfoldings: the oracle for the BLAS products."""
@@ -176,13 +265,13 @@ def einsum_initial_loadings(xs: TensorSeries) -> InitialLoadings:
     scale = xs.num_periods * n * s_total
     x1 = _stack_unfoldings(xs.values, 0)
     cov = np.einsum("tns,tnu->su", x1, x1) / scale
-    b_hat = np.sqrt(s_total) * top_eigenvectors(cov, s_total)[0]
+    b_hat = np.sqrt(s_total) * oracle_top_eigenvectors(cov, s_total)[0]
     gamma_hat = []
     for j, s_j in enumerate(seasonal):
         xj = _stack_unfoldings(xs.values, j + 1)
         cov_j = np.einsum("tsp,tsq->pq", xj, xj) / scale
         count = n * (s_total // s_j)
-        gamma_hat.append(np.sqrt(count) * top_eigenvectors(cov_j, count)[0])
+        gamma_hat.append(np.sqrt(count) * oracle_top_eigenvectors(cov_j, count)[0])
     return InitialLoadings(b_hat=b_hat, gamma_hat=gamma_hat)
 
 

@@ -129,6 +129,8 @@ def test_ingest_clips_to_the_configured_span(tmp_path, capsys):
     ("2020-01-20 00:00:00..2020-01-07 00:00:00", "start 2020-01-20 00:00:00 is after end"),
     ("foo..bar", "Invalid isoformat string"),
     ("2020-01-07 00:00:00+01:00..2020-01-08 00:00:00", "without a UTC offset"),
+    ("2020-01-13 00:30:00..2020-01-26 23:00:00", "on the hourly grid"),
+    ("2020-01-13 00:00:00..2020-01-26 23:00:00.5", "on the hourly grid"),
 ])
 def test_bad_span_exits_2_and_names_the_key(tmp_path, capsys, span, message):
     cfg = write_config(tmp_path / "run.ini", {"data": {"paths": "a.csv", "span": span}})

@@ -1,18 +1,32 @@
-"""Guard for the benchmark's span table: every traced name must exist."""
+"""Guard for the benchmark's span table: every traced name must exist, and
+the baselines' calls must fire the spans the benchmark requires."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
 from pathlib import Path
+from unittest import mock
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from tensorcast.evaluation import SimSpec, make_benchmark_forecaster, make_tensor_forecaster, simulate
+from tensorcast.factor_model import Ranks
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # run.py pins the BLAS thread variables when loaded; keep them out of
+    # this process's environment.
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_function_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load("spans")
     assert spans.TRACED
     missing = [
         f"tensorcast.{module}.{func}"
@@ -20,3 +34,24 @@ def test_every_traced_function_resolves():
         if not callable(getattr(importlib.import_module(f"tensorcast.{module}"), func, None))
     ]
     assert not missing, f"perfbench/spans.py traces names that do not exist: {missing}"
+
+
+def test_handles_fire_the_required_spans():
+    # A (2, 7, 24) panel gives VFM 168 x 168 covariances, so its stacked
+    # eigen call takes the certified partial path under the counter hooks.
+    spans, run = load("spans"), load("run")
+    ts, _, _ = simulate(SimSpec(dims=(2, 7, 24), ranks=Ranks(1, (1, 2)), num_periods=110, seed=0))
+    handles = [make_benchmark_forecaster("MFM"), make_benchmark_forecaster("VFM"),
+               make_benchmark_forecaster("FPCA", ncomp=4),
+               make_tensor_forecaster(ranks=Ranks(1, (1, 2)))]
+    recorder = spans.SpanRecorder()
+    recorder.install()
+    try:
+        for handle in handles:
+            handle(ts, 4)  # a raising counter hook propagates from the call
+    finally:
+        recorder.uninstall()
+    assert not recorder.failed
+    missing = set(run._EVERYWHERE + ["benchmarks.split_providers"]) - set(recorder.names)
+    assert not missing, f"spans the benchmark requires did not fire: {sorted(missing)}"
+    assert recorder.eigh_sizes and recorder.counts["tensor.top_eigenvectors.flop"] > 0

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import frobenius_norm, hadamard, kron, refold, unfold
+from helpers import frobenius_norm, hadamard, kron, oracle_top_eigenvectors, refold, unfold
+from tensorcast import tensor
 from tensorcast.tensor import mode_product, multi_mode_product, top_eigenvectors
 
 
@@ -200,15 +201,19 @@ class TestHadamardAndNorm:
 
 
 class TestTopEigenvectors:
+    @staticmethod
+    def eig(s, k):
+        return top_eigenvectors(s, k)
+
     def test_diagonal_matrix(self):
-        v, w = top_eigenvectors(np.diag([3.0, 2.0, 1.0]), 2)
+        v, w = self.eig(np.diag([3.0, 2.0, 1.0]), 2)
         np.testing.assert_allclose(w, [3.0, 2.0])
         np.testing.assert_allclose(np.abs(v), np.eye(3)[:, :2], atol=1e-12)
         assert v[0, 0] > 0 and v[1, 1] > 0
 
     def test_rank_one_sign_convention(self):
         u = np.array([0.6, -0.8])
-        v, w = top_eigenvectors(np.outer(u, u), 1)
+        v, w = self.eig(np.outer(u, u), 1)
         np.testing.assert_allclose(w, [1.0], atol=1e-12)
         # Largest-magnitude entry must come out positive.
         np.testing.assert_allclose(v[:, 0], [-0.6, 0.8], atol=1e-12)
@@ -217,14 +222,14 @@ class TestTopEigenvectors:
         rng = np.random.default_rng(11)
         a = rng.standard_normal((6, 6))
         s = a + a.T
-        v, w = top_eigenvectors(s, 6)
+        v, w = self.eig(s, 6)
         np.testing.assert_allclose(v @ np.diag(w) @ v.T, s, atol=1e-10)
 
     def test_orthonormality_and_eigen_relation(self):
         rng = np.random.default_rng(12)
         a = rng.standard_normal((8, 8))
         s = a @ a.T
-        v, w = top_eigenvectors(s, 4)
+        v, w = self.eig(s, 4)
         np.testing.assert_allclose(v.T @ v, np.eye(4), atol=1e-10)
         scale = np.max(np.abs(s))
         assert np.max(np.abs(s @ v - v * w)) <= 1e-8 * scale
@@ -232,16 +237,116 @@ class TestTopEigenvectors:
     def test_eigenvalues_descend(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((7, 7))
-        _, w = top_eigenvectors(a + a.T, 7)
+        _, w = self.eig(a + a.T, 7)
         assert np.all(np.diff(w) <= 0)
 
     def test_rejects_asymmetric(self):
         s = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            top_eigenvectors(s, 1)
+            self.eig(s, 1)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            top_eigenvectors(np.eye(3), 0)
+            self.eig(np.eye(3), 0)
         with pytest.raises(ValueError):
-            top_eigenvectors(np.eye(3), 4)
+            self.eig(np.eye(3), 4)
+
+
+class TestTopEigenvectorsStacked(TestTopEigenvectors):
+    """The same cases with the matrix as the second member of a stack; the
+    first member's result must equal its own 2-D call."""
+
+    @staticmethod
+    def eig(s, k):
+        s = np.asarray(s, dtype=float)
+        other = np.diag(np.arange(s.shape[0], 0.0, -1.0))
+        v, w = top_eigenvectors(np.stack([other, s]), k)
+        alone_v, alone_w = top_eigenvectors(other, k)
+        np.testing.assert_array_equal(v[0], alone_v)
+        np.testing.assert_array_equal(w[0], alone_w)
+        return v[1], w[1]
+
+
+def spectrum_matrix(rng, eigvals):
+    """Symmetric matrix with the given eigenvalues and a random eigenbasis."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigvals), len(eigvals))))
+    return (q * eigvals) @ q.T
+
+
+class TestStackedEigenLayer:
+    def test_full_path_stack_equals_oracle_bitwise(self):
+        rng = np.random.default_rng(20)
+        a = rng.standard_normal((2, 3, 24, 24))
+        exact = a @ a.swapaxes(-1, -2)
+        # Symmetric only to roundoff, as an einsum covariance is: the check
+        # and the average with the transpose run.
+        rounded = exact + 1e-13 * rng.standard_normal(exact.shape)
+        for s in (exact, rounded):
+            for k in (1, 3, 24):
+                v, w = top_eigenvectors(s, k)
+                assert v.shape == (2, 3, 24, k) and w.shape == (2, 3, k)
+                for idx in np.ndindex(2, 3):
+                    ov, ow = oracle_top_eigenvectors(s[idx], k)
+                    np.testing.assert_array_equal(v[idx], ov)
+                    np.testing.assert_array_equal(w[idx], ow)
+                    np.testing.assert_array_equal(top_eigenvectors(s[idx], k)[0], ov)
+
+    def test_matrix_call_keeps_the_column_major_layout(self):
+        # Downstream products depend on operand layout in the last bits.
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((24, 24))
+        v, _ = top_eigenvectors(a @ a.T, 2)
+        assert v.flags.f_contiguous
+
+    def test_certified_path_matches_oracle(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        tail = 0.05 * 0.97 ** np.arange(166)
+        s = np.stack([spectrum_matrix(rng, np.r_[lead, tail])
+                      for lead in ([9.0, 4.0], [2.0, 1.0], [5.0, 4.5])])
+        fallback = []
+        real = tensor._full_leading
+        monkeypatch.setattr(tensor, "_full_leading",
+                            lambda m, k, lead: fallback.append(len(m)) or real(m, k, lead))
+        v, w = top_eigenvectors(s, 2)
+        assert not fallback  # every member certified, none decomposed in full
+        for member, vm, wm in zip(s, v, w):
+            ov, ow = oracle_top_eigenvectors(member, 2)
+            np.testing.assert_allclose(vm, ov, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(wm, ow, rtol=1e-13)
+        # Members do not depend on each other, and reruns are byte-identical.
+        for member, vm, wm in zip(s, v, w):
+            alone_v, alone_w = top_eigenvectors(member, 2)
+            np.testing.assert_array_equal(vm, alone_v)
+            np.testing.assert_array_equal(wm, alone_w)
+        np.testing.assert_array_equal(top_eigenvectors(s, 2)[0], v)
+
+    def test_near_tied_matrix_takes_the_fallback(self, monkeypatch):
+        # lambda_2 / lambda_3 = 0.998 over a slowly decaying tail: no block of
+        # 6 columns certifies the second vector, so the member takes full eigh.
+        rng = np.random.default_rng(23)
+        eigvals = np.r_[3.0, 1.0, 0.998 * 0.995 ** np.arange(166)]
+        tied = spectrum_matrix(rng, eigvals)
+        clear = spectrum_matrix(rng, np.r_[9.0, 4.0, 0.05 * 0.97 ** np.arange(166)])
+        fallback = []
+        real = tensor._full_leading
+        monkeypatch.setattr(tensor, "_full_leading",
+                            lambda m, k, lead: fallback.append(len(m)) or real(m, k, lead))
+        v, w = top_eigenvectors(np.stack([clear, tied]), 2)
+        assert fallback == [1]
+        ov, ow = oracle_top_eigenvectors(tied, 2)
+        np.testing.assert_array_equal(v[1], ov)
+        np.testing.assert_array_equal(w[1], ow)
+        # Its shortfall theta_2 < beta stalls from the second sweep on, so it
+        # leaves for eigh then rather than running the whole sweep cap.
+        real_qr = np.linalg.qr
+        qr_calls = []
+        monkeypatch.setattr(np.linalg, "qr",
+                            lambda a, *args: qr_calls.append(a.shape) or real_qr(a, *args))
+        top_eigenvectors(tied, 2)
+        assert len(qr_calls) <= 3 < tensor._MAX_SWEEPS
+
+    def test_zero_matrix_takes_the_fallback(self):
+        v, w = top_eigenvectors(np.zeros((168, 168)), 2)
+        ov, ow = oracle_top_eigenvectors(np.zeros((168, 168)), 2)
+        np.testing.assert_array_equal(v, ov)
+        np.testing.assert_array_equal(w, ow)
