@@ -31,7 +31,6 @@ import numpy as np
 from .evaluation import (
     RollingPlan,
     SimSpec,
-    ForecastFn,
     emit_report,
     load_report,
     make_benchmark_forecaster,
@@ -404,7 +403,7 @@ def cmd_ranks(cfg: RunConfig, args: argparse.Namespace) -> None:
     ts = _load_archive(cfg)
     xs = standardize(ts, estimate_standardization(ts))
     r_max, k_max = rank_bounds(ts.tensor_dims, cfg.model.r_max, cfg.model.k_max)
-    ranks = select_ranks(xs, initial_loadings(xs), r_max, k_max)
+    ranks = select_ranks(initial_loadings(xs, Ranks(r_max, k_max)))
     logger.info("eigenvalue-ratio selection with bounds r<=%d, k<=%s", r_max, k_max)
     print(",".join(str(c) for c in (ranks.r, *ranks.k)))
 
@@ -480,16 +479,12 @@ def _write_forecast_csv(path: Path, fc: TensorSeries) -> None:
                     writer.writerow([starts[t], pid, *idx, repr(float(block[idx]))])
 
 
-def cmd_backtest(
-    cfg: RunConfig,
-    args: argparse.Namespace,
-    forecasters: dict[str, ForecastFn] | None = None,
-) -> None:
+def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> None:
     ts = _load_archive(cfg)
     bt, model = cfg.backtest, cfg.model
     if bt.train_length is None:
         raise ConfigError("backtest.train_length is required for backtest")
-    if forecasters is None and bt.train_length < 2 * model.period:
+    if bt.train_length < 2 * model.period:
         raise ConfigError(
             f"backtest.train_length = {bt.train_length} is shorter than the "
             f"{2 * model.period} periods that model.period = {model.period} needs"
@@ -499,19 +494,18 @@ def cmd_backtest(
         plan.validate_for(ts.num_periods)
     except ValueError as exc:
         raise ConfigError(f"backtest: {exc}") from None
-    if forecasters is None:
-        forecasters = {
-            "TFM": make_tensor_forecaster(
-                ranks=model.ranks, r_max=model.r_max, k_max=model.k_max, period=model.period,
-                score_model=model.score_model, max_order=model.max_order,
-            )
-        }
-        for name in bt.benchmarks:
-            forecasters[name.upper()] = make_benchmark_forecaster(
-                name, period=model.period, k_day=bt.mfm_day_factors, k_hour=bt.mfm_hour_factors,
-                r=bt.vfm_components, stacked=bt.vfm_stacked, ncomp=bt.fpca_components,
-                score_model=model.score_model, max_order=model.max_order,
-            )
+    forecasters = {
+        "TFM": make_tensor_forecaster(
+            ranks=model.ranks, r_max=model.r_max, k_max=model.k_max, period=model.period,
+            score_model=model.score_model, max_order=model.max_order,
+        )
+    }
+    for name in bt.benchmarks:
+        forecasters[name.upper()] = make_benchmark_forecaster(
+            name, period=model.period, k_day=bt.mfm_day_factors, k_hour=bt.mfm_hour_factors,
+            r=bt.vfm_components, stacked=bt.vfm_stacked, ncomp=bt.fpca_components,
+            score_model=model.score_model, max_order=model.max_order,
+        )
     windows = ts.num_periods - bt.train_length - min(bt.horizons)
     reports = []
     for name, fn in forecasters.items():

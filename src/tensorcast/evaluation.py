@@ -265,14 +265,13 @@ class SimSpec:
     + phase) + AR(1) innovations; amplitudes and periods cycle over the factor
     coordinates if fewer values than coordinates are given. eta_sds gives one
     idiosyncratic-shock scale per seasonal level, nu_sd the observation-noise
-    scale. Loadings are drawn from the seed (orthonormalized to the estimation
-    scale conventions) unless supplied.
+    scale. Loadings are drawn from the seed, orthonormalized to the estimation
+    scale conventions.
     """
 
     dims: tuple[int, ...]
     ranks: Ranks
     num_periods: int
-    loadings: LoadingSet | None = None
     factor_mean: float = 0.0
     amplitudes: float | Sequence[float] = 1.0
     periods: int | Sequence[int] = 52
@@ -299,8 +298,6 @@ class SimSpec:
             raise ValueError("eta_sds must be >= 0")
         if np.any(np.asarray(self.periods, dtype=int) < 1):
             raise ValueError("seasonal periods must be >= 1")
-        if self.loadings is not None and self.loadings.dims != self.dims:
-            raise ValueError(f"loadings dims {self.loadings.dims} do not match {self.dims}")
         if self.mu is not None and self.mu.shape != self.dims:
             raise ValueError(f"mu shape {self.mu.shape} does not match dims {self.dims}")
         if self.sigma is not None and self.sigma.shape != self.dims:
@@ -335,12 +332,9 @@ def _draw_loading(rng: np.random.Generator, p: int, r: int) -> np.ndarray:
 def _prepare(spec: SimSpec) -> tuple[SimDraws, LoadingSet]:
     """Draw loadings and every shock array in a fixed order from the seed."""
     rng = np.random.default_rng(spec.seed)
-    if spec.loadings is None:
-        lam = _draw_loading(rng, spec.dims[0], spec.ranks.r)
-        b = [_draw_loading(rng, s, k) for s, k in zip(spec.dims[1:], spec.ranks.k)]
-        loadings = LoadingSet(lam=lam, b=b)
-    else:
-        loadings = spec.loadings
+    lam = _draw_loading(rng, spec.dims[0], spec.ranks.r)
+    b = [_draw_loading(rng, s, k) for s, k in zip(spec.dims[1:], spec.ranks.k)]
+    loadings = LoadingSet(lam=lam, b=b)
 
     t = spec.num_periods
     count = int(np.prod(spec.factor_shape))

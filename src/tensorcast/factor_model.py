@@ -5,17 +5,18 @@ The model for a standardized series of (N, S1, ..., SM) tensors x_t is
     x_t = f_t x1 Lambda x2 B(1) ... x(M+1) B(M) + e_t
 
 with an N x R cross-sectional loading Lambda, seasonal loadings B(j) of shape
-S_j x K_j, and R x K1 x ... x KM latent factor tensors f_t. Estimation runs in
-two passes. The initial pass eigendecomposes the unprojected second-moment
-matrices of the mode unfoldings. It does not depend on the ranks: it keeps the
-full sign-normalised eigenbasis of each mode (b_hat for the cross-section mode,
-gamma_hat[j] for seasonal mode j), so rank selection and the fit share one
-first pass. The projection pass takes the leading columns of each basis as a
-coarse estimate of the complementary loading space at the given ranks and
-eigendecomposes the covariance of each unfolding after projecting its column
-space onto them, which strips most of the noise and yields the final
-loadings. Factors follow by linear projection, with the loading scale
-conventions
+S_j x K_j, and R x K1 x ... x KM latent factor tensors f_t. Estimation is
+one loop over the modes, cross-section first, in two passes. The initial pass
+unfolds each mode once, eigendecomposes the unprojected second-moment matrix
+of that unfolding, and compresses the unfolding through the leading columns
+of its eigenbasis that the ranks call for: a coarse estimate of the loading
+space complementary to the mode. The projection pass eigendecomposes the
+covariance of each compressed block, which strips most of the noise and
+yields the final loadings. Automatic rank selection runs the initial pass at
+the candidate maxima, reads the same projected covariances, and narrows the
+bases to the chosen ranks, recompressing each block from a fresh unfolding,
+before the projection pass. Factors follow by linear projection, with the
+loading scale conventions
 
     Lambda' Lambda = N I,   B(j)' B(j) = S_j I
 
@@ -75,10 +76,6 @@ class Ranks:
             if k_j > s_j:
                 raise ValueError(f"seasonal rank {k_j} exceeds period {s_j}")
 
-    @property
-    def k_product(self) -> int:
-        return int(np.prod(self.k))
-
 
 @dataclass
 class LoadingSet:
@@ -127,15 +124,21 @@ class FactorSeries:
 
 @dataclass
 class InitialLoadings:
-    """Rank-free first-pass bases, columns in descending eigenvalue order.
+    """First-pass output at given ranks, one entry per mode (cross-section first).
 
-    b_hat is S x S and gamma_hat[j] is (N S/S_j) x (N S/S_j), both scaled by the
-    square root of their row count. The projection pass at ranks (R, K) uses
-    the leading prod(K) columns of b_hat and R prod(K)/K_j of gamma_hat[j].
+    With counts c = (R, K1, ..., KM), mode m's width w_m is prod(c) / c[m].
+    bases[m] holds the leading w_m columns of mode m's first-pass eigenbasis,
+    scaled by the square root of its row count; blocks[m] is mode m's stacked
+    unfolding compressed through bases[m], of shape (T, p_m, w_m).
     """
 
-    b_hat: np.ndarray
-    gamma_hat: list[np.ndarray]
+    ranks: Ranks
+    bases: list[np.ndarray]
+    blocks: list[np.ndarray]
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(block.shape[1] for block in self.blocks)
 
 
 @dataclass
@@ -164,84 +167,83 @@ def _stack_unfoldings(values: np.ndarray, mode: int) -> np.ndarray:
     return x.reshape(values.shape[0], values.shape[mode + 1], cols)
 
 
-def _check_standardized_input(xs: TensorSeries) -> tuple[int, tuple[int, ...]]:
+def _widths(ranks: Ranks) -> list[int]:
+    """Per mode, the product of the factor counts of every other mode."""
+    counts = (ranks.r, *ranks.k)
+    total = int(np.prod(counts))
+    return [total // c for c in counts]
+
+
+def initial_loadings(xs: TensorSeries, ranks: Ranks) -> InitialLoadings:
+    """First estimation pass at the given ranks, one mode at a time.
+
+    Mode m's stacked unfolding, reshaped to (T p_m, q_m), gives the averaged
+    second-moment matrix m'm / (T N S); its basis is sqrt(q_m) times the
+    leading w_m columns of the full sign-normalised eigenbasis from
+    top_eigenvectors, and its block is the unfolding times that basis. Each
+    unfolding is built once and dropped before the next mode's.
+    """
     if xs.values.ndim < 3:
         raise ValueError("series tensors need a cross-section mode and at least one seasonal mode")
-    dims = xs.tensor_dims
-    return dims[0], tuple(dims[1:])
-
-
-def initial_loadings(xs: TensorSeries) -> InitialLoadings:
-    """First estimation pass: unprojected column-space bases per mode.
-
-    b_hat is sqrt(S) times the full eigenbasis of the averaged S x S
-    second-moment matrix of the cross-section unfoldings; gamma_hat[j] is
-    sqrt(N S/S_j) times that of the analogous matrix for seasonal mode j.
-    Columns are sign-normalised as in top_eigenvectors, so the leading k
-    columns equal sqrt(p) top_eigenvectors(cov, k)[0].
-    """
-    n, seasonal = _check_standardized_input(xs)
-    t = xs.num_periods
-    s_total = int(np.prod(seasonal))
-    scale = t * n * s_total
-
-    m = _stack_unfoldings(xs.values, 0).reshape(-1, s_total)
-    cov = m.T @ m / scale
-    if np.max(np.abs(cov)) == 0.0:
-        raise ValueError("degenerate covariance: series is identically zero")
-    b_hat = np.sqrt(s_total) * top_eigenvectors(cov, s_total)[0]
-
-    gamma_hat = []
-    for j, s_j in enumerate(seasonal):
-        count = n * (s_total // s_j)
-        m = _stack_unfoldings(xs.values, j + 1).reshape(-1, count)
-        cov_j = m.T @ m / scale
-        gamma_hat.append(np.sqrt(count) * top_eigenvectors(cov_j, count)[0])
-    return InitialLoadings(b_hat=b_hat, gamma_hat=gamma_hat)
-
-
-def _projected_covariances(
-    xs: TensorSeries, init: InitialLoadings, ranks: Ranks
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Second-pass covariances: each mode's unfolding compressed through the
-    leading columns of the complementary first-pass basis before the outer
-    product."""
-    n, seasonal = _check_standardized_input(xs)
-    t = xs.num_periods
-    s_total = int(np.prod(seasonal))
-    scale = t * n * s_total
-
-    # Column slices keep the bases' column-major layout, so the products see
-    # the same operands as a basis built with only these columns would be.
-    # Time is folded into the columns of each compressed block, so every
-    # covariance is one product of a 2-D block with its transpose.
-    x1 = _stack_unfoldings(xs.values, 0).reshape(-1, s_total)
-    c = (x1 @ init.b_hat[:, : ranks.k_product]).reshape(t, n, -1).swapaxes(0, 1).reshape(n, -1)
-    cov0 = c @ c.T / (scale * s_total)
-
-    covs = []
-    for j, s_j in enumerate(seasonal):
-        s_minus = s_total // s_j
-        count = ranks.r * (ranks.k_product // ranks.k[j])
-        xj = _stack_unfoldings(xs.values, j + 1).reshape(-1, n * s_minus)
-        c = (xj @ init.gamma_hat[j][:, :count]).reshape(t, s_j, -1).swapaxes(0, 1).reshape(s_j, -1)
-        covs.append(c @ c.T / (scale * s_minus))
-    return cov0, covs
-
-
-def projected_loadings(xs: TensorSeries, init: InitialLoadings, ranks: Ranks) -> LoadingSet:
-    """Second estimation pass: final loadings from the projected covariances."""
-    n, seasonal = _check_standardized_input(xs)
     ranks.validate_against(xs.tensor_dims)
-    cov0, covs = _projected_covariances(xs, init, ranks)
-    if np.max(np.abs(cov0)) == 0.0:
-        raise ValueError("degenerate covariance: series is identically zero")
-    lam = np.sqrt(n) * top_eigenvectors(cov0, ranks.r)[0]
-    b = [
-        np.sqrt(s_j) * top_eigenvectors(cov_j, k_j)[0]
-        for s_j, k_j, cov_j in zip(seasonal, ranks.k, covs)
+    t = xs.num_periods
+    scale = t * int(np.prod(xs.tensor_dims))
+    bases, blocks = [], []
+    for mode, (p, width) in enumerate(zip(xs.tensor_dims, _widths(ranks))):
+        m = _stack_unfoldings(xs.values, mode).reshape(t * p, -1)
+        cov = m.T @ m / scale
+        if np.max(np.abs(cov)) == 0.0:
+            raise ValueError("degenerate covariance: series is identically zero")
+        # Solving in full and slicing keeps every request on the full eigen
+        # path, so a fixed fit and an auto fit narrowed to the same ranks
+        # compress through the same column-major operands, bit for bit.
+        basis = np.sqrt(m.shape[1]) * top_eigenvectors(cov, m.shape[1])[0][:, :width]
+        bases.append(basis)
+        blocks.append((m @ basis).reshape(t, p, width))
+        del m
+    return InitialLoadings(ranks=ranks, bases=bases, blocks=blocks)
+
+
+def _narrowed(xs: TensorSeries, init: InitialLoadings, ranks: Ranks) -> InitialLoadings:
+    """init at smaller ranks: the leading columns of each basis, with every
+    block recompressed from a fresh unfolding, since a product through fewer
+    columns can round differently from the leading columns of a wider one."""
+    t = xs.num_periods
+    bases = [basis[:, :width] for basis, width in zip(init.bases, _widths(ranks))]
+    blocks = [
+        (_stack_unfoldings(xs.values, mode).reshape(t * p, -1) @ basis).reshape(t, p, -1)
+        for mode, (p, basis) in enumerate(zip(xs.tensor_dims, bases))
     ]
-    return LoadingSet(lam=lam, b=b)
+    return InitialLoadings(ranks=ranks, bases=bases, blocks=blocks)
+
+
+def _projected_covariances(init: InitialLoadings) -> list[np.ndarray]:
+    """Second-pass covariance of each mode from its compressed block.
+
+    Time is folded into the columns of each block, so every covariance is one
+    product of a 2-D block with its transpose, divided by T N S times the
+    product of the seasonal extents other than the mode's own.
+    """
+    dims = init.dims
+    t = init.blocks[0].shape[0]
+    scale = t * int(np.prod(dims))
+    s_total = int(np.prod(dims[1:]))
+    covs = []
+    for mode, (p, block) in enumerate(zip(dims, init.blocks)):
+        c = block.swapaxes(0, 1).reshape(p, -1)
+        covs.append(c @ c.T / (scale * (s_total // p if mode else s_total)))
+    return covs
+
+
+def projected_loadings(init: InitialLoadings) -> LoadingSet:
+    """Second estimation pass: final loadings at init.ranks from the projected
+    covariances."""
+    counts = (init.ranks.r, *init.ranks.k)
+    mats = [
+        np.sqrt(p) * top_eigenvectors(cov, c)[0]
+        for p, c, cov in zip(init.dims, counts, _projected_covariances(init))
+    ]
+    return LoadingSet(lam=mats[0], b=mats[1:])
 
 
 def extract_factors(xs: TensorSeries, loadings: LoadingSet) -> FactorSeries:
@@ -325,37 +327,31 @@ def rank_bounds(
 
     r_max is capped at N - 1; k_max defaults to min(3, S_j - 1) per seasonal
     mode. An explicit k_max is returned unchanged, so a bound outside
-    [1, S_j - 1] fails in select_ranks instead of being silently lowered.
+    [1, S_j - 1] fails instead of being silently lowered.
     """
     if k_max is None:
         k_max = [min(3, s_j - 1) for s_j in dims[1:]]
     return min(r_max, dims[0] - 1), tuple(int(k) for k in k_max)
 
 
-def select_ranks(
-    xs: TensorSeries, init: InitialLoadings, r_max: int, k_max: Sequence[int]
-) -> Ranks:
+def select_ranks(init: InitialLoadings) -> Ranks:
     """Choose factor counts by the eigenvalue-ratio criterion per mode.
 
-    The ratios are taken over the eigenvalues of the projected covariances
-    built from the first pass ``init`` of ``xs`` with the candidate maxima
-    (r_max, k_max) as working ranks.
+    The ratios are taken over the eigenvalues of the projected covariances of
+    ``init``, whose ranks are the candidate maxima (r_max, k_max).
     """
-    n, seasonal = _check_standardized_input(xs)
-    k_max = tuple(int(v) for v in k_max)
+    n, *seasonal = init.dims
+    r_max, k_max = init.ranks.r, init.ranks.k
     if not 1 <= r_max < n:
         raise ValueError(f"r_max must lie in [1, {n - 1}], got {r_max}")
     for k_m, s_j in zip(k_max, seasonal):
         if not 1 <= k_m < s_j:
             raise ValueError(f"k_max entry {k_m} must lie in [1, {s_j - 1}]")
-    candidate = Ranks(r_max, k_max)
-    candidate.validate_against(xs.tensor_dims)
-    cov0, covs = _projected_covariances(xs, init, candidate)
-    r = _ratio_argmax(np.linalg.eigvalsh(cov0), r_max)
-    k = tuple(
-        _ratio_argmax(np.linalg.eigvalsh(cov_j), k_m) for cov_j, k_m in zip(covs, k_max)
+    r, *k = (
+        _ratio_argmax(np.linalg.eigvalsh(cov), c)
+        for cov, c in zip(_projected_covariances(init), (r_max, *k_max))
     )
-    return Ranks(r, k)
+    return Ranks(r, tuple(k))
 
 
 def in_sample_mse(y: TensorSeries, y_fit: TensorSeries) -> float:
@@ -370,16 +366,20 @@ def fit_factor_model(
 ) -> tuple[TensorFactorModel, FactorSeries]:
     """Standardize, (optionally) select ranks, and run both estimation passes.
 
-    The rank-free first pass runs once and serves both rank selection and the
-    projection pass. Returns the fitted model together with the extracted
-    factor series.
+    The first pass runs once, at the given ranks or, for automatic selection,
+    at the candidate maxima; rank selection reads its blocks, which are then
+    narrowed to the chosen ranks for the projection pass. Returns the fitted
+    model together with the extracted factor series.
     """
     z = estimate_standardization(ys)
     xs = standardize(ys, z)
-    init = initial_loadings(xs)
     if ranks is None:
-        ranks = select_ranks(xs, init, *rank_bounds(xs.tensor_dims, r_max, k_max))
-    loadings = projected_loadings(xs, init, ranks)
+        init = initial_loadings(xs, Ranks(*rank_bounds(xs.tensor_dims, r_max, k_max)))
+        ranks = select_ranks(init)
+        init = _narrowed(xs, init, ranks)
+    else:
+        init = initial_loadings(xs, ranks)
+    loadings = projected_loadings(init)
     factors = extract_factors(xs, loadings)
     model = TensorFactorModel(
         ranks=ranks, loadings=loadings, standardization=z, provider_ids=list(ys.provider_ids)

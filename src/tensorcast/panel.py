@@ -356,7 +356,8 @@ def cell_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     variation beyond rounding.
     """
     mu = values.mean(axis=0)
-    sigma = np.sqrt(np.mean(np.square(values - mu), axis=0))
+    dev = values - mu
+    sigma = np.sqrt(np.mean(np.square(dev, out=dev), axis=0))
     return mu, sigma, np.maximum(1e-8 * np.abs(mu), 1e-12)
 
 

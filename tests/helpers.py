@@ -257,40 +257,33 @@ def looped_fpca_forecast(
     return z.mu + z.sigma * common, [basis.shape[1] for _, basis, _ in fits]
 
 
-def einsum_initial_loadings(xs: TensorSeries) -> InitialLoadings:
+def einsum_initial_loadings(xs: TensorSeries, ranks: Ranks) -> InitialLoadings:
     """factor_model.initial_loadings with each moment summed by ``np.einsum``
     over the stacked unfoldings: the oracle for the BLAS products."""
-    n, *seasonal = xs.tensor_dims
-    s_total = int(np.prod(seasonal))
-    scale = xs.num_periods * n * s_total
-    x1 = _stack_unfoldings(xs.values, 0)
-    cov = np.einsum("tns,tnu->su", x1, x1) / scale
-    b_hat = np.sqrt(s_total) * oracle_top_eigenvectors(cov, s_total)[0]
-    gamma_hat = []
-    for j, s_j in enumerate(seasonal):
-        xj = _stack_unfoldings(xs.values, j + 1)
-        cov_j = np.einsum("tsp,tsq->pq", xj, xj) / scale
-        count = n * (s_total // s_j)
-        gamma_hat.append(np.sqrt(count) * oracle_top_eigenvectors(cov_j, count)[0])
-    return InitialLoadings(b_hat=b_hat, gamma_hat=gamma_hat)
+    counts = (ranks.r, *ranks.k)
+    scale = xs.num_periods * int(np.prod(xs.tensor_dims))
+    bases, blocks = [], []
+    for mode, c in enumerate(counts):
+        x = _stack_unfoldings(xs.values, mode)
+        cov = np.einsum("tsp,tsq->pq", x, x) / scale
+        q = x.shape[2]
+        basis = np.sqrt(q) * oracle_top_eigenvectors(cov, q)[0][:, : int(np.prod(counts)) // c]
+        bases.append(basis)
+        blocks.append(x @ basis)
+    return InitialLoadings(ranks=ranks, bases=bases, blocks=blocks)
 
 
-def einsum_projected_covariances(
-    xs: TensorSeries, init: InitialLoadings, ranks: Ranks
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def einsum_projected_covariances(init: InitialLoadings) -> list[np.ndarray]:
     """factor_model._projected_covariances with the outer products summed by
-    ``np.einsum`` over the stacked compressed unfoldings."""
-    n, *seasonal = xs.tensor_dims
+    ``np.einsum`` over the compressed blocks."""
+    n, *seasonal = init.dims
     s_total = int(np.prod(seasonal))
-    scale = xs.num_periods * n * s_total
-    compressed = _stack_unfoldings(xs.values, 0) @ init.b_hat[:, : ranks.k_product]
-    cov0 = np.einsum("tnp,tmp->nm", compressed, compressed) / (scale * s_total)
-    covs = []
-    for j, s_j in enumerate(seasonal):
-        count = ranks.r * (ranks.k_product // ranks.k[j])
-        compressed = _stack_unfoldings(xs.values, j + 1) @ init.gamma_hat[j][:, :count]
-        covs.append(np.einsum("tsp,tup->su", compressed, compressed) / (scale * (s_total // s_j)))
-    return cov0, covs
+    scale = init.blocks[0].shape[0] * n * s_total
+    divisors = [s_total] + [s_total // s_j for s_j in seasonal]
+    return [
+        np.einsum("tsp,tup->su", block, block) / (scale * d)
+        for block, d in zip(init.blocks, divisors)
+    ]
 
 
 @contextmanager

@@ -80,7 +80,7 @@ def test_noiseless_estimation_recovers_spans_and_values():
     rng = np.random.default_rng(1002)
     ranks = Ranks(1, (1, 2))
     xs, loadings, _ = noiseless_series(rng, (9, 7, 24), (1, 1, 2), t=100)
-    est = projected_loadings(xs, initial_loadings(xs), ranks)
+    est = projected_loadings(initial_loadings(xs, ranks))
     distances = [subspace_distance(est.lam, loadings.lam)]
     distances += [subspace_distance(a, b) for a, b in zip(est.b, loadings.b)]
     recon = reconstruct_common(extract_factors(xs, est).values, est)
@@ -106,7 +106,7 @@ def test_loading_error_shrinks_with_sample_size():
         )
         for t in (100, 400):
             xs = make_series(values[:t])
-            est = projected_loadings(xs, initial_loadings(xs), ranks)
+            est = projected_loadings(initial_loadings(xs, ranks))
             errors[t].append(
                 [subspace_distance(est.lam, loadings.lam)]
                 + [subspace_distance(a, b) for a, b in zip(est.b, loadings.b)]
@@ -137,7 +137,7 @@ def test_periodic_factor_system_forecasts_exactly():
     factors = np.stack(coords, axis=1).reshape(t_obs, 1, 1, 2)
     xs = make_series(reconstruct_common(factors, loadings))
 
-    est = projected_loadings(xs, initial_loadings(xs), ranks)
+    est = projected_loadings(initial_loadings(xs, ranks))
     ff = forecast_factors(extract_factors(xs, est), 26, period=period, score_model="ar1")
     identity = Standardization(mu=np.zeros(dims), sigma=np.ones(dims))
     fc = forecast_observations(ff, est, identity)
@@ -187,7 +187,7 @@ def test_matrix_model_equals_kron_constrained_vector_model():
         provider_ids=[f"day{d}" for d in range(days)],
     )
     ranks = Ranks(1, (2,))
-    est = projected_loadings(xs, initial_loadings(xs), ranks)
+    est = projected_loadings(initial_loadings(xs, ranks))
     recon_matrix = reconstruct_common(extract_factors(xs, est).values, est)
 
     # Vector model constrained to the Kronecker structure: loadings

@@ -206,7 +206,7 @@ def test_vfm_with_kron_structured_loading_matches_mfm_reconstruction():
     x = (values - z.mu) / z.sigma
     xs = TensorSeries(x, weekly_starts(40), [f"day{d}" for d in range(7)])
     ranks = Ranks(1, (2,))
-    loadings = projected_loadings(xs, initial_loadings(xs), ranks)
+    loadings = projected_loadings(initial_loadings(xs, ranks))
     common = reconstruct_common(extract_factors(xs, loadings).values, loadings)
 
     u = np.kron(loadings.b[0], loadings.lam) / np.sqrt(7 * 24)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import random_loading_set, subspace_distance, weekly_starts
+from tensorcast import cli
 from tensorcast.cli import _SCHEMA, cmd_backtest, load_config, main
 from tensorcast.evaluation import SimSpec, simulate
 from tensorcast.factor_model import Ranks, TensorFactorModel, load_model, save_model
@@ -321,11 +322,12 @@ def test_backtest_benchmarks_toggle(tmp_path):
     assert {c["model"] for c in payload["cells"]} == {"TFM"}
 
 
-def test_backtest_oracle_hook_reports_zero_error(tmp_path):
+def test_backtest_oracle_hook_reports_zero_error(tmp_path, monkeypatch):
     ts, _ = simulated_archive(tmp_path, dims=(2, 7, 24), ranks=(1, (1, 1)), t=30,
                               nu_sd=0.3, seed=12)
     cfg_path = write_config(tmp_path / "run.ini", {
-        "backtest": {"train_length": "20", "horizons": "1,4"},
+        "model": {"period": "6"},
+        "backtest": {"train_length": "20", "horizons": "1,4", "benchmarks": ""},
     })
 
     def oracle(train, n):
@@ -335,12 +337,13 @@ def test_backtest_oracle_hook_reports_zero_error(tmp_path):
         out[: len(window)] = window
         return out
 
-    cmd_backtest(load_config(cfg_path), None, forecasters={"oracle": oracle})
+    monkeypatch.setattr(cli, "make_tensor_forecaster", lambda **kwargs: oracle)
+    cmd_backtest(load_config(cfg_path), None)
     with open(tmp_path / "out" / "report.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4  # 2 horizons x 2 providers
     for row in rows:
-        assert row["model"] == "oracle"
+        assert row["model"] == "TFM"
         assert float(row["mse"]) == 0.0
         assert float(row["relative_mse"]) == 0.0
         assert row["failed"] == "false"

@@ -75,43 +75,43 @@ class TestInitialLoadings:
     def test_rank_one_b_hat_spans_kron_of_seasonal_loadings(self):
         rng = np.random.default_rng(1)
         ts, loadings, _ = noiseless_series(rng, (5, 4, 6), (1, 1, 1), t=50)
-        init = initial_loadings(ts)
+        init = initial_loadings(ts, Ranks(5, (4, 6)))
         target = kron(loadings.b[1], loadings.b[0])
-        assert subspace_distance(init.b_hat[:, :1], target) < 1e-10
+        assert subspace_distance(init.bases[0][:, :1], target) < 1e-10
 
     def test_zero_series_is_degenerate(self):
         ts = make_series(np.zeros((1, 3, 4, 5)))
         with pytest.raises(ValueError, match="degenerate"):
-            initial_loadings(ts)
+            initial_loadings(ts, Ranks(3, (4, 5)))
 
     def test_matrix_case_gamma_spans_cross_section_loading(self):
         rng = np.random.default_rng(2)
         ts, loadings, _ = noiseless_series(rng, (6, 8), (1, 1), t=40)
-        init = initial_loadings(ts)
-        assert init.gamma_hat[0].shape == (6, 6)
-        assert subspace_distance(init.gamma_hat[0][:, :1], loadings.lam) < 1e-10
+        init = initial_loadings(ts, Ranks(6, (8,)))
+        assert init.bases[1].shape == (6, 6)
+        assert subspace_distance(init.bases[1][:, :1], loadings.lam) < 1e-10
 
     def test_scale_factors(self):
         rng = np.random.default_rng(3)
         ts, _, _ = noiseless_series(rng, (5, 4, 6), (2, 2, 2), t=60, noise_sd=0.1)
-        init = initial_loadings(ts)
+        init = initial_loadings(ts, Ranks(5, (4, 6)))
         s_total = 24
         np.testing.assert_allclose(
-            init.b_hat.T @ init.b_hat, s_total * np.eye(24), atol=1e-8 * s_total
+            init.bases[0].T @ init.bases[0], s_total * np.eye(24), atol=1e-8 * s_total
         )
         np.testing.assert_allclose(
-            init.gamma_hat[0].T @ init.gamma_hat[0], 30 * np.eye(30), atol=1e-8 * 30
+            init.bases[1].T @ init.bases[1], 30 * np.eye(30), atol=1e-8 * 30
         )
 
     def test_leading_columns_are_top_eigenvectors(self):
         rng = np.random.default_rng(7)
         ts, _, _ = noiseless_series(rng, (5, 4, 6), (2, 1, 2), t=40, noise_sd=0.1)
-        init = initial_loadings(ts)
+        init = initial_loadings(ts, Ranks(5, (4, 6)))
         m = _stack_unfoldings(ts.values, 0).reshape(-1, 24)
         cov = m.T @ m / (40 * 5 * 24)
         for k in (1, 2, 5, 24):
             np.testing.assert_array_equal(
-                init.b_hat[:, :k], np.sqrt(24) * top_eigenvectors(cov, k)[0]
+                init.bases[0][:, :k], np.sqrt(24) * top_eigenvectors(cov, k)[0]
             )
         for j, s_j in enumerate((4, 6)):
             p = 5 * 24 // s_j
@@ -119,7 +119,7 @@ class TestInitialLoadings:
             cov_j = m.T @ m / (40 * 5 * 24)
             for k in (1, 2, p):
                 np.testing.assert_array_equal(
-                    init.gamma_hat[j][:, :k], np.sqrt(p) * top_eigenvectors(cov_j, k)[0]
+                    init.bases[j + 1][:, :k], np.sqrt(p) * top_eigenvectors(cov_j, k)[0]
                 )
 
 
@@ -128,7 +128,7 @@ class TestProjectedLoadings:
         rng = np.random.default_rng(4)
         ts, loadings, _ = noiseless_series(rng, (9, 7, 24), (1, 1, 2), t=80)
         ranks = Ranks(1, (1, 2))
-        fit = projected_loadings(ts, initial_loadings(ts), ranks)
+        fit = projected_loadings(initial_loadings(ts, ranks))
         assert subspace_distance(fit.b[1], loadings.b[1]) < 1e-8
         assert subspace_distance(fit.b[0], loadings.b[0]) < 1e-8
         assert subspace_distance(fit.lam, loadings.lam) < 1e-8
@@ -137,10 +137,10 @@ class TestProjectedLoadings:
         rng = np.random.default_rng(5)
         ts, _, _ = noiseless_series(rng, (6, 5, 8), (2, 1, 2), t=100, noise_sd=0.5)
         ranks = Ranks(2, (1, 2))
-        fit = projected_loadings(ts, initial_loadings(ts), ranks)
+        fit = projected_loadings(initial_loadings(ts, ranks))
         common = reconstruct_common(extract_factors(ts, fit).values, fit)
         refit_input = make_series(common)
-        refit = projected_loadings(refit_input, initial_loadings(refit_input), ranks)
+        refit = projected_loadings(initial_loadings(refit_input, ranks))
         assert subspace_distance(fit.lam, refit.lam) < 1e-8
         assert subspace_distance(fit.b[0], refit.b[0]) < 1e-8
         assert subspace_distance(fit.b[1], refit.b[1]) < 1e-8
@@ -149,7 +149,7 @@ class TestProjectedLoadings:
         rng = np.random.default_rng(6)
         ts, _, _ = noiseless_series(rng, (4, 5, 6), (4, 1, 1), t=50)
         ranks = Ranks(4, (1, 1))
-        fit = projected_loadings(ts, initial_loadings(ts), ranks)
+        fit = projected_loadings(initial_loadings(ts, ranks))
         np.testing.assert_allclose(fit.lam.T @ fit.lam, 4 * np.eye(4), atol=1e-10 * 4)
 
 
@@ -249,25 +249,24 @@ class TestSelectRanks:
     def test_recovers_planted_ranks(self):
         rng = np.random.default_rng(16)
         ts, _, _ = noiseless_series(rng, (9, 7, 24), (1, 1, 2), t=100, noise_sd=1e-3)
-        assert select_ranks(ts, initial_loadings(ts), r_max=3, k_max=(3, 3)) == Ranks(1, (1, 2))
+        assert select_ranks(initial_loadings(ts, Ranks(3, (3, 3)))) == Ranks(1, (1, 2))
 
     def test_white_noise_selects_rank_one(self):
         rng = np.random.default_rng(17)
         ts = make_series(rng.standard_normal((200, 6, 5, 8)))
-        assert select_ranks(ts, initial_loadings(ts), r_max=3, k_max=(3, 3)) == Ranks(1, (1, 1))
+        assert select_ranks(initial_loadings(ts, Ranks(3, (3, 3)))) == Ranks(1, (1, 1))
 
     def test_candidate_bounds(self):
         ts = make_series(np.ones((5, 3, 4, 5)) + np.arange(5).reshape(-1, 1, 1, 1))
-        init = initial_loadings(ts)
         with pytest.raises(ValueError):
-            select_ranks(ts, init, r_max=3, k_max=(2, 2))
+            select_ranks(initial_loadings(ts, Ranks(3, (2, 2))))
         with pytest.raises(ValueError):
-            select_ranks(ts, init, r_max=2, k_max=(4, 2))
+            select_ranks(initial_loadings(ts, Ranks(2, (4, 2))))
 
     def test_zero_series_errors(self):
         ts = make_series(np.zeros((5, 3, 4, 5)))
         with pytest.raises(ValueError, match="degenerate"):
-            select_ranks(ts, initial_loadings(ts), r_max=2, k_max=(2, 2))
+            select_ranks(initial_loadings(ts, Ranks(2, (2, 2))))
 
 
 class TestInSampleMse:
@@ -304,7 +303,7 @@ class TestNestedRankFit:
         ts, _, _ = noiseless_series(rng, (6, 5, 8), (1, 1, 2), t=80, noise_sd=1.0)
         z = Standardization(mu=np.zeros((6, 5, 8)), sigma=np.ones((6, 5, 8)))
         ranks2 = Ranks(1, (1, 2))
-        fit2 = projected_loadings(ts, initial_loadings(ts), ranks2)
+        fit2 = projected_loadings(initial_loadings(ts, ranks2))
         fitted2 = fitted_values(extract_factors(ts, fit2), fit2, z)
         # Nested comparison: drop the trailing column of the hour loading.
         fit1 = LoadingSet(lam=fit2.lam.copy(), b=[fit2.b[0].copy(), fit2.b[1][:, :1].copy()])
@@ -326,7 +325,7 @@ class TestLoadingConsistency:
                 values = values + 0.8 * rng.standard_normal(values.shape)
                 ts = make_series(values)
                 r = Ranks(1, (1, 2))
-                fit = projected_loadings(ts, initial_loadings(ts), r)
+                fit = projected_loadings(initial_loadings(ts, r))
                 errors[t].append(subspace_distance(fit.lam, loadings.lam))
         assert np.median(errors[400]) < np.median(errors[100])
 
@@ -379,15 +378,35 @@ class TestFitFactorModel:
 
         calls = []
 
-        def counted(xs):
+        def counted(xs, ranks):
             calls.append(xs)
-            return initial_loadings(xs)
+            return initial_loadings(xs, ranks)
 
         monkeypatch.setattr(fm, "initial_loadings", counted)
         rng = np.random.default_rng(25)
         ts, _, _ = noiseless_series(rng, (6, 5, 8), (1, 1, 2), t=60, noise_sd=0.1)
         fit_factor_model(ts)
         assert len(calls) == 1
+
+    def test_each_fit_unfolds_each_mode_once_per_pass(self, monkeypatch):
+        # A fixed-rank fit unfolds the three modes once; an auto-rank fit
+        # unfolds them once more to narrow the blocks to the chosen ranks.
+        import tensorcast.factor_model as fm
+
+        modes = []
+
+        def counted(values, mode):
+            modes.append(mode)
+            return _stack_unfoldings(values, mode)
+
+        monkeypatch.setattr(fm, "_stack_unfoldings", counted)
+        rng = np.random.default_rng(27)
+        ts, _, _ = noiseless_series(rng, (6, 5, 8), (1, 1, 2), t=60, noise_sd=0.1)
+        fit_factor_model(ts, Ranks(1, (1, 2)))
+        assert modes == [0, 1, 2]
+        modes.clear()
+        fit_factor_model(ts)
+        assert modes == [0, 1, 2, 0, 1, 2]
 
     def test_auto_rank_fit_equals_fixed_fit_at_selected_ranks(self):
         rng = np.random.default_rng(26)
@@ -424,9 +443,9 @@ class TestEinsumOracle:
         for ys in paper_windows:
             xs = standardize(ys, estimate_standardization(ys))
             ranks = Ranks(1, (1, 2))
-            new = projected_loadings(xs, initial_loadings(xs), ranks)
+            new = projected_loadings(initial_loadings(xs, ranks))
             with einsum_moments():
-                old = projected_loadings(xs, einsum_initial_loadings(xs), ranks)
+                old = projected_loadings(einsum_initial_loadings(xs, ranks))
             for a, b in zip([new.lam, *new.b], [old.lam, *old.b]):
                 # Eigenvector signs are free; align each column before comparing.
                 signs = np.sign(np.sum(a * b, axis=0))
@@ -435,10 +454,10 @@ class TestEinsumOracle:
     def test_auto_ranks_match(self, paper_windows):
         for ys in paper_windows:
             xs = standardize(ys, estimate_standardization(ys))
-            bounds = rank_bounds(xs.tensor_dims)
-            new = select_ranks(xs, initial_loadings(xs), *bounds)
+            bounds = Ranks(*rank_bounds(xs.tensor_dims))
+            new = select_ranks(initial_loadings(xs, bounds))
             with einsum_moments():
-                old = select_ranks(xs, einsum_initial_loadings(xs), *bounds)
+                old = select_ranks(einsum_initial_loadings(xs, bounds))
             assert new == old
 
     @pytest.mark.parametrize("ranks", [Ranks(1, (1, 2)), None], ids=["fixed", "auto"])

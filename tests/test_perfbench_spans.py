@@ -38,12 +38,13 @@ def test_every_traced_function_resolves():
 
 def test_handles_fire_the_required_spans():
     # A (2, 7, 24) panel gives VFM 168 x 168 covariances, so its stacked
-    # eigen call takes the certified partial path under the counter hooks.
+    # eigen call takes the certified partial path under the counter hooks;
+    # the auto-rank TFM handle fires the rank-selection span.
     spans, run = load("spans"), load("run")
     ts, _, _ = simulate(SimSpec(dims=(2, 7, 24), ranks=Ranks(1, (1, 2)), num_periods=110, seed=0))
     handles = [make_benchmark_forecaster("MFM"), make_benchmark_forecaster("VFM"),
                make_benchmark_forecaster("FPCA", ncomp=4),
-               make_tensor_forecaster(ranks=Ranks(1, (1, 2)))]
+               make_tensor_forecaster(ranks=Ranks(1, (1, 2))), make_tensor_forecaster(ranks=None)]
     recorder = spans.SpanRecorder()
     recorder.install()
     try:
@@ -52,6 +53,6 @@ def test_handles_fire_the_required_spans():
     finally:
         recorder.uninstall()
     assert not recorder.failed
-    missing = set(run._EVERYWHERE + ["benchmarks.split_providers"]) - set(recorder.names)
+    missing = set(run._EVERYWHERE + run._FIT + ["benchmarks.split_providers"]) - set(recorder.names)
     assert not missing, f"spans the benchmark requires did not fire: {sorted(missing)}"
     assert recorder.eigh_sizes and recorder.counts["tensor.top_eigenvectors.flop"] > 0
