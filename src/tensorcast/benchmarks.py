@@ -4,10 +4,10 @@ Each baseline takes a (T, N, S1, S2) TensorSeries (days x hours per provider
 and week) and returns the forecast TensorSeries, as the tensor model does.
 All three share the per-cell standardization and the seasonal-plus-AR score
 forecaster (forecast_series) used by the tensor model; each fits all of a
-window's score blocks before forecasting them in one call. MFM and VFM take
-the score model as an argument, so with the tensor model's setting their
-accuracy differences come from the factorization alone; FPCA's scores
-always use ar_aic:
+window's score blocks before forecasting them in one call. Each takes the
+score settings as one ScoreModel, so with the tensor model's settings MFM's
+and VFM's accuracy differences come from the factorization alone; FPCA's
+scores always use ar_aic:
 
 * MFM: a two-mode (day x hour) factor model per provider, fitted by the
   tensor model's own fit_factor_model with days as the cross-section.
@@ -20,10 +20,13 @@ top_eigenvectors call (_centred_pca).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .factor_model import FactorSeries, Ranks, fit_factor_model
-from .forecast import forecast_factors, forecast_observations, forecast_series, future_starts
+from .forecast import (ScoreModel, forecast_factors, forecast_observations, forecast_series,
+                       future_starts)
 from .panel import TensorSeries, cell_moments, destandardize, estimate_standardization, standardize
 from .tensor import top_eigenvectors
 
@@ -77,13 +80,7 @@ def _matricize_weeks(vecs: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
 
 
 def mfm_forecast(
-    ts: TensorSeries,
-    n: int,
-    k_day: int = 1,
-    k_hour: int = 2,
-    period: int = 52,
-    score_model: str = "ar1",
-    max_order: int = 5,
+    ts: TensorSeries, n: int, k_day: int = 1, k_hour: int = 2, *, score: ScoreModel = ScoreModel()
 ) -> TensorSeries:
     """Matrix-factor-model forecasts, one independent fit per provider.
 
@@ -111,8 +108,7 @@ def mfm_forecast(
             period_starts=ts.period_starts,
             provider_ids=[ts.provider_ids[i] for i, *_ in fitted],
         )
-        ff = forecast_factors(stacked, n, period=period, score_model=score_model,
-                              max_order=max_order)
+        ff = forecast_factors(stacked, n, score=score)
         for j, (i, model, _) in enumerate(fitted):
             part = FactorSeries(values=ff.values[:, j], period_starts=ff.period_starts,
                                 provider_ids=model.provider_ids)
@@ -139,13 +135,7 @@ def _centred_pca(blocks: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
 
 
 def vfm_forecast(
-    ts: TensorSeries,
-    n: int,
-    r: int = 2,
-    period: int = 52,
-    score_model: str = "ar1",
-    max_order: int = 5,
-    stacked: bool = False,
+    ts: TensorSeries, n: int, r: int = 2, stacked: bool = False, *, score: ScoreModel = ScoreModel()
 ) -> TensorSeries:
     """Vector-factor-model forecasts: PCA on flattened weekly matrices.
 
@@ -169,7 +159,7 @@ def vfm_forecast(
         raise ValueError("degenerate covariance: data has no variation")
     # One score forecast for every block's r scores at once.
     scores = (blocks @ basis).swapaxes(0, 1).reshape(t, -1)
-    future = forecast_series(scores, period, n, score_model, max_order)
+    future = forecast_series(scores, n, score=score)
     parts = future.reshape(n, len(blocks), r).swapaxes(0, 1)
     vecs = (mean[:, None] + parts @ basis.swapaxes(1, 2)).swapaxes(0, 1)
     common = _matricize_weeks(vecs.reshape(n, num, -1), ts.tensor_dims)
@@ -192,11 +182,7 @@ def _component_count(eigvals: np.ndarray, requested: int | None, limit: int) -> 
 
 
 def fpca_forecast(
-    ts: TensorSeries,
-    n: int,
-    ncomp: int | None = None,
-    period: int = 52,
-    max_order: int = 5,
+    ts: TensorSeries, n: int, ncomp: int | None = None, *, score: ScoreModel = ScoreModel()
 ) -> TensorSeries:
     """Functional-PCA forecasts: one curve basis per provider and day of week.
 
@@ -204,9 +190,10 @@ def fpca_forecast(
     curves on the standardized scale. Curves are centered, decomposed into
     principal component curves (enough to explain 95% of variance, at most 6,
     unless ncomp is given), and the component scores of every slice are
-    forecast together with the shared seasonal-plus-autoregression path, each
-    AR order chosen by AIC (score model ar_aic). Forecast curves reassemble
-    into weekly matrices with day slices in their original row order.
+    forecast together with the shared seasonal-plus-autoregression path at
+    score's period and max_order, each AR order chosen by AIC (kind ar_aic,
+    whatever score's kind). Forecast curves reassemble into weekly matrices
+    with day slices in their original row order.
     """
     _require_matrices(ts)
     z = estimate_standardization(ts)
@@ -222,7 +209,7 @@ def fpca_forecast(
     kept = np.arange(basis.shape[2]) < counts[:, None]  # (slices, components) mask
     scores = (blocks @ basis).swapaxes(0, 1)[:, kept]
     padded = np.zeros((n, *kept.shape))
-    padded[:, kept] = forecast_series(scores, period, n, "ar_aic", max_order)
+    padded[:, kept] = forecast_series(scores, n, score=replace(score, kind="ar_aic"))
     curves = mean[:, None] + padded.swapaxes(0, 1) @ basis.swapaxes(1, 2)
     common = curves.swapaxes(0, 1).reshape(n, *ts.tensor_dims)
     return destandardize(_label_forecast(ts, common), z)

@@ -51,7 +51,7 @@ from .factor_model import (
     save_model,
     select_ranks,
 )
-from .forecast import SCORE_MODELS, forecast_factors, forecast_observations
+from .forecast import SCORE_MODELS, ScoreModel, forecast_factors, forecast_observations
 from .panel import (
     CalendarSpec,
     TensorSeries,
@@ -203,11 +203,13 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
         "r_max": ("3", _int(1), "cross-section rank bound for automatic selection"),
         "k_max": ("", _unless("", _list(_int(1))),
                   "per-mode seasonal rank bounds; empty = min(3, S_j - 1)"),
-        "period": ("52", _int(2), "seasonal period of the per-factor score models"),
-        "score_model": ("ar1", _choice(*SCORE_MODELS),
+        "period": (str(ScoreModel.period), _int(2),
+                   "seasonal period of the per-factor score models"),
+        "score_model": (ScoreModel.kind, _choice(*SCORE_MODELS),
                         "TFM, MFM and VFM score extrapolation: 'ar1' or 'ar_aic'; "
                         "FPCA always uses ar_aic"),
-        "max_order": ("5", _int(0), "maximum AR order when score_model = ar_aic"),
+        "max_order": (str(ScoreModel.max_order), _int(0),
+                      "maximum AR order when score_model = ar_aic"),
         "archive": ("model.npz", _text, "fitted-model archive; relative names land in out"),
     },
     "forecast": {
@@ -451,8 +453,8 @@ def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> None:
         )
     xs = standardize(ts, model.standardization)
     factors = extract_factors(xs, model.loadings)
-    ff = forecast_factors(factors, n, period=cfg.model.period,
-                          score_model=cfg.model.score_model, max_order=cfg.model.max_order)
+    score = ScoreModel(cfg.model.period, cfg.model.score_model, cfg.model.max_order)
+    ff = forecast_factors(factors, n, score=score)
     fc = forecast_observations(ff, model.loadings, model.standardization)
     logger.info("forecast %d periods ahead from %d observed", n, ts.num_periods)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -494,17 +496,14 @@ def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> None:
         plan.validate_for(ts.num_periods)
     except ValueError as exc:
         raise ConfigError(f"backtest: {exc}") from None
-    forecasters = {
-        "TFM": make_tensor_forecaster(
-            ranks=model.ranks, r_max=model.r_max, k_max=model.k_max, period=model.period,
-            score_model=model.score_model, max_order=model.max_order,
-        )
-    }
+    _check_baselines(bt, ts.tensor_dims)
+    score = ScoreModel(model.period, model.score_model, model.max_order)
+    forecasters = {"TFM": make_tensor_forecaster(ranks=model.ranks, r_max=model.r_max,
+                                                 k_max=model.k_max, score=score)}
     for name in bt.benchmarks:
         forecasters[name.upper()] = make_benchmark_forecaster(
-            name, period=model.period, k_day=bt.mfm_day_factors, k_hour=bt.mfm_hour_factors,
-            r=bt.vfm_components, stacked=bt.vfm_stacked, ncomp=bt.fpca_components,
-            score_model=model.score_model, max_order=model.max_order,
+            name, k_day=bt.mfm_day_factors, k_hour=bt.mfm_hour_factors, r=bt.vfm_components,
+            stacked=bt.vfm_stacked, ncomp=bt.fpca_components, score=score,
         )
     windows = ts.num_periods - bt.train_length - min(bt.horizons)
     reports = []
@@ -519,6 +518,29 @@ def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> None:
     paths = emit_report(merged, cfg.out_dir)
     for key in ("csv", "json", "md", "trace"):
         print(paths[key])
+
+
+def _check_baselines(bt: Any, dims: tuple[int, ...]) -> None:
+    """Reject enabled baseline settings the archive's tensors cannot hold."""
+    if not bt.benchmarks:
+        return
+    if len(dims) != 3:
+        raise ConfigError(f"backtest.benchmarks: the baselines need (N, S1, S2) tensors, "
+                          f"but data.archive holds {dims} tensors")
+    n, s1, s2 = dims
+    width = n * s1 * s2 if bt.vfm_stacked else s1 * s2
+    limits = [  # (baseline, key, largest value, what bounds it)
+        ("mfm", "mfm_day_factors", s1, "S1"),
+        ("mfm", "mfm_hour_factors", s2, "S2"),
+        ("vfm", "vfm_components", width, "the week-vector length"),
+        ("vfm", "vfm_components", bt.train_length - 1, "backtest.train_length - 1"),
+        ("fpca", "fpca_components", s2, "S2"),
+    ]
+    for name, key, limit, what in limits:
+        value = getattr(bt, key)
+        if name in bt.benchmarks and value is not None and value > limit:
+            raise ConfigError(f"backtest.{key} = {value} exceeds {what} = {limit} "
+                              f"for the {dims} tensors in data.archive")
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:

@@ -26,7 +26,7 @@ from .factor_model import (
     Ranks,
     fit_factor_model,
 )
-from .forecast import check_score_settings, forecast_factors, forecast_observations
+from .forecast import ScoreModel, forecast_factors, forecast_observations
 from .panel import TensorSeries
 from .tensor import mode_product
 
@@ -197,21 +197,15 @@ def make_tensor_forecaster(
     ranks: Ranks | None = None,
     r_max: int = 3,
     k_max: Sequence[int] | None = None,
-    period: int = 52,
-    score_model: str = "ar1",
-    max_order: int = 5,
+    *,
+    score: ScoreModel = ScoreModel(),
 ) -> ForecastFn:
-    """Forecaster handle that refits the tensor factor model on each window.
-
-    Score settings no series could be forecast with are a ValueError here,
-    not in every window.
-    """
-    check_score_settings(period, score_model, max_order)
+    """Forecaster handle that refits the tensor factor model on each window
+    and forecasts its scores with the score settings."""
 
     def fn(train: TensorSeries, n: int) -> np.ndarray:
         model, factors = fit_factor_model(train, ranks=ranks, r_max=r_max, k_max=k_max)
-        ff = forecast_factors(factors, n, period=period, score_model=score_model,
-                              max_order=max_order)
+        ff = forecast_factors(factors, n, score=score)
         return forecast_observations(ff, model.loadings, model.standardization).values
 
     return fn
@@ -219,35 +213,30 @@ def make_tensor_forecaster(
 
 def make_benchmark_forecaster(
     kind: str,
-    period: int = 52,
     k_day: int = 1,
     k_hour: int = 2,
     r: int = 2,
     stacked: bool = False,
     ncomp: int | None = None,
-    score_model: str = "ar1",
-    max_order: int = 5,
+    *,
+    score: ScoreModel = ScoreModel(),
 ) -> ForecastFn:
     """Forecaster handle for one of the baselines: "MFM", "VFM", or "FPCA".
 
-    MFM and VFM extrapolate their scores with score_model; FPCA always uses
-    ar_aic. max_order bounds the AR order wherever ar_aic runs. Bad score
-    settings are a ValueError here, as for make_tensor_forecaster.
+    Each forecasts its scores with the score settings, FPCA with its kind
+    replaced by ar_aic (fpca_forecast).
     """
     tag = kind.upper()
     if tag not in ("MFM", "VFM", "FPCA"):
         raise ValueError(f"unknown benchmark {kind!r}")
-    check_score_settings(period, score_model, max_order)
 
     def fn(train: TensorSeries, n: int) -> np.ndarray:
         if tag == "MFM":
-            fc = mfm_forecast(train, n, k_day=k_day, k_hour=k_hour, period=period,
-                              score_model=score_model, max_order=max_order)
+            fc = mfm_forecast(train, n, k_day=k_day, k_hour=k_hour, score=score)
         elif tag == "VFM":
-            fc = vfm_forecast(train, n, r=r, period=period, score_model=score_model,
-                              max_order=max_order, stacked=stacked)
+            fc = vfm_forecast(train, n, r=r, stacked=stacked, score=score)
         else:
-            fc = fpca_forecast(train, n, ncomp=ncomp, period=period, max_order=max_order)
+            fc = fpca_forecast(train, n, ncomp=ncomp, score=score)
         return fc.values
 
     return fn

@@ -327,8 +327,11 @@ def rank_bounds(
 
     r_max is capped at N - 1; k_max defaults to min(3, S_j - 1) per seasonal
     mode. An explicit k_max is returned unchanged, so a bound outside
-    [1, S_j - 1] fails instead of being silently lowered.
+    [1, S_j - 1] fails instead of being silently lowered. Fewer than 2
+    providers leave no cross-section ratio to compare and are a ValueError.
     """
+    if dims[0] < 2:
+        raise ValueError("automatic rank selection needs at least 2 providers")
     if k_max is None:
         k_max = [min(3, s_j - 1) for s_j in dims[1:]]
     return min(r_max, dims[0] - 1), tuple(int(k) for k in k_max)

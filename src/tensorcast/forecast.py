@@ -37,7 +37,7 @@ __all__ = [
     "fit_ar",
     "fit_ar_aic",
     "forecast_ar",
-    "check_score_settings",
+    "ScoreModel",
     "forecast_series",
     "future_starts",
     "forecast_factors",
@@ -58,6 +58,24 @@ _EXACT_FIT = 1e-28
 _CHUNK = 32
 
 SCORE_MODELS = ("ar1", "ar_aic")
+
+
+@dataclass(frozen=True)
+class ScoreModel:
+    """Score-forecast settings: seasonal period, AR kind (one of SCORE_MODELS)
+    and the largest order ar_aic may pick; bad settings fail when built."""
+
+    period: int = 52
+    kind: str = "ar1"
+    max_order: int = 5
+
+    def __post_init__(self):
+        if self.kind not in SCORE_MODELS:
+            raise ValueError(f"unknown score model {self.kind!r}")
+        if self.period < 2:
+            raise ValueError(f"period must be >= 2, got {self.period}")
+        if self.max_order < 0:
+            raise ValueError(f"max_order must be >= 0, got {self.max_order}")
 
 
 @dataclass(frozen=True)
@@ -266,19 +284,7 @@ def forecast_ar(fit: ARFit, history: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def check_score_settings(period: int, score_model: str, max_order: int) -> None:
-    """Reject score-forecast settings that no series could be forecast with."""
-    if score_model not in SCORE_MODELS:
-        raise ValueError(f"unknown score model {score_model!r}")
-    if period < 2:
-        raise ValueError(f"period must be >= 2, got {period}")
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
-
-
-def forecast_series(
-    x: np.ndarray, period: int, n: int, score_model: str = "ar1", max_order: int = 5
-) -> np.ndarray:
+def forecast_series(x: np.ndarray, n: int, *, score: ScoreModel = ScoreModel()) -> np.ndarray:
     """Deseasonalize, extrapolate, and re-seasonalize each series of a block.
 
     x is (T, ...) and every trailing coordinate is one scalar series, forecast
@@ -286,7 +292,7 @@ def forecast_series(
     The autoregression sees a series minus its seasonal component (trend
     included). A numerically constant adjusted series gets a flat mean
     forecast, the exact extrapolation of a purely seasonal signal. Future
-    positions T+h carry the seasonal index at (T+h-1) mod period.
+    positions T+h carry the seasonal index at (T+h-1) mod score.period.
 
     The whole block goes through each step at once, in chunks of _CHUNK
     series; a series' forecast is bit-identical whatever block or chunk it
@@ -294,26 +300,25 @@ def forecast_series(
     """
     if n < 1:
         raise ValueError(f"horizon must be >= 1, got {n}")
-    check_score_settings(period, score_model, max_order)
     x = np.asarray(x, dtype=float)
     t = x.shape[0]
     series = x.reshape(t, -1)
     out = np.empty((n, series.shape[1]))
     for lo in range(0, series.shape[1], _CHUNK):
         block = series[:, lo : lo + _CHUNK]
-        seasonal = classical_decompose(block, period)
-        adjusted = block - seasonal[np.arange(t) % period]
+        seasonal = classical_decompose(block, score.period)
+        adjusted = block - seasonal[np.arange(t) % score.period]
         scale = np.maximum(1.0, np.max(np.abs(adjusted), axis=0))
         flat = np.ptp(adjusted, axis=0) <= _FLAT_TOLERANCE * scale
         extrapolated = np.empty((n, block.shape[1]))
         extrapolated[:, flat] = _rows(adjusted[:, flat]).mean(axis=1)
         if not flat.all():
             live = adjusted[:, ~flat]
-            if score_model == "ar1":
+            if score.kind == "ar1":
                 extrapolated[:, ~flat] = forecast_ar1(fit_ar1(live), live[-1], n)
             else:
-                extrapolated[:, ~flat] = forecast_ar(fit_ar_aic(live, max_order), live, n)
-        out[:, lo : lo + _CHUNK] = extrapolated + seasonal[(t + np.arange(n)) % period]
+                extrapolated[:, ~flat] = forecast_ar(fit_ar_aic(live, score.max_order), live, n)
+        out[:, lo : lo + _CHUNK] = extrapolated + seasonal[(t + np.arange(n)) % score.period]
     return out.reshape(n, *x.shape[1:])
 
 
@@ -334,19 +339,13 @@ def future_starts(period_starts: np.ndarray, n: int) -> np.ndarray:
     return period_starts[-1] + steps[0] * np.arange(1, n + 1)
 
 
-def forecast_factors(
-    f: FactorSeries,
-    n: int,
-    period: int = 52,
-    score_model: str = "ar1",
-    max_order: int = 5,
-) -> FactorSeries:
+def forecast_factors(f: FactorSeries, n: int, *, score: ScoreModel = ScoreModel()) -> FactorSeries:
     """Forecast every factor coordinate independently n periods ahead.
 
     values[h-1] of the result predicts period T+h.
     """
     return FactorSeries(
-        values=forecast_series(f.values, period, n, score_model, max_order),
+        values=forecast_series(f.values, n, score=score),
         period_starts=future_starts(f.period_starts, n),
         provider_ids=list(f.provider_ids),
     )

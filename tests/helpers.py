@@ -6,6 +6,7 @@ eigendecomposition and the per-slice functional PCA."""
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from tensorcast.factor_model import (
     _stack_unfoldings,
     reconstruct_common,
 )
-from tensorcast.forecast import ARFit
+from tensorcast.forecast import ARFit, ScoreModel
 from tensorcast.panel import (
     CalendarSpec,
     PanelSeries,
@@ -228,7 +229,7 @@ def scalar_component_count(eigvals: np.ndarray, requested: int | None, limit: in
 
 
 def looped_fpca_forecast(
-    ts: TensorSeries, n: int, ncomp: int | None = None, period: int = 52, max_order: int = 5
+    ts: TensorSeries, n: int, ncomp: int | None = None, *, score: ScoreModel = ScoreModel()
 ) -> tuple[np.ndarray, list[int]]:
     """benchmarks.fpca_forecast as a loop over the (provider, day) slices, each
     with its own full eigh; returns the forecast values and the per-slice
@@ -248,7 +249,7 @@ def looped_fpca_forecast(
         basis = basis[:, : scalar_component_count(eigvals, ncomp, curves.shape[1])]
         fits.append((mean_curve, basis, centered @ basis))
     scores = np.concatenate([s for _, _, s in fits], axis=1)
-    future = forecast.forecast_series(scores, period, n, "ar_aic", max_order)
+    future = forecast.forecast_series(scores, n, score=replace(score, kind="ar_aic"))
     bounds = np.cumsum([s.shape[1] for _, _, s in fits])[:-1]
     common = np.empty((n, *ts.tensor_dims))
     slices = np.ndindex(*ts.tensor_dims[:2])
@@ -391,9 +392,10 @@ def scalar_adjusted(x: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray,
 
 
 def scalar_forecast_series(
-    x: np.ndarray, period: int, n: int, score_model: str = "ar1", max_order: int = 5
+    x: np.ndarray, n: int, *, score: ScoreModel = ScoreModel()
 ) -> np.ndarray:
     """forecast.forecast_series as a loop over the series of the block."""
+    period = score.period
     x = np.asarray(x, dtype=float)
     t = x.shape[0]
     series = x.reshape(t, -1)
@@ -402,24 +404,24 @@ def scalar_forecast_series(
         seasonal, adjusted, flat = scalar_adjusted(series[:, j], period)
         if flat:
             extrapolated = float(np.mean(adjusted))
-        elif score_model == "ar1":
+        elif score.kind == "ar1":
             extrapolated = scalar_forecast_ar(scalar_fit_ar1(adjusted), adjusted, n)
         else:
-            extrapolated = scalar_forecast_ar(scalar_fit_ar_aic(adjusted, max_order), adjusted, n)
+            extrapolated = scalar_forecast_ar(scalar_fit_ar_aic(adjusted, score.max_order), adjusted, n)
         out[:, j] = extrapolated + seasonal[(t + np.arange(n)) % period]
     return out.reshape(n, *x.shape[1:])
 
 
 @contextmanager
-def recorded_score_blocks() -> Iterator[list[tuple[np.ndarray, int, int, str, int]]]:
-    """Record (x, period, n, score_model, max_order) of every forecast_series
-    call made inside the block, by the baselines and by forecast_factors."""
-    calls: list[tuple[np.ndarray, int, int, str, int]] = []
+def recorded_score_blocks() -> Iterator[list[tuple[np.ndarray, int, ScoreModel]]]:
+    """Record (x, n, score) of every forecast_series call made inside the
+    block, by the baselines and by forecast_factors."""
+    calls: list[tuple[np.ndarray, int, ScoreModel]] = []
     real, saved = forecast.forecast_series, benchmarks.forecast_series
 
-    def record(x, period, n, score_model="ar1", max_order=5):
-        calls.append((np.array(x, dtype=float), period, n, score_model, max_order))
-        return real(x, period, n, score_model, max_order)
+    def record(x, n, *, score=ScoreModel()):
+        calls.append((np.array(x, dtype=float), n, score))
+        return real(x, n, score=score)
 
     forecast.forecast_series = benchmarks.forecast_series = record
     try:

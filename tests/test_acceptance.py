@@ -31,7 +31,7 @@ from tensorcast.factor_model import (
     projected_loadings,
     reconstruct_common,
 )
-from tensorcast.forecast import classical_decompose, fit_ar1, forecast_factors, \
+from tensorcast.forecast import ScoreModel, classical_decompose, fit_ar1, forecast_factors, \
     forecast_observations
 from tensorcast.panel import CalendarSpec, Standardization, TensorSeries, fold, ingest_csv
 from tensorcast.tensor import multi_mode_product
@@ -138,7 +138,7 @@ def test_periodic_factor_system_forecasts_exactly():
     xs = make_series(reconstruct_common(factors, loadings))
 
     est = projected_loadings(initial_loadings(xs, ranks))
-    ff = forecast_factors(extract_factors(xs, est), 26, period=period, score_model="ar1")
+    ff = forecast_factors(extract_factors(xs, est), 26, score=ScoreModel(period, "ar1"))
     identity = Standardization(mu=np.zeros(dims), sigma=np.ones(dims))
     fc = forecast_observations(ff, est, identity)
 
@@ -251,10 +251,10 @@ def _pjm_report():
     start = time.perf_counter()
     plan = RollingPlan(train_length=171, horizons=(1, 4, 13, 26))
     forecasters = {
-        "TFM": make_tensor_forecaster(ranks=Ranks(1, (1, 2)), period=52),
-        "MFM": make_benchmark_forecaster("mfm", period=52),
-        "VFM": make_benchmark_forecaster("vfm", period=52),
-        "FPCA": make_benchmark_forecaster("fpca", period=52),
+        "TFM": make_tensor_forecaster(ranks=Ranks(1, (1, 2)), score=ScoreModel(period=52)),
+        "MFM": make_benchmark_forecaster("mfm", score=ScoreModel(period=52)),
+        "VFM": make_benchmark_forecaster("vfm", score=ScoreModel(period=52)),
+        "FPCA": make_benchmark_forecaster("fpca", score=ScoreModel(period=52)),
     }
     report = merge_reports(
         [rolling_evaluate(fn, ts, plan, model=name) for name, fn in forecasters.items()]

@@ -27,7 +27,7 @@ from tensorcast.factor_model import (
 )
 from tensorcast import forecast
 from tensorcast.evaluation import SimSpec, simulate
-from tensorcast.forecast import forecast_factors, forecast_observations
+from tensorcast.forecast import ScoreModel, forecast_factors, forecast_observations
 from tensorcast.panel import (
     TensorSeries,
     cell_standardization,
@@ -71,7 +71,7 @@ def test_split_providers_rejects_non_matrix_series():
         split_providers(ts)
     for forecaster in (mfm_forecast, vfm_forecast, fpca_forecast):
         with pytest.raises(ValueError, match="S1, S2"):
-            forecaster(ts, 1, period=2)
+            forecaster(ts, 1, score=ScoreModel(period=2))
 
 
 @pytest.mark.parametrize("forecaster", [mfm_forecast, vfm_forecast, fpca_forecast],
@@ -79,7 +79,7 @@ def test_split_providers_rejects_non_matrix_series():
 def test_forecast_period_starts_continue_the_series(forecaster):
     rng = np.random.default_rng(0)
     ts = make_series(rng.standard_normal((24, 2, 3, 4)), ["A", "B"])
-    fc = forecaster(ts, 3, period=6)
+    fc = forecaster(ts, 3, score=ScoreModel(period=6))
     expected = ts.period_starts[-1] + (168 * np.arange(1, 4)).astype("timedelta64[h]")
     assert np.array_equal(fc.period_starts, expected)
     assert fc.provider_ids == ["A", "B"]
@@ -106,7 +106,7 @@ def test_mfm_exact_on_noiseless_periodic_matrix_data():
     full = mu + 10.0 * common
     ts = make_series(full[:t, None])
 
-    fc = mfm_forecast(ts, horizon, period=period)
+    fc = mfm_forecast(ts, horizon, score=ScoreModel(period=period))
     truth = full[t : t + horizon]
     assert np.max(np.abs(fc.values[:, 0] - truth)) < 1e-6 * np.max(np.abs(truth))
 
@@ -120,7 +120,7 @@ def test_mfm_constant_data_forecasts_the_constant():
     ts = make_series(values)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fc = mfm_forecast(ts, 3, period=4)
+        fc = mfm_forecast(ts, 3, score=ScoreModel(period=4))
     np.testing.assert_array_equal(fc.values, np.broadcast_to(values.mean(axis=0), (3, 2, 6, 4)))
     assert np.allclose(fc.values[:, 0], base, rtol=0, atol=1e-12)
 
@@ -132,10 +132,10 @@ def test_mfm_agrees_with_tensor_model_on_single_provider():
     ys, _, _ = noiseless_series(rng, (1, 7, 24), (1, 1, 2), t=60, noise_sd=0.05)
 
     model, factors = fit_factor_model(ys, Ranks(1, (1, 2)))
-    ff = forecast_factors(factors, 4, period=6)
+    ff = forecast_factors(factors, 4, score=ScoreModel(period=6))
     tfm = forecast_observations(ff, model.loadings, model.standardization).values
 
-    mfm = mfm_forecast(ys, 4, period=6).values
+    mfm = mfm_forecast(ys, 4, score=ScoreModel(period=6)).values
     assert np.max(np.abs(mfm - tfm)) < 1e-6 * np.max(np.abs(tfm))
 
 
@@ -143,8 +143,9 @@ def test_mfm_fits_providers_independently():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((24, 3, 4))
     b = rng.standard_normal((24, 3, 4))
-    both = mfm_forecast(make_series(np.stack([a, b], axis=1), ["A", "B"]), 2, period=6)
-    alone = mfm_forecast(make_series(a[:, None], ["A"]), 2, period=6)
+    score = ScoreModel(period=6)
+    both = mfm_forecast(make_series(np.stack([a, b], axis=1), ["A", "B"]), 2, score=score)
+    alone = mfm_forecast(make_series(a[:, None], ["A"]), 2, score=score)
     assert both.provider_ids == ["A", "B"]
     assert np.array_equal(both.values[:, 0], alone.values[:, 0])
 
@@ -162,7 +163,7 @@ def test_vfm_exact_on_affine_two_dimensional_weeks():
     vecs = base + np.outer(s1, u[:, 0]) + np.outer(s2, u[:, 1])
     ts = make_series(_matricize_weeks(vecs[:t], (4, 6))[:, None])
 
-    fc = vfm_forecast(ts, 1, r=2, period=period)
+    fc = vfm_forecast(ts, 1, r=2, score=ScoreModel(period=period))
     truth = _matricize_weeks(vecs[t:], (4, 6))[0]
     assert np.max(np.abs(fc.values[0, 0] - truth)) < 1e-6 * np.max(np.abs(truth))
 
@@ -183,17 +184,17 @@ def test_vfm_complete_basis_reconstructs_in_sample():
 def test_vfm_zero_variance_data_is_degenerate():
     ts = make_series(np.full((12, 1, 3, 4), 7.5))
     with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="degenerate"):
-        vfm_forecast(ts, 1, r=2, period=4)
+        vfm_forecast(ts, 1, r=2, score=ScoreModel(period=4))
 
 
 def test_vfm_requires_more_periods_than_components():
     rng = np.random.default_rng(6)
     ts = make_series(rng.standard_normal((5, 1, 2, 3)))
     with pytest.raises(ValueError, match="more periods than components"):
-        vfm_forecast(ts, 1, r=5, period=2)
+        vfm_forecast(ts, 1, r=5, score=ScoreModel(period=2))
     ts_long = make_series(rng.standard_normal((10, 1, 2, 3)))
     with pytest.raises(ValueError, match="out of range"):
-        vfm_forecast(ts_long, 1, r=7, period=2)
+        vfm_forecast(ts_long, 1, r=7, score=ScoreModel(period=2))
 
 
 def test_vfm_with_kron_structured_loading_matches_mfm_reconstruction():
@@ -230,7 +231,7 @@ def test_vfm_stacked_shares_factors_across_providers():
         truths.append(_matricize_weeks(vecs[t:], (3, 4))[0])
 
     ts = make_series(np.stack(series, axis=1), ["A", "B"])
-    fc = vfm_forecast(ts, 1, r=2, period=period, stacked=True)
+    fc = vfm_forecast(ts, 1, r=2, stacked=True, score=ScoreModel(period=period))
     for i, truth in enumerate(truths):
         assert np.max(np.abs(fc.values[0, i] - truth)) < 1e-6 * np.max(np.abs(truth))
 
@@ -252,7 +253,7 @@ def test_fpca_exact_on_one_component_curves():
     full = mu + w * s[:, None, None]
     ts = make_series(full[:t, None])
 
-    fc = fpca_forecast(ts, horizon, period=6)
+    fc = fpca_forecast(ts, horizon, score=ScoreModel(period=6))
     truth = full[t : t + horizon]
     assert np.max(np.abs(fc.values[:, 0] - truth)) < 1e-5 * np.max(np.abs(truth))
 
@@ -279,7 +280,7 @@ def test_fpca_day_slices_keep_their_rows():
         full[:, d, :] = 10.0 * (d + 1) + (d + 1) * np.outer(s, curve)
     ts = make_series(full[:t, None])
 
-    fc = fpca_forecast(ts, 1, period=period)
+    fc = fpca_forecast(ts, 1, score=ScoreModel(period=period))
     truth = full[t]
     assert np.max(np.abs(fc.values[0, 0] - truth)) < 1e-6 * np.max(np.abs(truth))
     row_levels = fc.values[0, 0].mean(axis=1)
@@ -294,7 +295,7 @@ def test_fpca_flat_day_forecasts_its_mean():
     full[:, 1, :] = 5.0 + np.outer(s, np.array([1.0, 2.0, 3.0]))
     ts = make_series(full[:t, None])
     with pytest.warns(RuntimeWarning):
-        fc = fpca_forecast(ts, 1, period=period)
+        fc = fpca_forecast(ts, 1, score=ScoreModel(period=period))
     assert np.allclose(fc.values[0, 0, 0], 42.0, rtol=0, atol=1e-10)
     assert np.max(np.abs(fc.values[0, 0, 1] - full[t, 1])) < 1e-6
 
@@ -317,8 +318,8 @@ def test_benchmarks_are_deterministic():
     rng = np.random.default_rng(12)
     ts = make_series(50.0 + 5.0 * rng.standard_normal((24, 2, 3, 4)), ["A", "B"])
     for forecaster in (mfm_forecast, vfm_forecast, fpca_forecast):
-        first = forecaster(ts, 2, period=6)
-        second = forecaster(ts, 2, period=6)
+        first = forecaster(ts, 2, score=ScoreModel(period=6))
+        second = forecaster(ts, 2, score=ScoreModel(period=6))
         assert first.provider_ids == ["A", "B"]
         assert np.array_equal(first.values, second.values)
 
@@ -331,9 +332,10 @@ def test_panel_standardization_keeps_per_provider_forecasts_independent():
     b = rng.standard_normal((24, 3, 4))
     both = make_series(np.stack([a, b], axis=1), ["A", "B"])
     alone = make_series(a[:, None], ["A"])
+    score = ScoreModel(period=6)
     for forecaster in (vfm_forecast, fpca_forecast):
-        pair = forecaster(both, 2, period=6).values[:, 0]
-        assert np.array_equal(pair, forecaster(alone, 2, period=6).values[:, 0])
+        pair = forecaster(both, 2, score=score).values[:, 0]
+        assert np.array_equal(pair, forecaster(alone, 2, score=score).values[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from tensorcast import cli
 from tensorcast.cli import _SCHEMA, cmd_backtest, load_config, main
 from tensorcast.evaluation import SimSpec, simulate
 from tensorcast.factor_model import Ranks, TensorFactorModel, load_model, save_model
+from tensorcast.forecast import ScoreModel
 from tensorcast.panel import (
     CalendarSpec,
     Standardization,
@@ -145,6 +146,11 @@ def test_schema_defaults_equal_an_empty_config(tmp_path):
                 for section, keys in _SCHEMA.items()}
     full = load_config(write_config(tmp_path / "full.ini", explicit))
     assert full == load_config(write_config(tmp_path / "empty.ini", {}))
+
+
+def test_model_score_defaults_are_the_score_model_defaults(tmp_path):
+    model = load_config(write_config(tmp_path / "run.ini", {})).model
+    assert ScoreModel(model.period, model.score_model, model.max_order) == ScoreModel()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -397,6 +403,40 @@ def test_backtest_plan_problems_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "backtest.train_length = 18" in err and "model.period = 12" in err
     assert not (tmp_path / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "dims, backtest, key",
+    [
+        ((3, 168), {}, "benchmarks"),  # one seasonal mode: no (days, hours) matrices
+        ((3, 7, 24), {"mfm_day_factors": "8"}, "mfm_day_factors"),
+        ((3, 7, 24), {"mfm_hour_factors": "30"}, "mfm_hour_factors"),
+        ((3, 7, 24), {"vfm_components": "500"}, "vfm_components"),
+        ((3, 7, 24), {"vfm_components": "24", "vfm_stacked": "true"}, "vfm_components"),
+        ((3, 7, 24), {"fpca_components": "25"}, "fpca_components"),
+    ],
+)
+def test_backtest_baseline_settings_the_archive_cannot_hold_exit_2(tmp_path, capsys, dims,
+                                                                   backtest, key):
+    # Accepted, each would fail every window of its baseline with one error.
+    ranks = (1, (1,) * (len(dims) - 1))
+    simulated_archive(tmp_path, dims=dims, ranks=ranks, t=30, seed=1)
+    cfg = write_config(tmp_path / "run.ini", {
+        "calendar": {"periods": ",".join(str(s) for s in dims[1:])},
+        "model": {"ranks": ",".join(str(c) for c in (ranks[0], *ranks[1])), "period": "6"},
+        "backtest": {"train_length": "24", "horizons": "1", **backtest},
+    })
+    capsys.readouterr()
+    assert main(["backtest", "--config", str(cfg)]) == 2
+    assert f"backtest.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_auto_ranks_on_a_single_provider_name_the_problem(tmp_path, capsys):
+    simulated_archive(tmp_path, dims=(1, 7, 24), t=30, seed=3)
+    cfg = write_config(tmp_path / "run.ini", {})
+    assert main(["fit", "--config", str(cfg)]) == 1
+    assert "automatic rank selection needs at least 2 providers" in capsys.readouterr().err
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path):

@@ -22,6 +22,7 @@ from tensorcast.evaluation import (
     simulate,
 )
 from tensorcast.factor_model import Ranks
+from tensorcast.forecast import ScoreModel
 from tensorcast.panel import TensorSeries
 
 from helpers import make_series, recorded_score_blocks, simulate_compact
@@ -230,7 +231,7 @@ def test_forecaster_shape_is_checked():
 def test_tensor_forecaster_handle_runs():
     rng = np.random.default_rng(8)
     ts = random_series(rng, 30, dims=(3, 4, 6))
-    fn = make_tensor_forecaster(ranks=Ranks(1, (1, 2)), period=6)
+    fn = make_tensor_forecaster(ranks=Ranks(1, (1, 2)), score=ScoreModel(period=6))
     out = fn(ts, 3)
     assert out.shape == (3, 3, 4, 6)
     assert np.isfinite(out).all()
@@ -240,7 +241,7 @@ def test_benchmark_forecaster_handles_run():
     rng = np.random.default_rng(9)
     ts = random_series(rng, 24, dims=(2, 3, 4))
     for kind in ("MFM", "vfm", "FPCA"):
-        out = make_benchmark_forecaster(kind, period=6)(ts, 2)
+        out = make_benchmark_forecaster(kind, score=ScoreModel(period=6))(ts, 2)
         assert out.shape == (2, 2, 3, 4)
         assert np.isfinite(out).all()
     with pytest.raises(ValueError, match="unknown benchmark"):
@@ -250,29 +251,28 @@ def test_benchmark_forecaster_handles_run():
 @pytest.mark.parametrize(
     "setting, message",
     [
-        ({"score_model": "bogus"}, "unknown score model 'bogus'"),
+        ({"kind": "bogus"}, "unknown score model 'bogus'"),
         ({"period": 1}, "period must be >= 2, got 1"),
         ({"max_order": -1}, "max_order must be >= 0, got -1"),
     ],
 )
 def test_forecaster_handles_reject_bad_score_settings_at_construction(setting, message):
-    # Accepted, these would fail every window of a backtest with the same error.
+    # Accepted, these would fail every window of a backtest with the same
+    # error; the handles take their settings as one ScoreModel, built first.
     with pytest.raises(ValueError, match=message):
-        make_tensor_forecaster(**setting)
-    for kind in ("MFM", "VFM", "FPCA"):
-        with pytest.raises(ValueError, match=message):
-            make_benchmark_forecaster(kind, **setting)
+        ScoreModel(**setting)
 
 
 @pytest.mark.parametrize("kind", ["MFM", "VFM", "FPCA"])
 def test_benchmark_forecaster_passes_score_model(kind):
-    # FPCA forecasts its curve scores with ar_aic whatever score_model says.
+    # FPCA forecasts its curve scores with ar_aic whatever kind the handle has.
     ts = random_series(np.random.default_rng(9), 24, dims=(2, 3, 4))
     for score_model in ("ar1", "ar_aic"):
+        score = ScoreModel(period=6, kind=score_model, max_order=2)
         with recorded_score_blocks() as calls:
-            make_benchmark_forecaster(kind, period=6, score_model=score_model, max_order=2)(ts, 2)
-        expected = "ar_aic" if kind == "FPCA" else score_model
-        assert calls and {call[3:] for call in calls} == {(expected, 2)}
+            make_benchmark_forecaster(kind, score=score)(ts, 2)
+        expected = ScoreModel(period=6, kind="ar_aic", max_order=2) if kind == "FPCA" else score
+        assert calls and {call[2] for call in calls} == {expected}
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +479,7 @@ def test_simulate_fit_evaluate_is_bit_reproducible(tmp_path):
 
     def run():
         ts, _, _ = simulate(spec)
-        fn = make_tensor_forecaster(ranks=Ranks(1, (1, 2)), period=6)
+        fn = make_tensor_forecaster(ranks=Ranks(1, (1, 2)), score=ScoreModel(period=6))
         return rolling_evaluate(fn, ts, plan, model="TFM")
 
     first, second = run(), run()

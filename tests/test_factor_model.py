@@ -388,6 +388,16 @@ class TestFitFactorModel:
         fit_factor_model(ts)
         assert len(calls) == 1
 
+    def test_auto_ranks_need_two_providers(self, monkeypatch):
+        # One provider leaves no cross-section ratio to compare; the bounds
+        # say so before any first pass runs.
+        import tensorcast.factor_model as fm
+
+        monkeypatch.setattr(fm, "initial_loadings", lambda *_: pytest.fail("first pass ran"))
+        ts = make_series(np.random.default_rng(26).standard_normal((30, 1, 7, 24)))
+        with pytest.raises(ValueError, match="automatic rank selection needs at least 2 providers"):
+            fit_factor_model(ts)
+
     def test_each_fit_unfolds_each_mode_once_per_pass(self, monkeypatch):
         # A fixed-rank fit unfolds the three modes once; an auto-rank fit
         # unfolds them once more to narrow the blocks to the chosen ranks.

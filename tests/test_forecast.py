@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from tensorcast.factor_model import (
 )
 from tensorcast.forecast import (
     ARFit,
+    ScoreModel,
     classical_decompose,
     fit_ar,
     fit_ar1,
@@ -167,7 +169,7 @@ class TestForecastSeries:
         m = 6
         s = np.array([2.0, -1.0, 0.5, -0.5, -2.0, 1.0])
         x = 3.0 + s[np.arange(24) % m]
-        out = forecast_series(x, m, 8)
+        out = forecast_series(x, 8, score=ScoreModel(period=m))
         expected = 3.0 + s[(24 + np.arange(8)) % m]
         np.testing.assert_allclose(out, expected, atol=1e-8)
 
@@ -180,15 +182,16 @@ class TestForecastSeries:
         t = 156
         x = 2.0 + 0.03 * np.arange(t)
         direct = forecast_ar1(fit_ar1(x), x[-1], 4)
-        via_decomposition = forecast_series(x, 52, 4)
+        via_decomposition = forecast_series(x, 4, score=ScoreModel(period=52))
         np.testing.assert_allclose(via_decomposition, direct, atol=1e-6)
 
     def test_zero_series_forecasts_zero(self):
-        np.testing.assert_array_equal(forecast_series(np.zeros(30), 4, 5), np.zeros(5))
+        out = forecast_series(np.zeros(30), 5, score=ScoreModel(period=4))
+        np.testing.assert_array_equal(out, np.zeros(5))
 
     def test_unknown_score_model_is_rejected_even_on_flat_data(self):
         with pytest.raises(ValueError, match="unknown score model 'bogus'"):
-            forecast_series(np.zeros(30), 4, 3, score_model="bogus")
+            ScoreModel(period=4, kind="bogus")
 
     @pytest.mark.parametrize("score_model", ["ar1", "ar_aic"])
     def test_block_forecasts_each_column_as_its_own_series(self, score_model):
@@ -198,12 +201,13 @@ class TestForecastSeries:
         block[:, 0] = rng.standard_normal(t).cumsum()
         block[:, 1] = 2.0 + np.array([1.0, -1.0, 0.5, -0.5])[np.arange(t) % m]  # flat once adjusted
         block[:, 2] = rng.standard_normal(t)
-        out = forecast_series(block, m, 5, score_model, max_order=2)
+        score = ScoreModel(period=m, kind=score_model, max_order=2)
+        out = forecast_series(block, 5, score=score)
         assert out.shape == (5, 3)
         for j in range(3):
-            single = forecast_series(block[:, j], m, 5, score_model, max_order=2)
+            single = forecast_series(block[:, j], 5, score=score)
             assert np.array_equal(out[:, j], single)
-        tensor = forecast_series(block.reshape(t, 1, 3), m, 5, score_model, max_order=2)
+        tensor = forecast_series(block.reshape(t, 1, 3), 5, score=score)
         assert np.array_equal(tensor, out.reshape(5, 1, 3))
 
 
@@ -219,7 +223,7 @@ class TestForecastFactors:
             + (168 * np.arange(t)).astype("timedelta64[h]"),
             provider_ids=["p"],
         )
-        ff = forecast_factors(f, n=4, period=m)
+        ff = forecast_factors(f, n=4, score=ScoreModel(period=m))
         # Horizon h predicts the series continuation at 0-based index t-1+h.
         future = t + np.arange(4)
         expected = np.empty((4, 1, 1, 2))
@@ -235,7 +239,7 @@ class TestForecastFactors:
             + (168 * np.arange(20)).astype("timedelta64[h]"),
             provider_ids=["p"],
         )
-        ff = forecast_factors(f, n=3, period=4)
+        ff = forecast_factors(f, n=3, score=ScoreModel(period=4))
         np.testing.assert_array_equal(ff.values, np.zeros((3, 2, 1, 1)))
 
     def test_deterministic(self):
@@ -247,8 +251,8 @@ class TestForecastFactors:
             + (168 * np.arange(30)).astype("timedelta64[h]"),
             provider_ids=["p"],
         )
-        a = forecast_factors(f, n=5, period=4)
-        b = forecast_factors(f, n=5, period=4)
+        a = forecast_factors(f, n=5, score=ScoreModel(period=4))
+        b = forecast_factors(f, n=5, score=ScoreModel(period=4))
         assert a.values.tobytes() == b.values.tobytes()
 
 
@@ -296,7 +300,7 @@ class TestForecastObservations:
 
         train = make_series(raw.values[: t - 1])
         model, fitted_factors = fit_factor_model(train, Ranks(*ranks[:1], ranks[1:]))
-        ff = forecast_factors(fitted_factors, n=1, period=m)
+        ff = forecast_factors(fitted_factors, n=1, score=ScoreModel(period=m))
         pred = forecast_observations(ff, model.loadings, model.standardization)
         truth = raw.values[t - 1]
         rel = np.linalg.norm(pred.values[0] - truth) / np.linalg.norm(truth)
@@ -322,11 +326,11 @@ def test_future_starts_continue_even_spacing_and_reject_irregular_starts():
     factors = FactorSeries(values=rng.standard_normal((6, 1, 1)), period_starts=irregular,
                            provider_ids=["P0"])
     with pytest.raises(ValueError, match=r"not evenly spaced: start 4 "):
-        forecast_factors(factors, 2, period=2)
+        forecast_factors(factors, 2, score=ScoreModel(period=2))
     ts = TensorSeries(rng.standard_normal((6, 1, 3, 4)), irregular, ["P0"])
     for forecaster in (mfm_forecast, vfm_forecast, fpca_forecast):
         with pytest.raises(ValueError, match=r"not evenly spaced: start 4 "):
-            forecaster(ts, 2, period=2)
+            forecaster(ts, 2, score=ScoreModel(period=2))
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +364,9 @@ def _forecast_test_series():
 @pytest.mark.parametrize("score_model", ["ar1", "ar_aic"])
 def test_forecast_series_matches_scalar_oracle_on_forecast_test_series(score_model):
     for x, period, max_order in _forecast_test_series():
-        batched = forecast_series(x, period, 26, score_model, max_order)
-        scalar = scalar_forecast_series(x, period, 26, score_model, max_order)
+        score = ScoreModel(period, score_model, max_order)
+        batched = forecast_series(x, 26, score=score)
+        scalar = scalar_forecast_series(x, 26, score=score)
         assert batched.shape == scalar.shape
         assert np.max(np.abs(batched - scalar)) <= ORACLE_TOLERANCE
 
@@ -408,9 +413,10 @@ def test_forecast_series_matches_scalar_oracle_on_baseline_score_blocks(
     baseline_score_blocks, score_model
 ):
     for recorded in baseline_score_blocks.values():
-        x, period, n, _, max_order = recorded[0]
-        batched = forecast_series(x, period, n, score_model, max_order)
-        scalar = scalar_forecast_series(x, period, n, score_model, max_order)
+        x, n, score = recorded[0]
+        score = replace(score, kind=score_model)
+        batched = forecast_series(x, n, score=score)
+        scalar = scalar_forecast_series(x, n, score=score)
         assert np.max(np.abs(batched - scalar)) <= ORACLE_TOLERANCE
 
 
@@ -418,8 +424,9 @@ def test_fpca_aic_orders_match_scalar_oracle(baseline_score_blocks):
     for (name, _), recorded in baseline_score_blocks.items():
         if name != "FPCA":
             continue
-        x, period, _, score_model, max_order = recorded[0]
-        assert score_model == "ar_aic"
+        x, _, score = recorded[0]
+        period, max_order = score.period, score.max_order
+        assert score.kind == "ar_aic"
         seasonal = classical_decompose(x, period)
         coeffs = fit_ar_aic(x - seasonal[np.arange(len(x)) % period], max_order).coeffs
         # Block fits zero-pad each series' coefficients to the largest order.
@@ -455,17 +462,17 @@ def test_forecast_series_runs_the_traced_stage_functions(monkeypatch, score_mode
                  "forecast_ar"):
         monkeypatch.setattr(forecast, name, counted(name, getattr(forecast, name)))
     block = np.random.default_rng(20).standard_normal((40, 3)).cumsum(axis=0)
-    forecast.forecast_series(block, 4, 5, score_model, max_order=2)
+    forecast.forecast_series(block, 5, score=ScoreModel(period=4, kind=score_model, max_order=2))
     assert set(called) == stages
 
 
 def test_forecast_series_memory_is_bounded_by_its_chunks():
     # An unchunked (171, 252) ar_aic block stacks designs of about 7 MiB.
     block = np.random.default_rng(21).standard_normal((171, 252)).cumsum(axis=0)
-    forecast_series(block, 52, 26, "ar_aic")
+    forecast_series(block, 26, score=ScoreModel(period=52, kind="ar_aic"))
     tracemalloc.start()
     try:
-        forecast_series(block, 52, 26, "ar_aic")
+        forecast_series(block, 26, score=ScoreModel(period=52, kind="ar_aic"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

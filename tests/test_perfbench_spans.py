@@ -53,6 +53,7 @@ def test_handles_fire_the_required_spans():
     finally:
         recorder.uninstall()
     assert not recorder.failed
-    missing = set(run._EVERYWHERE + run._FIT + ["benchmarks.split_providers"]) - set(recorder.names)
+    required = set(run.EXPECTED_SPANS["backtest-baselines"]) - set(run._BACKTEST) | set(run._FIT)
+    missing = required - set(recorder.names)
     assert not missing, f"spans the benchmark requires did not fire: {sorted(missing)}"
     assert recorder.eigh_sizes and recorder.counts["tensor.top_eigenvectors.flop"] > 0
