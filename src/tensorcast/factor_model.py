@@ -14,7 +14,7 @@ space complementary to the mode. The projection pass eigendecomposes the
 covariance of each compressed block, which strips most of the noise and
 yields the final loadings. Automatic rank selection runs the initial pass at
 the candidate maxima, reads the same projected covariances, and narrows the
-bases to the chosen ranks, recompressing each block from a fresh unfolding,
+bases and blocks to the chosen ranks by slicing their leading columns
 before the projection pass. Factors follow by linear projection, with the
 loading scale conventions
 
@@ -179,9 +179,9 @@ def initial_loadings(xs: TensorSeries, ranks: Ranks) -> InitialLoadings:
 
     Mode m's stacked unfolding, reshaped to (T p_m, q_m), gives the averaged
     second-moment matrix m'm / (T N S); its basis is sqrt(q_m) times the
-    leading w_m columns of the full sign-normalised eigenbasis from
-    top_eigenvectors, and its block is the unfolding times that basis. Each
-    unfolding is built once and dropped before the next mode's.
+    w_m leading sign-normalised eigenvectors from top_eigenvectors, and its
+    block is the unfolding times that basis. Each unfolding is built once and
+    dropped before the next mode's.
     """
     if xs.values.ndim < 3:
         raise ValueError("series tensors need a cross-section mode and at least one seasonal mode")
@@ -194,26 +194,24 @@ def initial_loadings(xs: TensorSeries, ranks: Ranks) -> InitialLoadings:
         cov = m.T @ m / scale
         if np.max(np.abs(cov)) == 0.0:
             raise ValueError("degenerate covariance: series is identically zero")
-        # Solving in full and slicing keeps every request on the full eigen
-        # path, so a fixed fit and an auto fit narrowed to the same ranks
-        # compress through the same column-major operands, bit for bit.
-        basis = np.sqrt(m.shape[1]) * top_eigenvectors(cov, m.shape[1])[0][:, :width]
+        # Asking for the w_m columns alone lets a narrow request on a large
+        # moment (two of 168 or 216 at the paper's fixed ranks) take the
+        # certified partial path; the rest are one full eigh.
+        basis = np.sqrt(m.shape[1]) * top_eigenvectors(cov, width)[0]
         bases.append(basis)
         blocks.append((m @ basis).reshape(t, p, width))
         del m
     return InitialLoadings(ranks=ranks, bases=bases, blocks=blocks)
 
 
-def _narrowed(xs: TensorSeries, init: InitialLoadings, ranks: Ranks) -> InitialLoadings:
-    """init at smaller ranks: the leading columns of each basis, with every
-    block recompressed from a fresh unfolding, since a product through fewer
-    columns can round differently from the leading columns of a wider one."""
-    t = xs.num_periods
-    bases = [basis[:, :width] for basis, width in zip(init.bases, _widths(ranks))]
-    blocks = [
-        (_stack_unfoldings(xs.values, mode).reshape(t * p, -1) @ basis).reshape(t, p, -1)
-        for mode, (p, basis) in enumerate(zip(xs.tensor_dims, bases))
-    ]
+def _narrowed(init: InitialLoadings, ranks: Ranks) -> InitialLoadings:
+    """init at smaller ranks: the leading columns of each basis and block.
+    Sliced block columns can differ in the last bits from a product through
+    the narrowed basis, so an automatic fit equals a fixed fit at the ranks
+    it chose to roundoff, not bitwise."""
+    widths = _widths(ranks)
+    bases = [basis[:, :w] for basis, w in zip(init.bases, widths)]
+    blocks = [block[:, :, :w] for block, w in zip(init.blocks, widths)]
     return InitialLoadings(ranks=ranks, bases=bases, blocks=blocks)
 
 
@@ -379,7 +377,7 @@ def fit_factor_model(
     if ranks is None:
         init = initial_loadings(xs, Ranks(*rank_bounds(xs.tensor_dims, r_max, k_max)))
         ranks = select_ranks(init)
-        init = _narrowed(xs, init, ranks)
+        init = _narrowed(init, ranks)
     else:
         init = initial_loadings(xs, ranks)
     loadings = projected_loadings(init)

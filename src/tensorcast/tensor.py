@@ -49,14 +49,14 @@ def multi_mode_product(x: np.ndarray, matrices: Iterable[np.ndarray | None]) -> 
 # A request for the k leading eigenpairs of p x p matrices goes to block
 # subspace iteration with Rayleigh-Ritz extraction (Saad, Numerical Methods for
 # Large Eigenvalue Problems, 2011) when its block of k + _EXTRA columns is at
-# most p / _PARTIAL_RATIO; every other request is one full np.linalg.eigh.
+# most p / _PARTIAL_RATIO; every other request, such as 5 columns of 63 (no
+# faster by sweeps) or 13 of 168 (never certified), is one full np.linalg.eigh.
 # Each orthonormalisation follows _POWERS products with the matrix, from a
-# start block seeded with _START_SEED. A member is accepted once its Ritz
-# pairs are certified to _CERTIFY_TOL; the rest take the full path after at
-# most _MAX_SWEEPS orthonormalisations, twice the 5 that every VFM covariance
-# of the seed-0 paper panel needed.
+# start block seeded with _START_SEED; a member is accepted once its Ritz pairs
+# are certified to _CERTIFY_TOL, else it takes the full path after _MAX_SWEEPS
+# orthonormalisations, over twice the 4 any seed-0 paper-panel request needed.
 _EXTRA = 4
-_PARTIAL_RATIO = 8
+_PARTIAL_RATIO = 24
 _POWERS = 3
 _MAX_SWEEPS = 10
 _CERTIFY_TOL = 1e-12
@@ -98,6 +98,8 @@ def top_eigenvectors(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     # the input: a temporary per step raised the peak RSS of a baselines
     # backtest, whose VFM stack is 2 MB, by about 1 MiB.
     scale = np.maximum(np.abs(x).max(axis=(-2, -1)), 1.0)
+    if not np.isfinite(scale).all():  # NaN passes every comparison below
+        raise ValueError("matrix has non-finite entries (NaN or inf)")
     buf = np.subtract(x, flipped)
     if (np.abs(buf, out=buf).max(axis=(-2, -1)) > 1e-8 * scale).any():
         raise ValueError("matrix is not symmetric within 1e-8 relative tolerance")
@@ -139,11 +141,17 @@ def _certified_leading(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     pending = np.flatnonzero(norm > 0.0)
     c, scale = (s if pending.size == b else s[pending]), norm[pending, None, None]
     start = np.random.default_rng(_START_SEED).standard_normal((p, k + _EXTRA))
-    q = np.broadcast_to(np.linalg.qr(start)[0], (pending.size, p, k + _EXTRA))
+    cq = c @ np.broadcast_to(np.linalg.qr(start)[0], (pending.size, p, k + _EXTRA))
     off_diagonal = ~np.eye(k, dtype=bool)
     accepted = np.zeros(b, dtype=bool)
     shortfall = np.full(pending.size, np.inf)
     for sweep in range(_MAX_SWEEPS if pending.size else 0):
+        # Dividing each product by the Frobenius norm, which bounds every
+        # eigenvalue, keeps the powers of the block from overflowing.
+        q = cq / scale
+        for _ in range(_POWERS - 1):
+            q = c @ q / scale
+        q = np.linalg.qr(q)[0]
         cq = c @ q
         theta, y = np.linalg.eigh(q.swapaxes(1, 2) @ cq)
         theta, y = theta[:, : -k - 1 : -1], y[:, :, : -k - 1 : -1]
@@ -168,12 +176,6 @@ def _certified_leading(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             if not pending.size:
                 break
         shortfall = short
-        # Dividing each product by the Frobenius norm, which bounds every
-        # eigenvalue, keeps the powers of the block from overflowing.
-        q = cq / scale
-        for _ in range(_POWERS - 1):
-            q = c @ q / scale
-        q = np.linalg.qr(q)[0]
     rest = np.flatnonzero(~accepted)
     if rest.size:
         vecs[rest], vals[rest] = _full_leading(s[rest], k, (np.arange(rest.size)[:, None],))

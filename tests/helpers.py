@@ -1,7 +1,8 @@
 """Shared constructions for synthetic factor-model data in tests, small
 tensor utilities that only the tests use, and the oracles that the batched
 code is checked against: the scalar score forecaster, the per-matrix full
-eigendecomposition and the per-slice functional PCA."""
+eigendecomposition, the per-slice functional PCA and the first pass that
+solves every column and recompresses when it narrows."""
 
 from __future__ import annotations
 
@@ -11,15 +12,21 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from tensorcast import benchmarks, factor_model, forecast
+from tensorcast import benchmarks, evaluation, factor_model, forecast
 from tensorcast.evaluation import SimSpec, _prepare
 from tensorcast.factor_model import (
     FactorSeries,
     InitialLoadings,
     LoadingSet,
     Ranks,
+    TensorFactorModel,
     _stack_unfoldings,
+    _widths,
+    extract_factors,
+    projected_loadings,
+    rank_bounds,
     reconstruct_common,
+    select_ranks,
 )
 from tensorcast.forecast import ARFit, ScoreModel
 from tensorcast.panel import (
@@ -259,8 +266,8 @@ def looped_fpca_forecast(
 
 
 def einsum_initial_loadings(xs: TensorSeries, ranks: Ranks) -> InitialLoadings:
-    """factor_model.initial_loadings with each moment summed by ``np.einsum``
-    over the stacked unfoldings: the oracle for the BLAS products."""
+    """sliced_initial_loadings with each moment summed by ``np.einsum`` over
+    the stacked unfoldings: the oracle for the BLAS products."""
     counts = (ranks.r, *ranks.k)
     scale = xs.num_periods * int(np.prod(xs.tensor_dims))
     bases, blocks = [], []
@@ -297,6 +304,66 @@ def einsum_moments() -> Iterator[None]:
         yield
     finally:
         factor_model.initial_loadings, factor_model._projected_covariances = saved
+
+
+def sliced_initial_loadings(xs: TensorSeries, ranks: Ranks) -> InitialLoadings:
+    """factor_model.initial_loadings with each basis sliced from the full
+    eigenbasis, so every request takes the full eigen path: the oracle for a
+    first pass that solves only the columns it keeps."""
+    t = xs.num_periods
+    scale = t * int(np.prod(xs.tensor_dims))
+    bases, blocks = [], []
+    for mode, (p, width) in enumerate(zip(xs.tensor_dims, _widths(ranks))):
+        m = _stack_unfoldings(xs.values, mode).reshape(t * p, -1)
+        cov = m.T @ m / scale
+        basis = np.sqrt(m.shape[1]) * oracle_top_eigenvectors(cov, m.shape[1])[0][:, :width]
+        bases.append(basis)
+        blocks.append((m @ basis).reshape(t, p, width))
+    return InitialLoadings(ranks=ranks, bases=bases, blocks=blocks)
+
+
+def recompressed_narrowed(xs: TensorSeries, init: InitialLoadings, ranks: Ranks) -> InitialLoadings:
+    """factor_model._narrowed with every block recompressed from a fresh
+    unfolding through the narrowed basis, instead of sliced from the wide
+    block: the oracle for the slicing."""
+    t = xs.num_periods
+    bases = [basis[:, :width] for basis, width in zip(init.bases, _widths(ranks))]
+    blocks = [
+        (_stack_unfoldings(xs.values, mode).reshape(t * p, -1) @ basis).reshape(t, p, -1)
+        for mode, (p, basis) in enumerate(zip(xs.tensor_dims, bases))
+    ]
+    return InitialLoadings(ranks=ranks, bases=bases, blocks=blocks)
+
+
+def sliced_fit_factor_model(
+    ys: TensorSeries, ranks: Ranks | None = None, r_max: int = 3, k_max: Sequence[int] | None = None
+) -> tuple[TensorFactorModel, FactorSeries]:
+    """factor_model.fit_factor_model on sliced_initial_loadings and
+    recompressed_narrowed."""
+    z = estimate_standardization(ys)
+    xs = standardize(ys, z)
+    if ranks is None:
+        init = sliced_initial_loadings(xs, Ranks(*rank_bounds(xs.tensor_dims, r_max, k_max)))
+        ranks = select_ranks(init)
+        init = recompressed_narrowed(xs, init, ranks)
+    else:
+        init = sliced_initial_loadings(xs, ranks)
+    loadings = projected_loadings(init)
+    model = TensorFactorModel(
+        ranks=ranks, loadings=loadings, standardization=z, provider_ids=list(ys.provider_ids)
+    )
+    return model, extract_factors(xs, loadings)
+
+
+@contextmanager
+def sliced_first_pass() -> Iterator[None]:
+    """Run the tensor forecaster handles on sliced_fit_factor_model inside the block."""
+    saved = evaluation.fit_factor_model
+    evaluation.fit_factor_model = sliced_fit_factor_model
+    try:
+        yield
+    finally:
+        evaluation.fit_factor_model = saved
 
 
 # ---------------------------------------------------------------------------

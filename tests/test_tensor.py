@@ -251,6 +251,18 @@ class TestTopEigenvectors:
         with pytest.raises(ValueError):
             self.eig(np.eye(3), 4)
 
+    # Two of 24 columns take the full path and two of 168 the certified one;
+    # the stacked subclass puts the bad matrix in a stack.
+    @pytest.mark.parametrize("p", [24, 168], ids=["full", "certified"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, p, bad):
+        s = np.diag(np.arange(p, 0.0, -1.0))
+        s[3, 5] = s[5, 3] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            self.eig(s, 2)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            self.eig(np.full((p, p), bad), 2)
+
 
 class TestTopEigenvectorsStacked(TestTopEigenvectors):
     """The same cases with the matrix as the second member of a stack; the
