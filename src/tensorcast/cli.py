@@ -16,6 +16,8 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import io
+import itertools
 import json
 import logging
 import sys
@@ -24,7 +26,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .evaluation import (
 )
 from .factor_model import (
     Ranks,
+    TensorFactorModel,
     extract_factors,
     fit_factor_model,
     fitted_values,
@@ -424,6 +427,8 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     archive = cfg.out_path(cfg.model.archive)
     save_model(archive, model)
+    loadings_path = cfg.out_dir / "loadings.csv"
+    _write_loadings_csv(loadings_path, model)
     metrics_path = cfg.out_dir / "fit.json"
     metrics = {
         "ranks": [model.ranks.r, *model.ranks.k],
@@ -433,6 +438,7 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> None:
     }
     metrics_path.write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     print(archive)
+    print(loadings_path)
     print(metrics_path)
 
 
@@ -466,19 +472,56 @@ def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> None:
     print(csv_path)
 
 
-def _write_forecast_csv(path: Path, fc: TensorSeries) -> None:
-    num_seasonal = fc.values.ndim - 2
-    starts = np.datetime_as_string(fc.period_starts, unit="h")
+def _csv_fields(fields: Sequence[Any]) -> str:
+    """``fields`` joined by commas, each quoted as csv.writer quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
+def _write_value_csv(
+    path: Path,
+    header: Sequence[str],
+    groups: Iterable[tuple[Sequence[Any], Sequence[str], Sequence[float]]],
+) -> None:
+    """Write ``header``, then one row per cell of each ``(fields, cells, values)``
+    group: the group's fields, the cell's and the repr of its value.
+
+    Each cell string holds plain fields, each followed by a comma. The group's
+    fields are quoted once per group and every line ends in CRLF, so the file
+    is byte for byte what csv.writer writes row by row. One write per group
+    keeps memory bounded for long horizons.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["period_start", "provider", *(f"s{j + 1}" for j in range(num_seasonal)), "value"]
-        )
-        for t in range(fc.values.shape[0]):
-            for i, pid in enumerate(fc.provider_ids):
-                block = fc.values[t, i]
-                for idx in np.ndindex(*block.shape):
-                    writer.writerow([starts[t], pid, *idx, repr(float(block[idx]))])
+        fh.write(_csv_fields(header) + "\r\n")
+        for fields, cells, values in groups:
+            head = _csv_fields(fields) + ","
+            fh.write("".join(f"{head}{cell}{value!r}\r\n" for cell, value in zip(cells, values)))
+
+
+def _write_forecast_csv(path: Path, fc: TensorSeries) -> None:
+    seasonal = fc.values.shape[2:]
+    cells = ["".join(f"{i}," for i in idx) for idx in np.ndindex(*seasonal)]
+    keys = itertools.product(np.datetime_as_string(fc.period_starts, unit="h"), fc.provider_ids)
+    rows = fc.values.reshape(-1, len(cells)).tolist()
+    _write_value_csv(
+        path,
+        ["period_start", "provider", *(f"s{j + 1}" for j in range(len(seasonal))), "value"],
+        ((key, cells, row) for key, row in zip(keys, rows)),
+    )
+
+
+def _write_loadings_csv(path: Path, model: TensorFactorModel) -> None:
+    """One row per mode, index and factor: mode ``provider`` indexed by provider
+    id, then seasonal modes ``s1``, ``s2``, ... indexed from 0."""
+    modes = [("provider", model.provider_ids, model.loadings.lam)]
+    modes += [(f"s{j + 1}", range(len(b)), b) for j, b in enumerate(model.loadings.b)]
+    _write_value_csv(
+        path,
+        ["mode", "index", "factor", "value"],
+        (((mode, index), [f"{f}," for f in range(mat.shape[1])], row)
+         for mode, indices, mat in modes for index, row in zip(indices, mat.tolist())),
+    )
 
 
 def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -591,7 +634,7 @@ _COMMANDS = {
 _COMMAND_HELP = {
     "ingest": "read provider CSVs, align and fold them, write the series archive",
     "ranks": "print the automatically selected factor counts for the archive",
-    "fit": "estimate loadings on the archive and write the model archive",
+    "fit": "estimate loadings; writes the model archive, loadings.csv and fit.json",
     "forecast": "forecast ahead from the fitted model; writes .npz and .csv",
     "backtest": "rolling-origin evaluation of the model and enabled baselines",
     "simulate": "draw a synthetic panel and its ground truth from the seed",

@@ -31,7 +31,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .panel import Standardization, TensorSeries, estimate_standardization, standardize, write_npz
+from .panel import (
+    Standardization,
+    TensorSeries,
+    estimate_standardization,
+    read_npz,
+    standardize,
+    write_npz,
+)
 from .tensor import mode_product, multi_mode_product, top_eigenvectors
 
 __all__ = [
@@ -405,12 +412,12 @@ def save_model(path: str | Path, model: TensorFactorModel) -> None:
 
 def load_model(path: str | Path) -> TensorFactorModel:
     """Read an archive written by :func:`save_model`."""
-    with np.load(path, allow_pickle=False) as archive:
-        k = tuple(int(v) for v in archive["k"])
-        b = [archive[f"b{j}"] for j in range(len(k))]
-        return TensorFactorModel(
-            ranks=Ranks(int(archive["r"]), k),
-            loadings=LoadingSet(lam=archive["lam"], b=b),
-            standardization=Standardization(mu=archive["mu"], sigma=archive["sigma"]),
-            provider_ids=[str(p) for p in archive["provider_ids"]],
-        )
+    archive = read_npz(path, ("r", "k", "lam", "mu", "sigma", "provider_ids"))
+    k = tuple(int(v) for v in archive["k"])
+    b = read_npz(path, [f"b{j}" for j in range(len(k))])
+    return TensorFactorModel(
+        ranks=Ranks(int(archive["r"]), k),
+        loadings=LoadingSet(lam=archive["lam"], b=list(b.values())),
+        standardization=Standardization(mu=archive["mu"], sigma=archive["sigma"]),
+        provider_ids=[str(p) for p in archive["provider_ids"]],
+    )

@@ -50,6 +50,7 @@ __all__ = [
     "destandardize",
     "save_tensor_series",
     "load_tensor_series",
+    "read_npz",
     "write_npz",
 ]
 
@@ -411,17 +412,39 @@ def destandardize(ts: TensorSeries, z: Standardization) -> TensorSeries:
 def write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     """Write a standard .npz archive with byte-reproducible output.
 
-    np.savez stamps each zip member with the wall clock, so two otherwise
-    identical runs produce different files; here every member gets a fixed
-    timestamp and members are written in the given key order.
+    Members are stored uncompressed, as np.savez stores them: deflating the
+    mostly random float bits of a panel costs far more time than the space it
+    saves. np.savez stamps each zip member with the wall clock, so two
+    otherwise identical runs produce different files; here every member gets
+    a fixed timestamp and members are written in the given key order.
     """
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for name, arr in arrays.items():
             buf = io.BytesIO()
             np.lib.format.write_array(buf, np.asarray(arr), allow_pickle=False)
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            info.compress_type = zipfile.ZIP_DEFLATED
             zf.writestr(info, buf.getvalue())
+
+
+def read_npz(path: str | Path, names: Sequence[str]) -> dict[str, np.ndarray]:
+    """Read the named arrays of an .npz archive, stored or deflated.
+
+    A file that is not a zip archive, or an archive without one of the
+    names, is a ValueError that names the path.
+    """
+    try:
+        zf = zipfile.ZipFile(path)
+    except zipfile.BadZipFile:
+        raise ValueError(f"{path}: not an .npz archive") from None
+    with zf:
+        members = set(zf.namelist())
+        arrays = {}
+        for name in names:
+            if name + ".npy" not in members:
+                raise ValueError(f"{path}: archive has no member {name!r}")
+            with zf.open(name + ".npy") as member:
+                arrays[name] = np.lib.format.read_array(member, allow_pickle=False)
+    return arrays
 
 
 def save_tensor_series(path: str | Path, ts: TensorSeries) -> None:
@@ -438,9 +461,9 @@ def save_tensor_series(path: str | Path, ts: TensorSeries) -> None:
 
 def load_tensor_series(path: str | Path) -> TensorSeries:
     """Read an archive written by :func:`save_tensor_series`."""
-    with np.load(path, allow_pickle=False) as archive:
-        return TensorSeries(
-            values=archive["values"],
-            period_starts=archive["period_starts"].astype("datetime64[h]"),
-            provider_ids=[str(p) for p in archive["provider_ids"]],
-        )
+    archive = read_npz(path, ("values", "period_starts", "provider_ids"))
+    return TensorSeries(
+        values=archive["values"],
+        period_starts=archive["period_starts"].astype("datetime64[h]"),
+        provider_ids=[str(p) for p in archive["provider_ids"]],
+    )

@@ -1,13 +1,17 @@
 """Shared constructions for synthetic factor-model data in tests, small
 tensor utilities that only the tests use, and the oracles that the batched
 code is checked against: the scalar score forecaster, the per-matrix full
-eigendecomposition, the per-slice functional PCA and the first pass that
-solves every column and recompresses when it narrows."""
+eigendecomposition, the per-slice functional PCA, the first pass that
+solves every column and recompresses when it narrows, and the row-by-row
+forecast.csv writer."""
 
 from __future__ import annotations
 
+import csv
+import zipfile
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -495,3 +499,28 @@ def recorded_score_blocks() -> Iterator[list[tuple[np.ndarray, int, ScoreModel]]
         yield calls
     finally:
         forecast.forecast_series, benchmarks.forecast_series = real, saved
+
+
+def rowwise_forecast_csv(path: Path, fc: TensorSeries) -> None:
+    """forecast.csv written one csv.writer row per cell: the oracle of the
+    CLI's column-wise writer."""
+    num_seasonal = fc.values.ndim - 2
+    starts = np.datetime_as_string(fc.period_starts, unit="h")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["period_start", "provider", *(f"s{j + 1}" for j in range(num_seasonal)), "value"]
+        )
+        for t in range(fc.values.shape[0]):
+            for i, pid in enumerate(fc.provider_ids):
+                block = fc.values[t, i]
+                for idx in np.ndindex(*block.shape):
+                    writer.writerow([starts[t], pid, *idx, repr(float(block[idx]))])
+
+
+def deflated_copy(src: Path, dst: Path) -> None:
+    """Repack an .npz archive with every member deflated, as archives were
+    written before members were stored."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w", zipfile.ZIP_DEFLATED) as zout:
+        for info in zin.infolist():
+            zout.writestr(info.filename, zin.read(info))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_loading_set, subspace_distance, weekly_starts
+from helpers import random_loading_set, rowwise_forecast_csv, subspace_distance, weekly_starts
 from tensorcast import cli
 from tensorcast.cli import _SCHEMA, cmd_backtest, load_config, main
 from tensorcast.evaluation import SimSpec, simulate
@@ -28,6 +28,7 @@ from tensorcast.panel import (
     ingest_csv,
     load_tensor_series,
     save_tensor_series,
+    write_npz,
 )
 
 
@@ -187,7 +188,8 @@ def test_fit_writes_model_and_metrics(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.ini", {"model": {"ranks": "1,1,2"}})
     assert main(["fit", "--config", str(cfg)]) == 0
     out_lines = capsys.readouterr().out.splitlines()
-    assert out_lines == [str(tmp_path / "out" / "model.npz"), str(tmp_path / "out" / "fit.json")]
+    assert out_lines == [str(tmp_path / "out" / name)
+                         for name in ("model.npz", "loadings.csv", "fit.json")]
     metrics = json.loads((tmp_path / "out" / "fit.json").read_text())
     assert metrics["ranks"] == [1, 1, 2]
     assert metrics["num_periods"] == 50
@@ -292,6 +294,71 @@ def test_forecast_csv_round_trips_values(tmp_path):
     assert probe["provider"] == "P0"
     assert (int(probe["s1"]), int(probe["s2"])) == (3, 5)
     assert float(probe["value"]) == fc.values[0, 0, 3, 5]
+
+
+def test_forecast_csv_matches_rowwise_writer(tmp_path):
+    simulated_archive(tmp_path, dims=(9, 7, 24), t=110, nu_sd=0.1, seed=0)
+    cfg = write_config(tmp_path / "run.ini", {})
+    assert main(["fit", "--config", str(cfg)]) == 0
+    assert main(["forecast", "--config", str(cfg), "--horizon", "26"]) == 0
+    fc = load_tensor_series(tmp_path / "out" / "forecast.npz")
+    assert fc.values.shape == (26, 9, 7, 24)
+    rowwise_forecast_csv(tmp_path / "oracle.csv", fc)
+    oracle = (tmp_path / "oracle.csv").read_bytes()
+    assert (tmp_path / "out" / "forecast.csv").read_bytes() == oracle
+
+
+@pytest.mark.parametrize("dims, providers", [
+    ((3, 7, 24), ["a,b", 'say "hi"', " lead"]),
+    ((2, 24), ["P0", "P1"]),
+    ((2, 2, 7, 24), ["P0", "P1"]),
+])
+def test_forecast_csv_writer_matches_rowwise_writer(tmp_path, dims, providers):
+    rng = np.random.default_rng(31)
+    values = rng.standard_normal((3, *dims)) * 10.0 ** rng.integers(-8, 9, size=(3, *dims))
+    fc = TensorSeries(values=values, period_starts=weekly_starts(3), provider_ids=providers)
+    cli._write_forecast_csv(tmp_path / "forecast.csv", fc)
+    rowwise_forecast_csv(tmp_path / "oracle.csv", fc)
+    assert (tmp_path / "forecast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_fit_writes_loadings_csv(tmp_path):
+    simulated_archive(tmp_path, dims=(3, 7, 24), t=50, nu_sd=0.05, seed=2)
+    cfg = write_config(tmp_path / "run.ini", {
+        "data": {"archive": str(tmp_path / "out" / "tensors.npz")},
+        "model": {"ranks": "2,1,2"},
+    })
+    for out in ("one", "two"):
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+    written = (tmp_path / "one" / "loadings.csv").read_bytes()
+    assert written == (tmp_path / "two" / "loadings.csv").read_bytes()
+
+    model = load_model(tmp_path / "one" / "model.npz")
+    modes = [("provider", model.provider_ids, model.loadings.lam)]
+    modes += [(f"s{j + 1}", range(len(b)), b) for j, b in enumerate(model.loadings.b)]
+    expected = [(mode, str(index), str(f), mat[i, f]) for mode, indices, mat in modes
+                for i, index in enumerate(indices) for f in range(mat.shape[1])]
+    with open(tmp_path / "one" / "loadings.csv", newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["mode", "index", "factor", "value"]
+        rows = [(mode, index, factor, float(value)) for mode, index, factor, value in reader]
+    assert rows == expected
+
+
+def test_data_archive_that_is_not_an_npz_exits_1(tmp_path, capsys):
+    write_provider_csv(tmp_path / "a.csv", "AAA", 48, lambda h: h)
+    cfg = write_config(tmp_path / "run.ini", {"data": {"archive": str(tmp_path / "a.csv")}})
+    assert main(["fit", "--config", str(cfg)]) == 1
+    assert f"{tmp_path / 'a.csv'}: not an .npz archive" in capsys.readouterr().err
+
+
+def test_data_archive_missing_a_member_exits_1(tmp_path, capsys):
+    archive = tmp_path / "out" / "tensors.npz"
+    archive.parent.mkdir()
+    write_npz(archive, {"values": np.ones((3, 2, 7, 24)), "provider_ids": np.array(["A", "B"])})
+    cfg = write_config(tmp_path / "run.ini", {})
+    assert main(["fit", "--config", str(cfg)]) == 1
+    assert f"{archive}: archive has no member 'period_starts'" in capsys.readouterr().err
 
 
 def test_backtest_emits_all_four_report_files(tmp_path, capsys):

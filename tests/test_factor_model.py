@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    deflated_copy,
     einsum_initial_loadings,
     einsum_moments,
     kron,
@@ -358,6 +359,21 @@ class TestModelArchive:
         xs = standardize(raw, loaded.standardization)
         refit = extract_factors(xs, loaded.loadings)
         np.testing.assert_array_equal(refit.values, factors.values)
+
+    def test_deflated_archive_still_loads(self, tmp_path):
+        rng = np.random.default_rng(24)
+        ts, _, _ = noiseless_series(rng, (4, 7, 24), (1, 1, 2), t=30, noise_sd=0.3)
+        model, _ = fit_factor_model(ts, Ranks(1, (1, 2)))
+        save_model(tmp_path / "stored.npz", model)
+        deflated_copy(tmp_path / "stored.npz", tmp_path / "deflated.npz")
+        loaded = load_model(tmp_path / "deflated.npz")
+        assert loaded.ranks == model.ranks
+        assert loaded.provider_ids == model.provider_ids
+        for a, b in [(loaded.loadings.lam, model.loadings.lam),
+                     *zip(loaded.loadings.b, model.loadings.b),
+                     (loaded.standardization.mu, model.standardization.mu),
+                     (loaded.standardization.sigma, model.standardization.sigma)]:
+            np.testing.assert_array_equal(a, b)
 
 
 class TestFitFactorModel:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import logging
+import zipfile
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from helpers import seasonal_indices, unfold_panel, weekly_starts
+from helpers import deflated_copy, seasonal_indices, unfold_panel, weekly_starts
 from tensorcast.panel import (
     CalendarSpec,
     PanelSeries,
@@ -440,6 +441,29 @@ class TestArchive:
         path = tmp_path / "panel.npz"
         save_tensor_series(path, ts)
         back = load_tensor_series(path)
+        np.testing.assert_array_equal(back.values, ts.values)
+        np.testing.assert_array_equal(back.period_starts, ts.period_starts)
+        assert back.provider_ids == ts.provider_ids
+
+    def test_writes_are_byte_identical_and_stored(self, tmp_path):
+        rng = np.random.default_rng(11)
+        ts = series_from_values(rng.standard_normal((3, 2, 7, 24)))
+        save_tensor_series(tmp_path / "one.npz", ts)
+        save_tensor_series(tmp_path / "two.npz", ts)
+        assert (tmp_path / "one.npz").read_bytes() == (tmp_path / "two.npz").read_bytes()
+        with zipfile.ZipFile(tmp_path / "one.npz") as zf:
+            assert [info.filename for info in zf.infolist()] == [
+                "values.npy", "period_starts.npy", "provider_ids.npy"]
+            assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_deflated_archive_still_loads(self, tmp_path):
+        rng = np.random.default_rng(12)
+        ts = series_from_values(rng.standard_normal((3, 2, 7, 24)))
+        save_tensor_series(tmp_path / "stored.npz", ts)
+        deflated_copy(tmp_path / "stored.npz", tmp_path / "deflated.npz")
+        with zipfile.ZipFile(tmp_path / "deflated.npz") as zf:
+            assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+        back = load_tensor_series(tmp_path / "deflated.npz")
         np.testing.assert_array_equal(back.values, ts.values)
         np.testing.assert_array_equal(back.period_starts, ts.period_starts)
         assert back.provider_ids == ts.provider_ids
