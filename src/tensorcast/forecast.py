@@ -11,13 +11,14 @@ standardization, the same reconstruction used for in-sample fitted values.
 forecast_series takes a whole (T, ...) block of score series, and a model
 forecasts all of a window's scores in one call. Every step is one stacked
 pass over the block: the trend from cumulative sums, the seasonal means
-summed cycle by cycle, the AR fits as batched QR least squares, the AIC
-scores of every order from one QR of the augmented design, and a vectorised
-recursion. Sums over time run in a fixed order along each series, so a
-series' forecast does not depend on the block or chunk around it. They run
-in a different order than a per-series loop (np.convolve, np.linalg.lstsq),
-so results match that loop within 1e-10, not byte for byte; the loop is the
-oracle in tests/helpers.py.
+summed cycle by cycle, the AIC scores of every order from one QR of the
+augmented design, one batched QR refit per distinct order, and one
+recursion; only _ar_factor builds its designs in chunks of _CHUNK series.
+Sums over time run in a fixed order along each series and each design is
+factored on its own, so a series' forecast does not depend on the block
+around it. They run in a different order than a per-series loop
+(np.convolve, np.linalg.lstsq), so results match that loop within 1e-10,
+not byte for byte; the loop is the oracle in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ _FLAT_TOLERANCE = 1e-12
 # the smallest order that fits exactly wins.
 _EXACT_FIT = 1e-28
 
-# forecast_series runs its block in chunks of this many series, which bounds
-# the stacked least-squares designs at a few hundred KiB for any block width.
+# _ar_factor stacks and factors the least-squares designs of this many series
+# at a time, which bounds them at a few hundred KiB for any block width.
 _CHUNK = 32
 
 SCORE_MODELS = ("ar1", "ar_aic")
@@ -70,6 +71,10 @@ class ScoreModel:
     max_order: int = 5
 
     def __post_init__(self):
+        for name in ("period", "max_order"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.kind not in SCORE_MODELS:
             raise ValueError(f"unknown score model {self.kind!r}")
         if self.period < 2:
@@ -165,14 +170,17 @@ def _ar_factor(rows: np.ndarray, order: int, start: int) -> np.ndarray:
 
     The leading (order + 1) block and the last column's head solve the least
     squares of x_t on the lags; the last column's squared entries below row i
-    sum to the residual sum of squares of the order i - 1 regression.
+    sum to the residual sum of squares of the order i - 1 regression. The
+    designs are stacked and factored _CHUNK rows at a time.
     """
-    t = rows.shape[1]
-    y = rows[:, start:]
-    lags = [rows[:, start - i : t - i] for i in range(1, order + 1)]
-    r = np.linalg.qr(np.stack([np.ones_like(y), *lags, y], axis=-1), mode="r")
-    if r.shape[1] < order + 2:  # as many observations as coefficients: an exact fit
-        r = np.concatenate([r, np.zeros((r.shape[0], order + 2 - r.shape[1], order + 2))], axis=1)
+    k, t = rows.shape
+    r = np.zeros((k, order + 2, order + 2))  # rows a short factor lacks: an exact fit
+    for lo in range(0, k, _CHUNK):
+        chunk = rows[lo : lo + _CHUNK]
+        y = chunk[:, start:]
+        lags = [chunk[:, start - i : t - i] for i in range(1, order + 1)]
+        factor = np.linalg.qr(np.stack([np.ones_like(y), *lags, y], axis=-1), mode="r")
+        r[lo : lo + _CHUNK, : factor.shape[1]] = factor
     return r
 
 
@@ -294,31 +302,27 @@ def forecast_series(x: np.ndarray, n: int, *, score: ScoreModel = ScoreModel()) 
     forecast, the exact extrapolation of a purely seasonal signal. Future
     positions T+h carry the seasonal index at (T+h-1) mod score.period.
 
-    The whole block goes through each step at once, in chunks of _CHUNK
-    series; a series' forecast is bit-identical whatever block or chunk it
-    sits in.
+    Every step runs once over the whole block (only _ar_factor chunks its
+    designs); a series' forecast is bit-identical whatever block it sits in.
     """
     if n < 1:
         raise ValueError(f"horizon must be >= 1, got {n}")
     x = np.asarray(x, dtype=float)
     t = x.shape[0]
     series = x.reshape(t, -1)
+    seasonal = classical_decompose(series, score.period)
+    adjusted = series - seasonal[np.arange(t) % score.period]
+    scale = np.maximum(1.0, np.max(np.abs(adjusted), axis=0))
+    flat = np.ptp(adjusted, axis=0) <= _FLAT_TOLERANCE * scale
     out = np.empty((n, series.shape[1]))
-    for lo in range(0, series.shape[1], _CHUNK):
-        block = series[:, lo : lo + _CHUNK]
-        seasonal = classical_decompose(block, score.period)
-        adjusted = block - seasonal[np.arange(t) % score.period]
-        scale = np.maximum(1.0, np.max(np.abs(adjusted), axis=0))
-        flat = np.ptp(adjusted, axis=0) <= _FLAT_TOLERANCE * scale
-        extrapolated = np.empty((n, block.shape[1]))
-        extrapolated[:, flat] = _rows(adjusted[:, flat]).mean(axis=1)
-        if not flat.all():
-            live = adjusted[:, ~flat]
-            if score.kind == "ar1":
-                extrapolated[:, ~flat] = forecast_ar1(fit_ar1(live), live[-1], n)
-            else:
-                extrapolated[:, ~flat] = forecast_ar(fit_ar_aic(live, score.max_order), live, n)
-        out[:, lo : lo + _CHUNK] = extrapolated + seasonal[(t + np.arange(n)) % score.period]
+    out[:, flat] = _rows(adjusted[:, flat]).mean(axis=1)
+    if not flat.all():
+        live = adjusted[:, ~flat]
+        if score.kind == "ar1":
+            out[:, ~flat] = forecast_ar1(fit_ar1(live), live[-1], n)
+        else:
+            out[:, ~flat] = forecast_ar(fit_ar_aic(live, score.max_order), live, n)
+    out += seasonal[(t + np.arange(n)) % score.period]
     return out.reshape(n, *x.shape[1:])
 
 

@@ -1,6 +1,7 @@
 """Shared constructions for synthetic factor-model data in tests, small
 tensor utilities that only the tests use, and the oracles that the batched
-code is checked against: the scalar score forecaster, the per-matrix full
+code is checked against: the scalar score forecaster, the score forecaster
+that ran every step once per chunk of 32 series, the per-matrix full
 eigendecomposition, the per-slice functional PCA, the first pass that
 solves every column and recompresses when it narrows, and the row-by-row
 forecast.csv writer."""
@@ -480,6 +481,36 @@ def scalar_forecast_series(
         else:
             extrapolated = scalar_forecast_ar(scalar_fit_ar_aic(adjusted, score.max_order), adjusted, n)
         out[:, j] = extrapolated + seasonal[(t + np.arange(n)) % period]
+    return out.reshape(n, *x.shape[1:])
+
+
+def chunked_forecast_series(
+    x: np.ndarray, n: int, *, score: ScoreModel = ScoreModel()
+) -> np.ndarray:
+    """forecast.forecast_series as it ran before its chunk bound moved into
+    _ar_factor: every step, from the decomposition to the recursion, once per
+    chunk of 32 series."""
+    x = np.asarray(x, dtype=float)
+    t = x.shape[0]
+    series = x.reshape(t, -1)
+    out = np.empty((n, series.shape[1]))
+    for lo in range(0, series.shape[1], 32):
+        block = series[:, lo : lo + 32]
+        seasonal = forecast.classical_decompose(block, score.period)
+        adjusted = block - seasonal[np.arange(t) % score.period]
+        scale = np.maximum(1.0, np.max(np.abs(adjusted), axis=0))
+        flat = np.ptp(adjusted, axis=0) <= forecast._FLAT_TOLERANCE * scale
+        extrapolated = np.empty((n, block.shape[1]))
+        extrapolated[:, flat] = forecast._rows(adjusted[:, flat]).mean(axis=1)
+        if not flat.all():
+            live = adjusted[:, ~flat]
+            if score.kind == "ar1":
+                fit = forecast.fit_ar1(live)
+                extrapolated[:, ~flat] = forecast.forecast_ar1(fit, live[-1], n)
+            else:
+                fit = forecast.fit_ar_aic(live, score.max_order)
+                extrapolated[:, ~flat] = forecast.forecast_ar(fit, live, n)
+        out[:, lo : lo + 32] = extrapolated + seasonal[(t + np.arange(n)) % score.period]
     return out.reshape(n, *x.shape[1:])
 
 

@@ -254,6 +254,9 @@ def test_benchmark_forecaster_handles_run():
         ({"kind": "bogus"}, "unknown score model 'bogus'"),
         ({"period": 1}, "period must be >= 2, got 1"),
         ({"max_order": -1}, "max_order must be >= 0, got -1"),
+        ({"period": 4.0}, "period must be an integer, got 4.0"),
+        ({"period": "52"}, "period must be an integer, got '52'"),
+        ({"max_order": 2.5}, "max_order must be an integer, got 2.5"),
     ],
 )
 def test_forecaster_handles_reject_bad_score_settings_at_construction(setting, message):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    chunked_forecast_series,
     make_series,
     noiseless_series,
     random_loading_set,
@@ -209,6 +211,51 @@ class TestForecastSeries:
             assert np.array_equal(out[:, j], single)
         tensor = forecast_series(block.reshape(t, 1, 3), 5, score=score)
         assert np.array_equal(tensor, out.reshape(5, 1, 3))
+
+
+def _mixed_block(t: int, k: int, period: int) -> np.ndarray:
+    """(t, k) score block cycling through five kinds of series, column j of
+    kind j % 5: random walk, AR(2), AR(3), white noise, and a seasonal
+    pattern that is flat once adjusted."""
+    rng = np.random.default_rng(31)
+    kind = np.arange(k) % 5
+    block = rng.standard_normal((t, k))
+    block[:, kind == 0] = block[:, kind == 0].cumsum(axis=0)
+    for which, phi in ((1, (0.6, -0.5)), (2, (0.3, 0.2, -0.6))):
+        cols = kind == which
+        for s in range(1, t):
+            block[s, cols] += sum(c * block[s - 1 - i, cols] for i, c in enumerate(phi) if s > i)
+    flat = kind == 4
+    pattern = rng.standard_normal((period, np.count_nonzero(flat)))
+    block[:, flat] = np.flatnonzero(flat) + pattern[np.arange(t) % period]
+    return block
+
+
+@pytest.mark.parametrize("score_model", ["ar1", "ar_aic"])
+def test_block_forecast_is_bit_identical_across_chunk_boundaries(score_model):
+    # 300 series span ten design chunks; columns 31, 32 and 33 straddle the
+    # first boundary and 299 is the last series of a short final chunk.
+    t, period = 120, 4
+    block = _mixed_block(t, 300, period)
+    score = ScoreModel(period=period, kind=score_model, max_order=4)
+    out = forecast_series(block, 7, score=score)
+    for j in range(300):
+        assert np.array_equal(out[:, j], forecast_series(block[:, j], 7, score=score)), j
+    seasonal = classical_decompose(block, period)
+    adjusted = block - seasonal[np.arange(t) % period]
+    coeffs = fit_ar_aic(adjusted[:, np.arange(300) % 5 != 4], 4).coeffs
+    orders = np.max(np.arange(1, 5)[:, None] * (coeffs != 0), axis=0, initial=0)
+    assert len(np.unique(orders)) >= 3
+    assert forecast_series(np.empty((t, 0)), 7, score=score).shape == (7, 0)
+
+
+@pytest.mark.parametrize("score_model", ["ar1", "ar_aic"])
+def test_score_model_accepts_numpy_integer_settings(score_model):
+    block = _mixed_block(40, 5, 4)
+    plain = ScoreModel(period=4, kind=score_model, max_order=2)
+    numpy_ints = ScoreModel(period=np.int64(4), kind=score_model, max_order=np.int32(2))
+    assert np.array_equal(forecast_series(block, 3, score=numpy_ints),
+                          forecast_series(block, 3, score=plain))
 
 
 class TestForecastFactors:
@@ -420,6 +467,17 @@ def test_forecast_series_matches_scalar_oracle_on_baseline_score_blocks(
         assert np.max(np.abs(batched - scalar)) <= ORACLE_TOLERANCE
 
 
+@pytest.mark.parametrize("score_model", ["ar1", "ar_aic"])
+def test_forecast_series_matches_chunked_oracle_on_baseline_score_blocks(
+    baseline_score_blocks, score_model
+):
+    for recorded in baseline_score_blocks.values():
+        x, n, score = recorded[0]
+        score = replace(score, kind=score_model)
+        assert np.array_equal(forecast_series(x, n, score=score),
+                              chunked_forecast_series(x, n, score=score))
+
+
 def test_fpca_aic_orders_match_scalar_oracle(baseline_score_blocks):
     for (name, _), recorded in baseline_score_blocks.items():
         if name != "FPCA":
@@ -466,6 +524,33 @@ def test_forecast_series_runs_the_traced_stage_functions(monkeypatch, score_mode
     assert set(called) == stages
 
 
+def test_ar_aic_block_runs_one_recursion_and_one_refit_per_order(
+    monkeypatch, baseline_score_blocks
+):
+    x, n, score = baseline_score_blocks["FPCA", 0][0]
+    assert x.reshape(171, -1).shape[1] == 252 and score.kind == "ar_aic"
+    calls = {}
+
+    def recorded(name, real):
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(args)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fit_ar_aic", "fit_ar", "forecast_ar"):
+        monkeypatch.setattr(forecast, name, recorded(name, getattr(forecast, name)))
+    monkeypatch.setattr(np.linalg, "qr", recorded("qr", np.linalg.qr))
+    forecast.forecast_series(x, n, score=score)
+    assert len(calls["fit_ar_aic"]) == len(calls["forecast_ar"]) == 1
+    refits = {order: block.shape[1] for block, order in calls["fit_ar"]}
+    assert len(refits) == len(calls["fit_ar"]) <= score.max_order + 1
+    assert sum(refits.values()) == 252
+    bound = math.ceil(252 / 32) + sum(math.ceil(width / 32) for width in refits.values())
+    assert len(calls["qr"]) <= bound
+    assert max(len(stack) for stack, in calls["qr"]) <= 32
+
+
 def test_forecast_series_memory_is_bounded_by_its_chunks():
     # An unchunked (171, 252) ar_aic block stacks designs of about 7 MiB.
     block = np.random.default_rng(21).standard_normal((171, 252)).cumsum(axis=0)
@@ -473,6 +558,18 @@ def test_forecast_series_memory_is_bounded_by_its_chunks():
     tracemalloc.start()
     try:
         forecast_series(block, 26, score=ScoreModel(period=52, kind="ar_aic"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_forecast_series_ar1_memory_is_bounded_by_its_chunks():
+    block = np.random.default_rng(21).standard_normal((171, 252)).cumsum(axis=0)
+    forecast_series(block, 26, score=ScoreModel(period=52, kind="ar1"))
+    tracemalloc.start()
+    try:
+        forecast_series(block, 26, score=ScoreModel(period=52, kind="ar1"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
