@@ -5,7 +5,11 @@ select the command, point at the config, and override a handful of run
 parameters (seed, output directory, horizon). Validation is fail-closed:
 unknown sections or keys, malformed values, and internally inconsistent
 settings are all rejected with exit code 2 before any data is read or any
-file is written. Exit codes: 0 success, 1 computation failure,
+file is written. Settings that depend on the data are checked against the
+archive once it is read, before any fit: the rank settings by the
+estimator's own rules (Ranks.validate_against, rank_bounds), the score
+period and the baseline settings by the archive's length and dims; these
+too exit 2. Exit codes: 0 success, 1 computation failure,
 2 usage or configuration error. Logs go to stderr; every machine-readable
 product goes to a file, and each command prints the paths it wrote on stdout.
 """
@@ -48,17 +52,14 @@ from .factor_model import (
     fit_factor_model,
     fitted_values,
     in_sample_mse,
-    initial_loadings,
     load_model,
     rank_bounds,
     save_model,
-    select_ranks,
 )
 from .forecast import SCORE_MODELS, ScoreModel, forecast_factors, forecast_observations
 from .panel import (
     CalendarSpec,
     TensorSeries,
-    estimate_standardization,
     fold,
     ingest_csv,
     load_tensor_series,
@@ -178,6 +179,11 @@ def _parse_benchmarks(where: str, raw: str) -> tuple[str, ...]:
     return tuple(name for name in ("mfm", "vfm", "fpca") if name in tokens)
 
 
+def _parse_ranks(where: str, raw: str) -> Ranks:
+    counts = _list(_int(1), "count")(where, raw)
+    return Ranks(counts[0], counts[1:])
+
+
 def _parse_sim_dims(where: str, raw: str) -> tuple[int, ...]:
     dims = _list(_int(1))(where, raw)
     if len(dims) < 2:
@@ -201,11 +207,12 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
         "week_start": ("monday", _text, "weekday whose 00:00 anchors seasonal index zero"),
     },
     "model": {
-        "ranks": ("auto", _unless("auto", _list(_int(1))),
+        "ranks": ("auto", _unless("auto", _parse_ranks),
                   "'auto' or explicit factor counts R,K1,...,KM"),
         "r_max": ("3", _int(1), "cross-section rank bound for automatic selection"),
         "k_max": ("", _unless("", _list(_int(1))),
-                  "per-mode seasonal rank bounds; empty = min(3, S_j - 1)"),
+                  "seasonal rank bounds for automatic selection; "
+                  "empty = min(3, S_j - 1) per archive extent S_j"),
         "period": (str(ScoreModel.period), _int(2),
                    "seasonal period of the per-factor score models"),
         "score_model": (ScoreModel.kind, _choice(*SCORE_MODELS),
@@ -221,7 +228,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
     "backtest": {
         "train_length": ("", _unless("", _int(2)),
                          "rolling window length in periods (required for backtest)"),
-        "horizons": ("1,4,13,26", _parse_horizons, "evaluation horizons in periods"),
+        "horizons": (",".join(map(str, RollingPlan.horizons)), _parse_horizons,
+                     "evaluation horizons in periods"),
         "normalizer": ("variance", _choice("variance", "std"),
                        "relative-MSE divisor: 'variance' or 'std'"),
         "benchmarks": ("mfm,vfm,fpca", _parse_benchmarks,
@@ -235,7 +243,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
     },
     "simulate": {
         "dims": ("9,7,24", _parse_sim_dims, "synthetic dims N,S1,...,SM"),
-        "ranks": ("1,1,2", _list(_int(1)), "synthetic factor counts R,K1,...,KM"),
+        "ranks": ("1,1,2", _parse_ranks, "synthetic factor counts R,K1,...,KM"),
         "num_periods": ("342", _int(2), "number of simulated periods"),
         "factor_mean": ("0", _parse_float, "level of every factor coordinate"),
         "amplitudes": ("1", _list(_parse_float, "amplitude"),
@@ -265,9 +273,9 @@ class RunConfig:
     """Fully parsed and validated run configuration.
 
     Each config section is a record whose fields are the section's keys,
-    parsed as ``_SCHEMA`` says (``cfg.model.r_max``, ``cfg.backtest.horizons``),
-    except that ``calendar`` is a CalendarSpec and ``model.ranks`` and
-    ``simulate.ranks`` are Ranks (None for automatic selection). The [run]
+    parsed as ``_SCHEMA`` says (``cfg.model.r_max``, ``cfg.backtest.horizons``;
+    ``model.ranks`` and ``simulate.ranks`` are Ranks, the former None for
+    automatic selection), except that ``calendar`` is a CalendarSpec. The [run]
     keys become ``out_dir`` and ``seed``, which the command-line flags may
     override; ``base_out_dir`` keeps the configured output directory.
     """
@@ -324,41 +332,10 @@ def load_config(path: str | Path) -> RunConfig:
             values[key] = parse(f"{section}.{key}", raw)
         sections[section] = _SECTIONS[section](**values)
 
-    # The remaining checks relate two keys.
     try:
         calendar = CalendarSpec(**sections["calendar"]._asdict())
     except ValueError as exc:
         raise ConfigError(f"calendar: {exc}") from None
-    periods = calendar.periods
-
-    model = sections["model"]
-    if model.k_max is not None:
-        if len(model.k_max) != len(periods):
-            raise ConfigError(
-                f"model.k_max: expected {len(periods)} bounds, got {len(model.k_max)}"
-            )
-        for k, s in zip(model.k_max, periods):
-            if k >= s:
-                raise ConfigError(f"model.k_max: bound {k} must be < period extent {s}")
-    if model.ranks is not None:
-        counts = model.ranks
-        if len(counts) != 1 + len(periods):
-            raise ConfigError(
-                f"model.ranks: expected {1 + len(periods)} counts R,K1,...,KM for "
-                f"{len(periods)} seasonal modes, got {len(counts)}"
-            )
-        for k, s in zip(counts[1:], periods):
-            if k >= s:
-                raise ConfigError(f"model.ranks: seasonal count {k} must be < period extent {s}")
-        model = model._replace(ranks=Ranks(counts[0], counts[1:]))
-
-    sim = sections["simulate"]
-    if len(sim.ranks) != len(sim.dims):
-        raise ConfigError(
-            f"simulate.ranks: expected {len(sim.dims)} counts for dims {sim.dims}, "
-            f"got {len(sim.ranks)}"
-        )
-    sim = sim._replace(ranks=Ranks(sim.ranks[0], sim.ranks[1:]))
 
     out_dir = Path(sections["run"].out)
     if not out_dir.is_absolute():
@@ -367,10 +344,10 @@ def load_config(path: str | Path) -> RunConfig:
         config_dir=path.parent,
         data=sections["data"],
         calendar=calendar,
-        model=model,
+        model=sections["model"],
         forecast=sections["forecast"],
         backtest=sections["backtest"],
-        simulate=sim,
+        simulate=sections["simulate"],
         base_out_dir=out_dir,
         out_dir=out_dir,
         seed=sections["run"].seed,
@@ -385,6 +362,20 @@ def _require_file(path: Path, what: str) -> Path:
 
 def _load_archive(cfg: RunConfig) -> TensorSeries:
     return load_tensor_series(_require_file(cfg.out_path(cfg.data.archive), "data archive"))
+
+
+def _check_rank_settings(model: Any, dims: tuple[int, ...]) -> None:
+    """Reject [model] rank settings the archive's tensors cannot take, by
+    the estimator's own rules: explicit ranks by Ranks.validate_against,
+    automatic ranks (None) by rank_bounds."""
+    try:
+        if model.ranks is None:
+            rank_bounds(dims, model.r_max, model.k_max)
+        else:
+            model.ranks.validate_against(dims)
+    except ValueError as exc:
+        setting = "model.ranks" if model.ranks is not None else "model.ranks = auto"
+        raise ConfigError(f"{setting}: {exc}, for the {dims} tensors in data.archive") from None
 
 
 # ---------------------------------------------------------------------------
@@ -406,20 +397,14 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def cmd_ranks(cfg: RunConfig, args: argparse.Namespace) -> None:
     ts = _load_archive(cfg)
-    xs = standardize(ts, estimate_standardization(ts))
-    r_max, k_max = rank_bounds(ts.tensor_dims, cfg.model.r_max, cfg.model.k_max)
-    ranks = select_ranks(initial_loadings(xs, Ranks(r_max, k_max)))
-    logger.info("eigenvalue-ratio selection with bounds r<=%d, k<=%s", r_max, k_max)
-    print(",".join(str(c) for c in (ranks.r, *ranks.k)))
+    _check_rank_settings(cfg.model._replace(ranks=None), ts.tensor_dims)
+    model, _ = fit_factor_model(ts, r_max=cfg.model.r_max, k_max=cfg.model.k_max)
+    print(",".join(str(c) for c in (model.ranks.r, *model.ranks.k)))
 
 
 def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> None:
     ts = _load_archive(cfg)
-    if cfg.model.ranks is not None:
-        try:
-            cfg.model.ranks.validate_against(ts.tensor_dims)
-        except ValueError as exc:
-            raise ConfigError(f"model.ranks: {exc}") from None
+    _check_rank_settings(cfg.model, ts.tensor_dims)
     model, factors = fit_factor_model(ts, ranks=cfg.model.ranks, r_max=cfg.model.r_max,
                                       k_max=cfg.model.k_max)
     mse = in_sample_mse(ts, fitted_values(factors, model.loadings, model.standardization))
@@ -524,6 +509,15 @@ def _write_loadings_csv(path: Path, model: TensorFactorModel) -> None:
     )
 
 
+# The [backtest] keys of each baseline, keyed by the keyword of its forecast
+# function that each one sets.
+_BASELINE_KEYS = {
+    "mfm": {"k_day": "mfm_day_factors", "k_hour": "mfm_hour_factors"},
+    "vfm": {"r": "vfm_components", "stacked": "vfm_stacked"},
+    "fpca": {"ncomp": "fpca_components"},
+}
+
+
 def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> None:
     ts = _load_archive(cfg)
     bt, model = cfg.backtest, cfg.model
@@ -539,15 +533,14 @@ def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> None:
         plan.validate_for(ts.num_periods)
     except ValueError as exc:
         raise ConfigError(f"backtest: {exc}") from None
+    _check_rank_settings(model, ts.tensor_dims)
     _check_baselines(bt, ts.tensor_dims)
     score = ScoreModel(model.period, model.score_model, model.max_order)
     forecasters = {"TFM": make_tensor_forecaster(ranks=model.ranks, r_max=model.r_max,
                                                  k_max=model.k_max, score=score)}
     for name in bt.benchmarks:
-        forecasters[name.upper()] = make_benchmark_forecaster(
-            name, k_day=bt.mfm_day_factors, k_hour=bt.mfm_hour_factors, r=bt.vfm_components,
-            stacked=bt.vfm_stacked, ncomp=bt.fpca_components, score=score,
-        )
+        settings = {kw: getattr(bt, key) for kw, key in _BASELINE_KEYS[name].items()}
+        forecasters[name.upper()] = make_benchmark_forecaster(name, score=score, **settings)
     windows = ts.num_periods - bt.train_length - min(bt.horizons)
     reports = []
     for name, fn in forecasters.items():

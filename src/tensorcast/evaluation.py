@@ -12,6 +12,7 @@ each window's target mean scores exactly 1.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,19 +21,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .benchmarks import fpca_forecast, mfm_forecast, vfm_forecast
-from .factor_model import (
-    LoadingSet,
-    FactorSeries,
-    Ranks,
-    fit_factor_model,
-)
+from .factor_model import LoadingSet, FactorSeries, Ranks, fit_factor_model
 from .forecast import ScoreModel, forecast_factors, forecast_observations
 from .panel import TensorSeries
 from .tensor import mode_product
 
 ForecastFn = Callable[[TensorSeries, int], np.ndarray]
-
-_DEFAULT_HORIZONS = (1, 4, 13, 26)
 
 
 @dataclass(frozen=True)
@@ -40,7 +34,7 @@ class RollingPlan:
     """Sliding-window backtest layout: fixed train length, unit step."""
 
     train_length: int
-    horizons: tuple[int, ...] = _DEFAULT_HORIZONS
+    horizons: tuple[int, ...] = (1, 4, 13, 26)
 
     def __post_init__(self):
         if self.train_length < 2:
@@ -193,51 +187,44 @@ def rolling_evaluate(
 # forecaster handles
 
 
-def make_tensor_forecaster(
-    ranks: Ranks | None = None,
-    r_max: int = 3,
-    k_max: Sequence[int] | None = None,
-    *,
-    score: ScoreModel = ScoreModel(),
-) -> ForecastFn:
+def make_tensor_forecaster(*, score: ScoreModel = ScoreModel(), **fit) -> ForecastFn:
     """Forecaster handle that refits the tensor factor model on each window
-    and forecasts its scores with the score settings."""
+    with the keyword settings ``fit`` of fit_factor_model (ranks, r_max,
+    k_max) and forecasts its scores with the score settings. A keyword that
+    fit_factor_model lacks is a TypeError when the handle is built."""
+    inspect.signature(fit_factor_model).bind(None, **fit)
 
     def fn(train: TensorSeries, n: int) -> np.ndarray:
-        model, factors = fit_factor_model(train, ranks=ranks, r_max=r_max, k_max=k_max)
+        model, factors = fit_factor_model(train, **fit)
         ff = forecast_factors(factors, n, score=score)
         return forecast_observations(ff, model.loadings, model.standardization).values
 
     return fn
 
 
+# The baselines by name. A handle looks its entry up on every call, so a
+# rebinding of the entry (a tracer's wrapper) reaches handles already built.
+_BASELINES = {"MFM": mfm_forecast, "VFM": vfm_forecast, "FPCA": fpca_forecast}
+
+
 def make_benchmark_forecaster(
-    kind: str,
-    k_day: int = 1,
-    k_hour: int = 2,
-    r: int = 2,
-    stacked: bool = False,
-    ncomp: int | None = None,
-    *,
-    score: ScoreModel = ScoreModel(),
+    kind: str, *, score: ScoreModel = ScoreModel(), **settings
 ) -> ForecastFn:
     """Forecaster handle for one of the baselines: "MFM", "VFM", or "FPCA".
 
-    Each forecasts its scores with the score settings, FPCA with its kind
-    replaced by ar_aic (fpca_forecast).
+    ``settings`` are keyword settings of that baseline's forecast function
+    (mfm_forecast's k_day and k_hour, vfm_forecast's r and stacked,
+    fpca_forecast's ncomp); another baseline's setting is a TypeError when
+    the handle is built. Each forecasts its scores with the score settings,
+    FPCA with its kind replaced by ar_aic (fpca_forecast).
     """
     tag = kind.upper()
-    if tag not in ("MFM", "VFM", "FPCA"):
+    if tag not in _BASELINES:
         raise ValueError(f"unknown benchmark {kind!r}")
+    inspect.signature(_BASELINES[tag]).bind(None, 1, score=score, **settings)
 
     def fn(train: TensorSeries, n: int) -> np.ndarray:
-        if tag == "MFM":
-            fc = mfm_forecast(train, n, k_day=k_day, k_hour=k_hour, score=score)
-        elif tag == "VFM":
-            fc = vfm_forecast(train, n, r=r, stacked=stacked, score=score)
-        else:
-            fc = fpca_forecast(train, n, ncomp=ncomp, score=score)
-        return fc.values
+        return _BASELINES[tag](train, n, score=score, **settings).values
 
     return fn
 

@@ -107,10 +107,6 @@ class LoadingSet:
     def dims(self) -> tuple[int, ...]:
         return (self.lam.shape[0], *(m.shape[0] for m in self.b))
 
-    @property
-    def ranks(self) -> Ranks:
-        return Ranks(self.lam.shape[1], tuple(m.shape[1] for m in self.b))
-
 
 @dataclass
 class FactorSeries:
@@ -123,10 +119,6 @@ class FactorSeries:
     values: np.ndarray  # (T, R, K1, ..., KM)
     period_starts: np.ndarray
     provider_ids: list[str]
-
-    @property
-    def num_periods(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -307,14 +299,14 @@ _RATIO_TIE_BAND = 1.1
 
 
 def _ratio_argmax(eigvals: np.ndarray, count: int) -> int:
-    """Eigenvalue-ratio rule: rank = argmax_i lam_i / lam_{i+1}, 1 <= i <= count.
+    """Eigenvalue-ratio rule: rank = argmax_i lam_i / lam_{i+1}, 1 <= i <= count,
+    over the count + 1 leading eigenvalues in descending order.
 
     Ties resolve toward the smaller rank, where "tied" means within the
     relative band _RATIO_TIE_BAND of the maximum ratio. Zero-over-zero ratios
     are excluded; positive-over-zero counts as an infinite gap.
     """
-    w = np.sort(eigvals)[::-1]
-    w = np.clip(w, 0.0, None)  # roundoff can leave tiny negatives on PSD input
+    w = np.clip(eigvals, 0.0, None)  # roundoff can leave tiny negatives on PSD input
     num, den = w[:count], w[1 : count + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = num / den
@@ -325,39 +317,51 @@ def _ratio_argmax(eigvals: np.ndarray, count: int) -> int:
     return int(np.argmax(ratios >= best / _RATIO_TIE_BAND)) + 1
 
 
+def _check_bounds(dims: Sequence[int], r_max: int, k_max: Sequence[int]) -> None:
+    """Reject candidate maxima that tensors of the given dims cannot take.
+    They need one k_max entry per seasonal mode, 1 <= r_max < N and
+    1 <= k_j < S_j, so every eigenvalue ratio has a next eigenvalue."""
+    n, *seasonal = dims
+    if len(k_max) != len(seasonal):
+        raise ValueError(f"expected {len(seasonal)} k_max entries for {len(seasonal)} "
+                         f"seasonal modes, got {len(k_max)}")
+    if not 1 <= r_max < n:
+        raise ValueError(f"r_max must lie in [1, {n - 1}], got {r_max}")
+    for k_j, s_j in zip(k_max, seasonal):
+        if not 1 <= k_j < s_j:
+            raise ValueError(f"k_max entry {k_j} must lie in [1, {s_j - 1}]")
+
+
 def rank_bounds(
     dims: Sequence[int], r_max: int = 3, k_max: Sequence[int] | None = None
 ) -> tuple[int, tuple[int, ...]]:
     """Candidate maxima for :func:`select_ranks` on tensors of the given dims.
 
     r_max is capped at N - 1; k_max defaults to min(3, S_j - 1) per seasonal
-    mode. An explicit k_max is returned unchanged, so a bound outside
-    [1, S_j - 1] fails instead of being silently lowered. Fewer than 2
-    providers leave no cross-section ratio to compare and are a ValueError.
+    mode. An explicit k_max is checked, not lowered: it needs one bound per
+    seasonal mode, each in [1, S_j - 1]. Fewer than 2 providers leave no
+    cross-section ratio to compare. Either problem is a ValueError.
     """
     if dims[0] < 2:
         raise ValueError("automatic rank selection needs at least 2 providers")
     if k_max is None:
         k_max = [min(3, s_j - 1) for s_j in dims[1:]]
-    return min(r_max, dims[0] - 1), tuple(int(k) for k in k_max)
+    bounds = min(r_max, dims[0] - 1), tuple(int(k) for k in k_max)
+    _check_bounds(dims, *bounds)
+    return bounds
 
 
 def select_ranks(init: InitialLoadings) -> Ranks:
     """Choose factor counts by the eigenvalue-ratio criterion per mode.
 
-    The ratios are taken over the eigenvalues of the projected covariances of
-    ``init``, whose ranks are the candidate maxima (r_max, k_max).
+    The ratios are taken over the leading eigenvalues of the projected
+    covariances of ``init``, whose ranks are the candidate maxima
+    (r_max, k_max).
     """
-    n, *seasonal = init.dims
-    r_max, k_max = init.ranks.r, init.ranks.k
-    if not 1 <= r_max < n:
-        raise ValueError(f"r_max must lie in [1, {n - 1}], got {r_max}")
-    for k_m, s_j in zip(k_max, seasonal):
-        if not 1 <= k_m < s_j:
-            raise ValueError(f"k_max entry {k_m} must lie in [1, {s_j - 1}]")
+    _check_bounds(init.dims, init.ranks.r, init.ranks.k)
     r, *k = (
-        _ratio_argmax(np.linalg.eigvalsh(cov), c)
-        for cov, c in zip(_projected_covariances(init), (r_max, *k_max))
+        _ratio_argmax(top_eigenvectors(cov, c + 1)[1], c)
+        for cov, c in zip(_projected_covariances(init), (init.ranks.r, *init.ranks.k))
     )
     return Ranks(r, tuple(k))
 

@@ -145,20 +145,23 @@ def classical_decompose(x: np.ndarray, period: int) -> np.ndarray:
     csum = np.zeros((k, t + 1))
     np.cumsum(rows, axis=1, out=csum[:, 1:])
     window_sums = csum[:, m:] - csum[:, :-m]  # sums of m consecutive values
+    del csum
     if m % 2 == 0:
-        interior = (window_sums[:, :-1] + window_sums[:, 1:]) / (2 * m)
+        detrended = window_sums[:, :-1] + window_sums[:, 1:]
+        detrended /= 2 * m
     else:
-        interior = window_sums / m
-
-    # The detrended interior starts at position half; laid out in whole
-    # cycles (zeros outside it), each position's sum adds one cycle at a time.
-    cycles = -(-(t - half) // m)
-    laid_out = np.zeros((k, cycles * m))
-    laid_out[:, half : t - half] = rows[:, half : t - half] - interior
-    by_cycle = laid_out.reshape(k, cycles, m)
-    seasonal = by_cycle[:, 0].copy()
-    for c in range(1, cycles):
-        seasonal += by_cycle[:, c]
+        detrended = window_sums
+        detrended /= m
+    del window_sums
+    # The interior trend becomes the detrended interior in place; it starts
+    # at position half, so cycle 0 fills positions half.. and each later
+    # cycle adds its values one cycle at a time.
+    np.subtract(rows[:, half : t - half], detrended, out=detrended)
+    seasonal = np.zeros((k, m))
+    seasonal[:, half:] = detrended[:, : m - half]
+    for start in range(m - half, detrended.shape[1], m):
+        cycle = detrended[:, start : start + m]
+        seasonal[:, : cycle.shape[1]] += cycle
     seasonal /= np.bincount(np.arange(half, t - half) % m, minlength=m)
     seasonal -= seasonal.mean(axis=1, keepdims=True)
     return _columns(seasonal, x)

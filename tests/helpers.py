@@ -399,6 +399,32 @@ def scalar_classical_decompose(x: np.ndarray, period: int) -> np.ndarray:
     return seasonal
 
 
+def padded_classical_decompose(x: np.ndarray, period: int) -> np.ndarray:
+    """forecast.classical_decompose with the detrended interior laid out in
+    whole cycles, zeros outside it, and summed cycle by cycle: the layout it
+    replaced, whose results it must equal bit for bit."""
+    rows = np.ascontiguousarray(np.asarray(x, dtype=float).reshape(len(x), -1).T)
+    k, t = rows.shape
+    m, half = period, period // 2
+    csum = np.zeros((k, t + 1))
+    np.cumsum(rows, axis=1, out=csum[:, 1:])
+    window_sums = csum[:, m:] - csum[:, :-m]
+    if m % 2 == 0:
+        interior = (window_sums[:, :-1] + window_sums[:, 1:]) / (2 * m)
+    else:
+        interior = window_sums / m
+    cycles = -(-(t - half) // m)
+    laid_out = np.zeros((k, cycles * m))
+    laid_out[:, half : t - half] = rows[:, half : t - half] - interior
+    by_cycle = laid_out.reshape(k, cycles, m)
+    seasonal = by_cycle[:, 0].copy()
+    for c in range(1, cycles):
+        seasonal += by_cycle[:, c]
+    seasonal /= np.bincount(np.arange(half, t - half) % m, minlength=m)
+    seasonal -= seasonal.mean(axis=1, keepdims=True)
+    return seasonal.T.reshape(m, *np.shape(x)[1:])
+
+
 def _scalar_ar_design(x: np.ndarray, order: int, start: int) -> tuple[np.ndarray, np.ndarray]:
     y = x[start:]
     cols = [np.ones(len(y))] + [x[start - i : len(x) - i] for i in range(1, order + 1)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import os
 import re
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 
 from helpers import random_loading_set, rowwise_forecast_csv, subspace_distance, weekly_starts
-from tensorcast import cli
+from tensorcast import cli, evaluation
 from tensorcast.cli import _SCHEMA, cmd_backtest, load_config, main
-from tensorcast.evaluation import SimSpec, simulate
-from tensorcast.factor_model import Ranks, TensorFactorModel, load_model, save_model
+from tensorcast.evaluation import SimSpec, load_report, simulate
+from tensorcast.factor_model import (Ranks, TensorFactorModel, fit_factor_model, load_model,
+                                     save_model)
 from tensorcast.forecast import ScoreModel
 from tensorcast.panel import (
     CalendarSpec,
@@ -108,11 +110,9 @@ def test_malformed_values_exit_2(tmp_path):
         {"backtest": {"normalizer": "mad"}},
         {"backtest": {"benchmarks": "arima"}},
         {"data": {"span": "2020-01-01"}},
-        {"model": {"ranks": "1,1"}},  # needs R,K1,K2 for two seasonal modes
-        {"model": {"ranks": "1,9,2"}},  # day rank must stay below 7
+        {"model": {"ranks": ""}},  # 'auto' or at least one count
         {"model": {"period": "1"}},  # the score decomposition needs a period >= 2
         {"calendar": {"periods": "7,23"}},  # does not tile a week
-        {"simulate": {"ranks": "1,1"}},  # one count per simulated mode
     ]
     for i, sections in enumerate(cases):
         cfg = write_config(tmp_path / f"bad{i}.ini", sections)
@@ -502,8 +502,89 @@ def test_backtest_baseline_settings_the_archive_cannot_hold_exit_2(tmp_path, cap
 def test_auto_ranks_on_a_single_provider_name_the_problem(tmp_path, capsys):
     simulated_archive(tmp_path, dims=(1, 7, 24), t=30, seed=3)
     cfg = write_config(tmp_path / "run.ini", {})
-    assert main(["fit", "--config", str(cfg)]) == 1
+    assert main(["fit", "--config", str(cfg)]) == 2
     assert "automatic rank selection needs at least 2 providers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, dims, model, key",
+    [
+        ("fit", (3, 7, 24), {"ranks": "1,1"}, "model.ranks"),  # R,K1,K2 for two seasonal modes
+        ("fit", (3, 7, 24), {"ranks": "1,9,2"}, "model.ranks"),  # 9 days of 7
+        ("fit", (3, 7, 24), {"k_max": "1,1,1"}, "k_max"),  # one bound per seasonal mode
+        ("ranks", (3, 7, 24), {"k_max": "7,3"}, "k_max"),  # below the 7 days
+        ("backtest", (2, 7, 24), {"ranks": "3,1,2"}, "model.ranks"),  # 3 factors of 2 providers
+        ("backtest", (1, 7, 24), {}, "model.ranks"),  # auto ranks need 2 providers
+    ],
+)
+def test_rank_settings_the_archive_cannot_take_exit_2(tmp_path, capsys, command, dims, model,
+                                                      key):
+    # Checked against the archive's dims by the estimator's own rules before
+    # any fit or window: accepted, a backtest would fail every TFM window.
+    simulated_archive(tmp_path, dims=dims, t=30, seed=3)
+    cfg = write_config(tmp_path / "run.ini", {
+        "model": {"period": "6", **model},
+        "backtest": {"train_length": "24", "horizons": "1", "benchmarks": ""},
+    })
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err and f"{dims}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out" / "report.csv").exists()
+    assert not (tmp_path / "out" / "model.npz").exists()
+
+
+def test_seasonal_rank_may_equal_its_extent(tmp_path):
+    # Ranks.validate_against allows K_j = S_j, and fit_factor_model fits it.
+    simulated_archive(tmp_path, t=30, seed=3)
+    cfg = write_config(tmp_path / "run.ini", {"model": {"ranks": "1,7,2"}})
+    assert main(["fit", "--config", str(cfg)]) == 0
+    assert json.loads((tmp_path / "out" / "fit.json").read_text())["ranks"] == [1, 7, 2]
+
+
+@pytest.mark.parametrize("model", [{"ranks": "1,1,1,2"}, {"k_max": "1,1,2"}],
+                         ids=["ranks", "k_max"])
+def test_rank_settings_follow_the_archive_not_the_calendar(tmp_path, model):
+    # Three seasonal modes against the default two-mode calendar: the rank
+    # settings are checked against the simulated archive they apply to.
+    cfg = write_config(tmp_path / "run.ini", {
+        "simulate": {"dims": "3,2,7,12", "ranks": "1,1,1,2", "num_periods": "30"},
+        "data": {"archive": "sim.npz"},
+        "model": {"period": "6", **model},
+        "backtest": {"train_length": "24", "horizons": "1", "benchmarks": ""},
+    })
+    for command in ("simulate", "fit", "backtest"):
+        assert main([command, "--config", str(cfg)]) == 0, command
+    ranks = json.loads((tmp_path / "out" / "fit.json").read_text())["ranks"]
+    assert len(ranks) == 4
+    assert not any(c.failed for c in load_report(tmp_path / "out" / "report.json").cells)
+
+
+def test_simulate_ranks_must_match_the_simulated_dims(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.ini", {"simulate": {"ranks": "1,1"}})  # dims 9,7,24
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "1 seasonal ranks for 2 seasonal modes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_schema_defaults_are_the_model_functions_defaults():
+    # The deployment defaults restate the keyword defaults of the functions
+    # that read them; each [backtest] baseline key sets one such keyword.
+    def shown(value):
+        return "auto" if value is None else str(value).lower()
+
+    mapped = set()
+    for name, keys in cli._BASELINE_KEYS.items():
+        params = inspect.signature(evaluation._BASELINES[name.upper()]).parameters
+        for keyword, key in keys.items():
+            assert _SCHEMA["backtest"][key][0] == shown(params[keyword].default), key
+            mapped.add(key)
+    baseline_keys = {key for key in _SCHEMA["backtest"] if key.split("_")[0] in cli._BASELINE_KEYS}
+    assert mapped == baseline_keys
+    params = inspect.signature(fit_factor_model).parameters
+    for key in ("ranks", "r_max"):
+        assert _SCHEMA["model"][key][0] == shown(params[key].default), key
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path):

@@ -248,6 +248,16 @@ def test_benchmark_forecaster_handles_run():
         make_benchmark_forecaster("ARIMA")
 
 
+def test_forecaster_handles_take_only_their_models_settings():
+    # Accepted, another model's setting would be dropped without a word.
+    with pytest.raises(TypeError, match="ncomp"):
+        make_benchmark_forecaster("VFM", ncomp=4)
+    with pytest.raises(TypeError, match="k_day"):
+        make_tensor_forecaster(k_day=1)
+    with pytest.raises(TypeError, match="k_hour"):
+        make_benchmark_forecaster("FPCA", k_hour=3)
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [

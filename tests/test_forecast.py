@@ -14,6 +14,7 @@ from helpers import (
     chunked_forecast_series,
     make_series,
     noiseless_series,
+    padded_classical_decompose,
     random_loading_set,
     recorded_score_blocks,
     scalar_adjusted,
@@ -427,6 +428,17 @@ def test_block_decomposition_matches_scalar_per_column(t, period):
         assert np.max(np.abs(seasonal[:, j] - scalar_classical_decompose(block[:, j], period))) <= 1e-12
 
 
+def test_decomposition_is_bit_identical_to_the_padded_layout():
+    # Reports stay byte-identical only if the in-place decomposition adds the
+    # same values in the same order as the zero-padded cycle layout.
+    rng = np.random.default_rng(5)
+    for m in (2, 3, 7, 12, 24, 52):
+        for t in sorted({2 * m, 2 * m + 1, 2 * m + m // 2, 3 * m - 1, 171, 200}):
+            for x in (rng.standard_normal(t).cumsum(), rng.standard_normal((t, 4)).cumsum(axis=0)):
+                expected = padded_classical_decompose(x, m)
+                assert np.array_equal(classical_decompose(x, m), expected), (m, t, x.ndim)
+
+
 @pytest.fixture(scope="module")
 def baseline_score_blocks():
     """forecast_series calls of MFM, VFM and FPCA (4 components, as in the
@@ -551,26 +563,26 @@ def test_ar_aic_block_runs_one_recursion_and_one_refit_per_order(
     assert max(len(stack) for stack, in calls["qr"]) <= 32
 
 
-def test_forecast_series_memory_is_bounded_by_its_chunks():
-    # An unchunked (171, 252) ar_aic block stacks designs of about 7 MiB.
-    block = np.random.default_rng(21).standard_normal((171, 252)).cumsum(axis=0)
-    forecast_series(block, 26, score=ScoreModel(period=52, kind="ar_aic"))
+def forecast_series_peak(width: int, kind: str) -> int:
+    """tracemalloc peak of a warm forecast_series call on a (171, width) block."""
+    block = np.random.default_rng(21).standard_normal((171, width)).cumsum(axis=0)
+    forecast_series(block, 26, score=ScoreModel(period=52, kind=kind))
     tracemalloc.start()
     try:
-        forecast_series(block, 26, score=ScoreModel(period=52, kind="ar_aic"))
-        peak = tracemalloc.get_traced_memory()[1]
+        forecast_series(block, 26, score=ScoreModel(period=52, kind=kind))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+
+
+def test_forecast_series_memory_is_bounded_by_its_chunks():
+    # An unchunked (171, 252) ar_aic block stacks designs of about 7 MiB.
+    # Width 300 holds the decomposition's block-sized temporaries to the
+    # bound as well (at most three alive at once).
+    for width in (252, 300):
+        assert forecast_series_peak(width, "ar_aic") < 2 * 2**20, width
 
 
 def test_forecast_series_ar1_memory_is_bounded_by_its_chunks():
-    block = np.random.default_rng(21).standard_normal((171, 252)).cumsum(axis=0)
-    forecast_series(block, 26, score=ScoreModel(period=52, kind="ar1"))
-    tracemalloc.start()
-    try:
-        forecast_series(block, 26, score=ScoreModel(period=52, kind="ar1"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    for width in (252, 300):
+        assert forecast_series_peak(width, "ar1") < 2 * 2**20, width
