@@ -8,10 +8,11 @@ settings are all rejected with exit code 2 before any data is read or any
 file is written. Settings that depend on the data are checked against the
 archive once it is read, before any fit: the rank settings by the
 estimator's own rules (Ranks.validate_against, rank_bounds), the score
-period and the baseline settings by the archive's length and dims; these
-too exit 2. Exit codes: 0 success, 1 computation failure,
-2 usage or configuration error. Logs go to stderr; every machine-readable
-product goes to a file, and each command prints the paths it wrote on stdout.
+period and the baseline settings by the archive's length and dims, and a
+model archive by the data archive's providers and dims; these too exit 2.
+Exit codes: 0 success, 1 computation failure, 2 usage or configuration
+error. Logs go to stderr; every machine-readable product goes to a file,
+and each command prints the paths it wrote on stdout.
 """
 
 from __future__ import annotations
@@ -184,13 +185,6 @@ def _parse_ranks(where: str, raw: str) -> Ranks:
     return Ranks(counts[0], counts[1:])
 
 
-def _parse_sim_dims(where: str, raw: str) -> tuple[int, ...]:
-    dims = _list(_int(1))(where, raw)
-    if len(dims) < 2:
-        raise ConfigError(f"{where}: need the cross-section and at least one seasonal extent")
-    return dims
-
-
 # Every recognized key with its default, parser and help line. load_config
 # parses each key with its parser and the --help epilog is generated from the
 # same table, so documentation and validation cannot drift.
@@ -242,18 +236,20 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
         "mfm_hour_factors": ("2", _int(1), "hour-mode factors of the matrix baseline"),
     },
     "simulate": {
-        "dims": ("9,7,24", _parse_sim_dims, "synthetic dims N,S1,...,SM"),
+        "dims": ("9,7,24", _list(_int(1)), "synthetic dims N,S1,...,SM"),
         "ranks": ("1,1,2", _parse_ranks, "synthetic factor counts R,K1,...,KM"),
         "num_periods": ("342", _int(2), "number of simulated periods"),
-        "factor_mean": ("0", _parse_float, "level of every factor coordinate"),
-        "amplitudes": ("1", _list(_parse_float, "amplitude"),
+        "factor_mean": (str(SimSpec.factor_mean), _parse_float,
+                        "level of every factor coordinate"),
+        "amplitudes": (str(SimSpec.amplitudes), _list(_parse_float, "amplitude"),
                        "sinusoid amplitudes, cycled over factor coordinates"),
-        "periods": ("52", _list(_int(1), "period"),
+        "periods": (str(SimSpec.periods), _list(_int(1), "period"),
                     "sinusoid periods, cycled over factor coordinates"),
-        "ar_coefficient": ("0.7", _parse_float, "AR(1) coefficient of the factor innovations"),
-        "ar_sd": ("1.0", _parse_float, "AR(1) innovation standard deviation"),
-        "nu_sd": ("0.1", _parse_float, "observation noise standard deviation"),
-        "eta_sds": ("0", _list(_parse_float, "scale"),
+        "ar_coefficient": (str(SimSpec.ar_coefficient), _parse_float,
+                           "AR(1) coefficient of the factor innovations"),
+        "ar_sd": (str(SimSpec.ar_sd), _parse_float, "AR(1) innovation standard deviation"),
+        "nu_sd": (str(SimSpec.nu_sd), _parse_float, "observation noise standard deviation"),
+        "eta_sds": (str(SimSpec.eta_sds), _list(_parse_float, "scale"),
                     "idiosyncratic shock scale per seasonal level, cycled"),
         "archive": ("sim.npz", _text, "simulated-series archive; relative names land in out"),
         "truth": ("truth.npz", _text, "ground-truth loadings/factors archive"),
@@ -378,6 +374,14 @@ def _check_rank_settings(model: Any, dims: tuple[int, ...]) -> None:
         raise ConfigError(f"{setting}: {exc}, for the {dims} tensors in data.archive") from None
 
 
+def _check_two_seasons(period: int, length: int, source: str) -> None:
+    """Reject a score period longer than half the ``length`` periods, named by
+    ``source``, that the score models are fitted on: each needs two seasons."""
+    if length < 2 * period:
+        raise ConfigError(f"model.period = {period} needs at least {2 * period} periods, "
+                          f"but {source} {length}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -432,15 +436,16 @@ def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> None:
     if n < 1:
         raise ConfigError(f"--horizon must be >= 1, got {n}")
     ts = _load_archive(cfg)
-    if ts.num_periods < 2 * cfg.model.period:
-        raise ConfigError(
-            f"model.period = {cfg.model.period} needs at least {2 * cfg.model.period} "
-            f"periods, but data.archive holds {ts.num_periods}"
-        )
+    _check_two_seasons(cfg.model.period, ts.num_periods, "data.archive holds")
     model = load_model(_require_file(cfg.out_path(cfg.model.archive), "model archive"))
     if model.provider_ids != ts.provider_ids:
         raise ConfigError(
             f"model providers {model.provider_ids} do not match archive {ts.provider_ids}"
+        )
+    if model.standardization.mu.shape != ts.tensor_dims:
+        raise ConfigError(
+            f"model.archive was fitted on {model.standardization.mu.shape} tensors, "
+            f"but data.archive holds {ts.tensor_dims} tensors"
         )
     xs = standardize(ts, model.standardization)
     factors = extract_factors(xs, model.loadings)
@@ -523,11 +528,7 @@ def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> None:
     bt, model = cfg.backtest, cfg.model
     if bt.train_length is None:
         raise ConfigError("backtest.train_length is required for backtest")
-    if bt.train_length < 2 * model.period:
-        raise ConfigError(
-            f"backtest.train_length = {bt.train_length} is shorter than the "
-            f"{2 * model.period} periods that model.period = {model.period} needs"
-        )
+    _check_two_seasons(model.period, bt.train_length, "backtest.train_length =")
     plan = RollingPlan(train_length=bt.train_length, horizons=bt.horizons)
     try:
         plan.validate_for(ts.num_periods)

@@ -122,12 +122,16 @@ def rolling_evaluate(
     num_providers = ts.values.shape[1]
     cells_per_provider = int(np.prod(ts.tensor_dims[1:]))
 
-    window_counts = {n: t_test - n for n in horizons}
-    traces = {n: np.full((w, num_providers), np.nan) for n, w in window_counts.items()}
-    norms = {n: np.full((w, num_providers), np.nan) for n, w in window_counts.items()}
+    # Evaluation period m is the target of window w at horizon n when
+    # m = w + n - 1; its per-provider dispersion serves every such window.
+    spread = ts.values[t_train:].reshape(t_test, num_providers, -1).var(axis=2)
+    norms = spread if normalizer == "variance" else np.sqrt(spread)
+    # errors[j, w, i]: window w's squared error at horizons[j] for provider i;
+    # horizon n has t_test - n windows, and the windows past them stay NaN.
+    errors = np.full((len(horizons), t_test - horizons[0], num_providers), np.nan)
     failed_windows: dict[int, str] = {}
 
-    for w in range(max(window_counts.values())):
+    for w in range(errors.shape[1]):
         train = TensorSeries(
             values=ts.values[w : w + t_train],
             period_starts=ts.period_starts[w : w + t_train],
@@ -142,30 +146,23 @@ def rolling_evaluate(
         except Exception as exc:  # noqa: BLE001 - graceful degradation per window
             failed_windows[w] = f"{type(exc).__name__}: {exc}"
             continue
-        for n in horizons:
-            if w >= window_counts[n]:
-                continue
-            target = ts.values[w + t_train + n - 1]
-            err = target - fc[n - 1]
-            flat_t = target.reshape(num_providers, -1)
-            traces[n][w] = np.sum(err.reshape(num_providers, -1) ** 2, axis=1) / cells_per_provider
-            spread = np.mean((flat_t - flat_t.mean(axis=1, keepdims=True)) ** 2, axis=1)
-            norms[n][w] = spread if normalizer == "variance" else np.sqrt(spread)
+        for j, n in enumerate(horizons):
+            if w < t_test - n:
+                err = (ts.values[w + t_train + n - 1] - fc[n - 1]).reshape(num_providers, -1)
+                errors[j, w] = np.sum(err**2, axis=1) / cells_per_provider
 
     cells = []
-    for n in horizons:
-        bad = [w for w in failed_windows if w < window_counts[n]]
-        note = failed_windows[bad[0]] if bad else ""
+    for j, n in enumerate(horizons):
+        count = t_test - n
+        bad = [w for w in failed_windows if w < count]
+        error = f"window {bad[0]} failed: {failed_windows[bad[0]]}" if bad else ""
         for i, pid in enumerate(ts.provider_ids):
-            trace = traces[n][:, i]
+            trace = errors[j, :count, i]
             if bad:
-                cells.append(
-                    EvalCell(model, n, pid, float("nan"), float("nan"), True,
-                             f"window {bad[0]} failed: {note}", trace)
-                )
+                cells.append(EvalCell(model, n, pid, np.nan, np.nan, True, error, trace))
                 continue
             mse = float(np.mean(trace))
-            norm = float(np.mean(norms[n][:, i]))
+            norm = float(np.mean(norms[n - 1 : n - 1 + count, i]))
             rel = mse / norm if norm > 0 else float("nan")
             cells.append(EvalCell(model, n, pid, mse, rel, False, "", trace))
 

@@ -34,12 +34,13 @@ import numpy as np
 from .panel import (
     Standardization,
     TensorSeries,
+    destandardize,
     estimate_standardization,
     read_npz,
     standardize,
     write_npz,
 )
-from .tensor import mode_product, multi_mode_product, top_eigenvectors
+from .tensor import multi_mode_product, top_eigenvectors
 
 __all__ = [
     "Ranks",
@@ -253,9 +254,7 @@ def extract_factors(xs: TensorSeries, loadings: LoadingSet) -> FactorSeries:
         raise ValueError(f"loading dims {loadings.dims} != tensor dims {xs.tensor_dims}")
     n = xs.tensor_dims[0]
     s_total = int(np.prod(xs.tensor_dims[1:]))
-    out = xs.values
-    for mode, mat in enumerate([loadings.lam] + loadings.b):
-        out = mode_product(out, mat.T, mode + 1)
+    out = multi_mode_product(xs.values, [None, loadings.lam.T, *(b.T for b in loadings.b)])
     return FactorSeries(
         values=out / (n * s_total),
         period_starts=xs.period_starts.copy(),
@@ -264,32 +263,18 @@ def extract_factors(xs: TensorSeries, loadings: LoadingSet) -> FactorSeries:
 
 
 def reconstruct_common(factor_values: np.ndarray, loadings: LoadingSet) -> np.ndarray:
-    """Common component on the standardized scale: f x1 lam x2 b[0] ...
-
-    Accepts either one factor tensor (R, K1, ...) or a stacked series
-    (T, R, K1, ...); the time axis, when present, is left untouched.
-    """
-    mats: list[np.ndarray | None] = [loadings.lam] + list(loadings.b)
-    if factor_values.ndim == len(mats) + 1:
-        mats = [None] + mats
-    elif factor_values.ndim != len(mats):
-        raise ValueError(
-            f"factor tensor with {factor_values.ndim} modes does not match "
-            f"{len(mats)} loading matrices"
-        )
-    return multi_mode_product(factor_values, mats)
+    """Common component on the standardized scale of a factor series
+    (T, R, K1, ...): f_t x1 lam x2 b[0] ... for every period t."""
+    if factor_values.ndim != len(loadings.b) + 2:
+        raise ValueError(f"expected a (T, R, K1, ..., KM) factor series for {len(loadings.b) + 1} "
+                         f"loading matrices, got shape {factor_values.shape}")
+    return multi_mode_product(factor_values, [None, loadings.lam, *loadings.b])
 
 
 def fitted_values(f: FactorSeries, loadings: LoadingSet, z: Standardization) -> TensorSeries:
-    """Fitted observations: mu + sigma (Hadamard) reconstructed common component."""
-    common = reconstruct_common(f.values, loadings)
-    if common.shape[1:] != z.mu.shape:
-        raise ValueError(f"reconstruction dims {common.shape[1:]} != standardization {z.mu.shape}")
-    return TensorSeries(
-        values=z.mu + z.sigma * common,
-        period_starts=f.period_starts.copy(),
-        provider_ids=list(f.provider_ids),
-    )
+    """Fitted observations: the reconstructed common component destandardized."""
+    common = TensorSeries(reconstruct_common(f.values, loadings), f.period_starts, f.provider_ids)
+    return destandardize(common, z)
 
 
 # Ratios within 10% of the best are treated as tied; without a band, the

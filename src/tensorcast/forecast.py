@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factor_model import FactorSeries, LoadingSet, fitted_values
-from .panel import Standardization, TensorSeries
+from .panel import Standardization, TensorSeries, period_step
 
 __all__ = [
     "ARFit",
@@ -331,19 +331,7 @@ def forecast_series(x: np.ndarray, n: int, *, score: ScoreModel = ScoreModel()) 
 
 def future_starts(period_starts: np.ndarray, n: int) -> np.ndarray:
     """Starts of the n periods after an evenly spaced series of period starts."""
-    if len(period_starts) < 2:
-        raise ValueError("need at least 2 periods to infer the period spacing")
-    steps = np.diff(period_starts)
-    if steps[0] <= 0:
-        raise ValueError(f"period starts must increase, got a step of {steps[0]}")
-    uneven = np.flatnonzero(steps != steps[0])
-    if uneven.size:
-        i = int(uneven[0]) + 1
-        raise ValueError(
-            f"period starts are not evenly spaced: start {i} ({period_starts[i]}) "
-            f"follows its predecessor by {steps[i - 1]}, not {steps[0]}"
-        )
-    return period_starts[-1] + steps[0] * np.arange(1, n + 1)
+    return period_starts[-1] + period_step(period_starts) * np.arange(1, n + 1)
 
 
 def forecast_factors(f: FactorSeries, n: int, *, score: ScoreModel = ScoreModel()) -> FactorSeries:

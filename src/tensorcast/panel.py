@@ -48,6 +48,7 @@ __all__ = [
     "estimate_standardization",
     "standardize",
     "destandardize",
+    "period_step",
     "save_tensor_series",
     "load_tensor_series",
     "read_npz",
@@ -402,11 +403,32 @@ def destandardize(ts: TensorSeries, z: Standardization) -> TensorSeries:
     """Elementwise mu + sigma * x per cell; inverse of :func:`standardize`."""
     if z.mu.shape != ts.tensor_dims:
         raise ValueError(f"standardization dims {z.mu.shape} != tensor dims {ts.tensor_dims}")
+    # The sum goes into the product's buffer: one result-size array, not two.
+    values = z.sigma * ts.values
+    values += z.mu
     return TensorSeries(
-        values=z.mu + z.sigma * ts.values,
+        values=values,
         period_starts=ts.period_starts.copy(),
         provider_ids=list(ts.provider_ids),
     )
+
+
+def period_step(period_starts: np.ndarray) -> np.timedelta64:
+    """The spacing of an increasing, evenly spaced series of period starts;
+    fewer than 2 starts, or starts that are not so spaced, are a ValueError."""
+    if len(period_starts) < 2:
+        raise ValueError("need at least 2 periods to infer the period spacing")
+    steps = np.diff(period_starts)
+    if steps[0] <= 0:
+        raise ValueError(f"period starts must increase, got a step of {steps[0]}")
+    uneven = np.flatnonzero(steps != steps[0])
+    if uneven.size:
+        i = int(uneven[0]) + 1
+        raise ValueError(
+            f"period starts are not evenly spaced: start {i} ({period_starts[i]}) "
+            f"follows its predecessor by {steps[i - 1]}, not {steps[0]}"
+        )
+    return steps[0]
 
 
 def write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
@@ -460,10 +482,18 @@ def save_tensor_series(path: str | Path, ts: TensorSeries) -> None:
 
 
 def load_tensor_series(path: str | Path) -> TensorSeries:
-    """Read an archive written by :func:`save_tensor_series`."""
+    """Read an archive written by :func:`save_tensor_series`. Period starts
+    of an archive with 2 or more periods must be evenly spaced (period_step);
+    otherwise the ValueError names the path."""
     archive = read_npz(path, ("values", "period_starts", "provider_ids"))
-    return TensorSeries(
+    ts = TensorSeries(
         values=archive["values"],
         period_starts=archive["period_starts"].astype("datetime64[h]"),
         provider_ids=[str(p) for p in archive["provider_ids"]],
     )
+    if ts.num_periods > 1:
+        try:
+            period_step(ts.period_starts)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return ts

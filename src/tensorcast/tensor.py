@@ -46,11 +46,12 @@ def multi_mode_product(x: np.ndarray, matrices: Iterable[np.ndarray | None]) -> 
     return out
 
 
-# A request for the k leading eigenpairs of p x p matrices goes to block
-# subspace iteration with Rayleigh-Ritz extraction (Saad, Numerical Methods for
-# Large Eigenvalue Problems, 2011) when its block of k + _EXTRA columns is at
-# most p / _PARTIAL_RATIO; every other request, such as 5 columns of 63 (no
-# faster by sweeps) or 13 of 168 (never certified), is one full np.linalg.eigh.
+# A request for the k leading eigenpairs of a stack of p x p matrices (one
+# matrix is a stack of one) goes to block subspace iteration with Rayleigh-Ritz
+# extraction (Saad, Numerical Methods for Large Eigenvalue Problems, 2011) when
+# its block of k + _EXTRA columns is at most p / _PARTIAL_RATIO; every other
+# request, such as 5 columns of 63 (no faster by sweeps) or 13 of 168 (never
+# certified), is one full np.linalg.eigh of the stack.
 # Each orthonormalisation follows _POWERS products with the matrix, from a
 # start block seeded with _START_SEED; a member is accepted once its Ritz pairs
 # are certified to _CERTIFY_TOL, else it takes the full path after _MAX_SWEEPS
@@ -71,7 +72,8 @@ def top_eigenvectors(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     columns, and w is (..., k) with those eigenvalues in descending order.
     Each column is scaled so its largest-magnitude entry is positive (first
     such entry on ties), which pins down the sign left free by the
-    eigenproblem. A member's result does not depend on the other members.
+    eigenproblem. A matrix runs as a stack of one, and a member's result,
+    bits and memory layout alike, does not depend on the other members.
 
     Full-path results are exact LAPACK output. On the partial path (small k
     against p) a member is accepted only when its Ritz values satisfy
@@ -88,11 +90,7 @@ def top_eigenvectors(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     p = s.shape[-1]
     if not 1 <= k <= p:
         raise ValueError(f"k={k} out of range for a {p}x{p} matrix")
-    # A matrix stays 2-D and a stack becomes (B, p, p); `lead` indexes the
-    # stack axis in the gathers below and is empty for a matrix, so a 2-D
-    # call runs the per-matrix operations and nothing more.
-    x = s if s.ndim == 2 else s.reshape(-1, p, p)
-    lead = () if s.ndim == 2 else (np.arange(len(x))[:, None],)
+    x = s.reshape(-1, p, p)
     flipped = x.swapaxes(-1, -2)
     # The asymmetry and then the average are formed in one buffer the size of
     # the input: a temporary per step raised the peak RSS of a baselines
@@ -106,26 +104,23 @@ def top_eigenvectors(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     # Covariances assembled from outer-product sums are symmetric only up to
     # roundoff; average with the transpose before decomposing.
     x = np.multiply(np.add(x, flipped, out=buf), 0.5, out=buf)
-    if k + _EXTRA <= p / _PARTIAL_RATIO:
-        v, w = _certified_leading(x.reshape(-1, p, p), k)
-        v, w = v.reshape(x.shape[:-1] + (k,)), w.reshape(x.shape[:-2] + (k,))
-    else:
-        v, w = _full_leading(x, k, lead)
+    leading = _certified_leading if k + _EXTRA <= p / _PARTIAL_RATIO else _full_leading
+    v, w = leading(x, k)
     anchor = np.abs(v).argmax(axis=-2)
-    signs = np.where(v[(*lead, anchor, np.arange(k))] < 0.0, -1.0, 1.0)
-    return (v * signs[..., None, :]).reshape(s.shape[:-1] + (k,)), w.reshape(s.shape[:-2] + (k,))
+    signs = np.where(v[np.arange(len(v))[:, None], anchor, np.arange(k)] < 0.0, -1.0, 1.0)
+    return (v * signs[:, None, :]).reshape(s.shape[:-1] + (k,)), w.reshape(s.shape[:-2] + (k,))
 
 
-def _full_leading(s: np.ndarray, k: int, lead: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The k leading eigenpairs of a symmetric matrix, or of each matrix of a
-    (B, p, p) stack with lead = (column of stack indices,), by
-    np.linalg.eigh; eigenvalues descending, vector signs not yet fixed."""
+def _full_leading(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k leading eigenpairs of each symmetric matrix of a (B, p, p) stack
+    by np.linalg.eigh; eigenvalues descending, vector signs not yet fixed."""
     w, v = np.linalg.eigh(s)
-    order = np.argsort(w)[..., ::-1][..., :k]
+    order = np.argsort(w)[:, ::-1][:, :k]
+    member = np.arange(len(s))[:, None]
     # Gather the columns through the transpose, so each matrix of the result
     # is column-major like the v[:, order] of a 2-D eigh output; the products
     # made with the basis downstream depend on its layout in the last bits.
-    return v.swapaxes(-1, -2)[(*lead, order)].swapaxes(-1, -2), w[(*lead, order)]
+    return v.swapaxes(1, 2)[member, order].swapaxes(1, 2), w[member, order]
 
 
 def _certified_leading(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,5 +173,5 @@ def _certified_leading(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         shortfall = short
     rest = np.flatnonzero(~accepted)
     if rest.size:
-        vecs[rest], vals[rest] = _full_leading(s[rest], k, (np.arange(rest.size)[:, None],))
+        vecs[rest], vals[rest] = _full_leading(s[rest], k)
     return vecs, vals

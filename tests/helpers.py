@@ -3,8 +3,9 @@ tensor utilities that only the tests use, and the oracles that the batched
 code is checked against: the scalar score forecaster, the score forecaster
 that ran every step once per chunk of 32 series, the per-matrix full
 eigendecomposition, the per-slice functional PCA, the first pass that
-solves every column and recompresses when it narrows, and the row-by-row
-forecast.csv writer."""
+solves every column and recompresses when it narrows, the rolling
+evaluation loop that kept per-horizon error and dispersion arrays, and the
+row-by-row forecast.csv writer."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from tensorcast import benchmarks, evaluation, factor_model, forecast
-from tensorcast.evaluation import SimSpec, _prepare
+from tensorcast.evaluation import EvalCell, EvalReport, RollingPlan, SimSpec, _prepare
 from tensorcast.factor_model import (
     FactorSeries,
     InitialLoadings,
@@ -556,6 +557,74 @@ def recorded_score_blocks() -> Iterator[list[tuple[np.ndarray, int, ScoreModel]]
         yield calls
     finally:
         forecast.forecast_series, benchmarks.forecast_series = real, saved
+
+
+def oracle_rolling_evaluate(
+    forecast_fn,
+    ts: TensorSeries,
+    plan: RollingPlan,
+    model: str = "model",
+    normalizer: str = "variance",
+) -> EvalReport:
+    """evaluation.rolling_evaluate with one error and one dispersion array per
+    horizon, the target's dispersion recomputed for each window and horizon
+    that scores it: the oracle of the single (horizon, window, provider)
+    error array."""
+    plan.validate_for(ts.num_periods)
+    t_train = plan.train_length
+    t_test = ts.num_periods - t_train
+    horizons = sorted(plan.horizons)
+    n_max = horizons[-1]
+    num_providers = ts.values.shape[1]
+    cells_per_provider = int(np.prod(ts.tensor_dims[1:]))
+
+    window_counts = {n: t_test - n for n in horizons}
+    traces = {n: np.full((w, num_providers), np.nan) for n, w in window_counts.items()}
+    norms = {n: np.full((w, num_providers), np.nan) for n, w in window_counts.items()}
+    failed_windows: dict[int, str] = {}
+
+    for w in range(max(window_counts.values())):
+        train = TensorSeries(
+            values=ts.values[w : w + t_train],
+            period_starts=ts.period_starts[w : w + t_train],
+            provider_ids=ts.provider_ids,
+        )
+        try:
+            fc = np.asarray(forecast_fn(train, n_max), dtype=float)
+            if fc.shape != (n_max, *ts.tensor_dims):
+                raise ValueError(
+                    f"forecaster returned shape {fc.shape}, expected {(n_max, *ts.tensor_dims)}"
+                )
+        except Exception as exc:  # noqa: BLE001 - graceful degradation per window
+            failed_windows[w] = f"{type(exc).__name__}: {exc}"
+            continue
+        for n in horizons:
+            if w >= window_counts[n]:
+                continue
+            target = ts.values[w + t_train + n - 1]
+            err = target - fc[n - 1]
+            flat_t = target.reshape(num_providers, -1)
+            traces[n][w] = np.sum(err.reshape(num_providers, -1) ** 2, axis=1) / cells_per_provider
+            spread = np.mean((flat_t - flat_t.mean(axis=1, keepdims=True)) ** 2, axis=1)
+            norms[n][w] = spread if normalizer == "variance" else np.sqrt(spread)
+
+    cells = []
+    for n in horizons:
+        bad = [w for w in failed_windows if w < window_counts[n]]
+        note = failed_windows[bad[0]] if bad else ""
+        for i, pid in enumerate(ts.provider_ids):
+            trace = traces[n][:, i]
+            if bad:
+                cells.append(
+                    EvalCell(model, n, pid, float("nan"), float("nan"), True,
+                             f"window {bad[0]} failed: {note}", trace)
+                )
+                continue
+            mse = float(np.mean(trace))
+            norm = float(np.mean(norms[n][:, i]))
+            rel = mse / norm if norm > 0 else float("nan")
+            cells.append(EvalCell(model, n, pid, mse, rel, False, "", trace))
+    return EvalReport(cells=cells)
 
 
 def rowwise_forecast_csv(path: Path, fc: TensorSeries) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -568,6 +569,23 @@ def test_simulate_ranks_must_match_the_simulated_dims(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_dims_need_a_seasonal_extent(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.ini", {"simulate": {"dims": "9", "ranks": "1"}})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "simulate: dims must list the cross-section" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_defaults_are_the_sim_spec_defaults(tmp_path):
+    recipe = load_config(write_config(tmp_path / "run.ini", {})).simulate._asdict()
+    checked = set()
+    for f in dataclasses.fields(SimSpec):
+        if f.name in recipe and f.default is not dataclasses.MISSING:
+            assert recipe[f.name] in (f.default, (f.default,)), f.name
+            checked.add(f.name)
+    assert checked == set(recipe) - {"dims", "ranks", "num_periods", "archive", "truth"}
+
+
 def test_schema_defaults_are_the_model_functions_defaults():
     # The deployment defaults restate the keyword defaults of the functions
     # that read them; each [backtest] baseline key sets one such keyword.
@@ -676,6 +694,44 @@ def test_forecast_on_too_short_archive_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "model.period = 52" in err and "data.archive holds 10" in err
     assert not (tmp_path / "out" / "forecast.npz").exists()
+
+
+def test_forecast_with_a_model_of_other_dims_exits_2(tmp_path, capsys):
+    simulated_archive(tmp_path, t=40, seed=3)
+    fit_cfg = write_config(tmp_path / "fit.ini", {"model": {"ranks": "1,1,2", "period": "12"}})
+    assert main(["fit", "--config", str(fit_cfg)]) == 0
+    other = tmp_path / "other"
+    other.mkdir()
+    ts, _, _ = simulate(SimSpec(dims=(3, 7, 12), ranks=Ranks(1, (1, 2)), num_periods=40, seed=3))
+    save_tensor_series(other / "tensors.npz", ts)
+    cfg = write_config(tmp_path / "run.ini", {
+        "model": {"ranks": "1,1,2", "period": "12", "archive": str(tmp_path / "out" / "model.npz")},
+        "run": {"out": "other"},
+    })
+    capsys.readouterr()
+    assert main(["forecast", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "model.archive" in err and "data.archive" in err
+    assert "(3, 7, 24)" in err and "(3, 7, 12)" in err
+    assert sorted(p.name for p in other.iterdir()) == ["tensors.npz"]
+
+
+def test_backtest_on_irregular_period_starts_fails_before_any_window(tmp_path, capsys):
+    ts, _ = simulated_archive(tmp_path, t=70, seed=4)
+    starts = ts.period_starts.copy()
+    starts[60:] += np.timedelta64(1, "h")
+    save_tensor_series(tmp_path / "out" / "tensors.npz",
+                       TensorSeries(ts.values, starts, ts.provider_ids))
+    cfg = write_config(tmp_path / "run.ini", {
+        "model": {"ranks": "1,1,2", "period": "4"},
+        "backtest": {"train_length": "40", "horizons": "1,4", "benchmarks": "vfm"},
+    })
+    capsys.readouterr()
+    assert main(["backtest", "--config", str(cfg)]) != 0
+    err = capsys.readouterr().err
+    assert "tensors.npz" in err and f"start 60 ({starts[60]})" in err
+    assert "window" not in err
+    assert not (tmp_path / "out" / "report.csv").exists()
 
 
 def test_console_script_prints_schema(tmp_path):

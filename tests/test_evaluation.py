@@ -25,7 +25,7 @@ from tensorcast.factor_model import Ranks
 from tensorcast.forecast import ScoreModel
 from tensorcast.panel import TensorSeries
 
-from helpers import make_series, recorded_score_blocks, simulate_compact
+from helpers import make_series, oracle_rolling_evaluate, recorded_score_blocks, simulate_compact
 
 
 def random_series(rng: np.random.Generator, t: int, dims=(2, 3, 4)) -> TensorSeries:
@@ -156,22 +156,25 @@ def test_window_layout_and_fit_reuse():
     assert len(report.cell("rec", 4, "P0").trace) == t_test - 4
 
 
+def failing_windows(ts: TensorSeries, bad: set[int]):
+    """Persistence forecaster that raises at the windows in ``bad``."""
+
+    def fn(train: TensorSeries, n: int) -> np.ndarray:
+        w = int(np.searchsorted(ts.period_starts, train.period_starts[0]))
+        if w in bad:
+            raise ValueError("window exploded")
+        return persistence_forecaster(train, n)
+
+    return fn
+
+
 def test_failed_window_marks_only_horizons_it_feeds():
     rng = np.random.default_rng(5)
     ts = random_series(rng, 30)
     plan = RollingPlan(train_length=20, horizons=(1, 4))
     t_test = 10
 
-    def failing_at(bad: int):
-        def fn(train: TensorSeries, n: int) -> np.ndarray:
-            w = int(np.searchsorted(ts.period_starts, train.period_starts[0]))
-            if w == bad:
-                raise ValueError("window exploded")
-            return persistence_forecaster(train, n)
-
-        return fn
-
-    early = rolling_evaluate(failing_at(2), ts, plan, model="m")
+    early = rolling_evaluate(failing_windows(ts, {2}), ts, plan, model="m")
     for cell in early.cells:
         assert cell.failed
         assert "window 2 failed" in cell.error and "window exploded" in cell.error
@@ -180,7 +183,7 @@ def test_failed_window_marks_only_horizons_it_feeds():
     trace = early.cell("m", 1, "P0").trace
     assert np.isnan(trace[2]) and np.isfinite(np.delete(trace, 2)).all()
 
-    late = rolling_evaluate(failing_at(7), ts, plan, model="m")
+    late = rolling_evaluate(failing_windows(ts, {7}), ts, plan, model="m")
     for cell in late.cells:
         if cell.horizon == 1:
             assert cell.failed  # window 7 < W = 9
@@ -222,6 +225,31 @@ def test_forecaster_shape_is_checked():
     report = rolling_evaluate(wrong_shape, ts, plan, model="bad")
     assert all(cell.failed for cell in report.cells)
     assert "expected" in report.cells[0].error
+
+
+@pytest.mark.parametrize("case", ["unsorted", "std", "failures", "wrong_shape"])
+def test_reports_equal_the_per_horizon_oracle_byte_for_byte(tmp_path, case):
+    rng = np.random.default_rng(8)
+    ts = random_series(rng, 40)
+    # 20 evaluation periods: horizons 4, 1, 7 and 2 have 16, 19, 13 and 18 windows.
+    plan = RollingPlan(train_length=20, horizons=(4, 1, 7, 2))
+    fn, normalizer = persistence_forecaster, "variance"
+    if case == "std":
+        normalizer = "std"
+    elif case == "failures":
+        # Window 1 feeds every horizon; window 15 lies beyond horizon 7's 13.
+        fn = failing_windows(ts, {1, 15})
+    elif case == "wrong_shape":
+        fn = lambda train, n: np.zeros((n, 2, 3))  # noqa: E731
+    report = rolling_evaluate(fn, ts, plan, model="m", normalizer=normalizer)
+    oracle = oracle_rolling_evaluate(fn, ts, plan, model="m", normalizer=normalizer)
+    oracle.metadata = dict(report.metadata)
+    new, old = emit_report(report, tmp_path / "new"), emit_report(oracle, tmp_path / "old")
+    for key in ("csv", "json", "md", "trace"):
+        assert new[key].read_bytes() == old[key].read_bytes(), key
+    if case == "failures":
+        assert all("window 1 failed" in c.error for c in report.cells)
+        assert np.isnan(report.cell("m", 1, "P0").trace[[1, 15]]).all()
 
 
 # ---------------------------------------------------------------------------

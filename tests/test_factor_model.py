@@ -187,6 +187,13 @@ class TestExtractFactors:
         with pytest.raises(ValueError):
             extract_factors(make_series(np.zeros((3, 5, 4, 7))), loadings)
 
+    def test_reconstruction_takes_a_factor_series_only(self):
+        rng = np.random.default_rng(11)
+        loadings = random_loading_set(rng, (5, 4, 6), (1, 1, 1))
+        assert reconstruct_common(np.ones((2, 1, 1, 1)), loadings).shape == (2, 5, 4, 6)
+        with pytest.raises(ValueError, match=r"factor series .* got shape \(1, 1, 1\)"):
+            reconstruct_common(np.ones((1, 1, 1)), loadings)
+
 
 class TestFittedValues:
     def test_zero_factors_give_mu(self):
@@ -539,17 +546,17 @@ class TestSlicedFirstPassOracle:
         full, qr = [], []
         real_full, real_qr = tensor._full_leading, np.linalg.qr
         monkeypatch.setattr(tensor, "_full_leading",
-                            lambda m, k, lead: full.append(m.shape) or real_full(m, k, lead))
+                            lambda m, k: full.append(m.shape) or real_full(m, k))
         monkeypatch.setattr(np.linalg, "qr",
                             lambda a, *args, **kw: qr.append(a.shape) or real_qr(a, *args, **kw))
         ys = paper_windows[0]
         xs = standardize(ys, estimate_standardization(ys))
         initial_loadings(xs, Ranks(1, (1, 2)))
-        assert full == [(63, 63)]
+        assert full == [(1, 63, 63)]
         assert {shape[-2] for shape in qr} == {168, 216}
         full.clear(), qr.clear()
         initial_loadings(xs, Ranks(*rank_bounds(xs.tensor_dims)))
-        assert full == [(168, 168), (216, 216), (63, 63)]
+        assert full == [(1, 168, 168), (1, 216, 216), (1, 63, 63)]
         assert qr == []
         full.clear(), qr.clear()
         vfm_forecast(ys, 26)

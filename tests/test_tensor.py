@@ -310,6 +310,16 @@ class TestStackedEigenLayer:
         v, _ = top_eigenvectors(a @ a.T, 2)
         assert v.flags.f_contiguous
 
+    @pytest.mark.parametrize("p, k", [(168, 2), (63, 2)], ids=["certified", "full"])
+    def test_matrix_call_is_a_stack_of_one(self, p, k):
+        rng = np.random.default_rng(24)
+        s = spectrum_matrix(rng, np.r_[9.0, 4.0, 0.05 * 0.97 ** np.arange(p - 2)])
+        v, w = top_eigenvectors(s, k)
+        sv, sw = top_eigenvectors(s[None], k)
+        for alone, member in ((v, sv[0]), (w, sw[0])):
+            np.testing.assert_array_equal(alone, member)
+            assert alone.strides == member.strides
+
     def test_certified_path_matches_oracle(self, monkeypatch):
         rng = np.random.default_rng(22)
         tail = 0.05 * 0.97 ** np.arange(166)
@@ -318,7 +328,7 @@ class TestStackedEigenLayer:
         fallback = []
         real = tensor._full_leading
         monkeypatch.setattr(tensor, "_full_leading",
-                            lambda m, k, lead: fallback.append(len(m)) or real(m, k, lead))
+                            lambda m, k: fallback.append(len(m)) or real(m, k))
         v, w = top_eigenvectors(s, 2)
         assert not fallback  # every member certified, none decomposed in full
         for member, vm, wm in zip(s, v, w):
@@ -342,7 +352,7 @@ class TestStackedEigenLayer:
         fallback = []
         real = tensor._full_leading
         monkeypatch.setattr(tensor, "_full_leading",
-                            lambda m, k, lead: fallback.append(len(m)) or real(m, k, lead))
+                            lambda m, k: fallback.append(len(m)) or real(m, k))
         v, w = top_eigenvectors(np.stack([clear, tied]), 2)
         assert fallback == [1]
         ov, ow = oracle_top_eigenvectors(tied, 2)
