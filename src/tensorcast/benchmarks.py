@@ -27,7 +27,7 @@ import numpy as np
 from .factor_model import FactorSeries, Ranks, fit_factor_model
 from .forecast import (ScoreModel, forecast_factors, forecast_observations, forecast_series,
                        future_starts)
-from .panel import TensorSeries, cell_moments, destandardize, estimate_standardization, standardize
+from .panel import TensorSeries, cell_moments, cell_standardization, destandardize, standardize
 from .tensor import top_eigenvectors
 
 _FPCA_VARIANCE_TARGET = 0.95
@@ -146,7 +146,7 @@ def vfm_forecast(
     _require_matrices(ts)
     if ts.num_periods <= r:
         raise ValueError(f"need more periods than components, got T={ts.num_periods} with r={r}")
-    z = estimate_standardization(ts)
+    z = cell_standardization(ts.values)
     t, num = ts.values.shape[:2]
     # (B, T, p) week vectors: one block per provider, or one of all providers.
     x = standardize(ts, z).values
@@ -196,7 +196,7 @@ def fpca_forecast(
     with day slices in their original row order.
     """
     _require_matrices(ts)
-    z = estimate_standardization(ts)
+    z = cell_standardization(ts.values)
     x = standardize(ts, z).values
     t, s2 = x.shape[0], x.shape[-1]
     # One (T, hours) block of daily curves per (provider, day) slice, in

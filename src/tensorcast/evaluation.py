@@ -3,10 +3,12 @@
 The evaluator scores any forecaster handle ``fn(train, n) -> (n, N, S1, ..., SM)``
 over sliding windows: window w trains on periods [w, w + train_length) and is
 scored at period w + train_length + n - 1 for each horizon n, with
-W = T_test - n windows per horizon. Per-provider MSE averages the squared
-Frobenius error over windows and cells; the relative variant divides by the
-average per-window dispersion of the target cells, so a forecaster that emits
-each window's target mean scores exactly 1.
+W = T_test - n windows per horizon, so period T - 1 is never a target (one
+more window per horizon would change every report and the benchmark's
+reference outputs). Per-provider MSE averages the squared Frobenius error
+over windows and cells; the relative variant divides by the average
+per-window dispersion of the target cells, so a forecaster that emits each
+window's target mean scores exactly 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .benchmarks import fpca_forecast, mfm_forecast, vfm_forecast
 from .factor_model import LoadingSet, FactorSeries, Ranks, fit_factor_model
 from .forecast import ScoreModel, forecast_factors, forecast_observations
-from .panel import TensorSeries
+from .panel import TensorSeries, period_step
 from .tensor import mode_product
 
 ForecastFn = Callable[[TensorSeries, int], np.ndarray]
@@ -105,7 +107,9 @@ def rolling_evaluate(
     """Score a forecaster over all sliding windows of the evaluation span.
 
     The forecaster is fit once per window and asked for max(horizons) steps;
-    horizon n reads step n - 1. A window where the forecaster raises marks
+    horizon n reads step n - 1. Horizon n gets T_test - n windows, so the
+    last period is never a target (see the module docstring). The period
+    starts must be evenly spaced. A window where the forecaster raises marks
     every cell it feeds as failed (with the first error message) while the
     remaining windows still run. normalizer selects the relative-MSE divisor:
     per-window population variance of the target cells ("variance", so the
@@ -115,6 +119,7 @@ def rolling_evaluate(
     if normalizer not in ("variance", "std"):
         raise ValueError(f"unknown normalizer {normalizer!r}")
     plan.validate_for(ts.num_periods)
+    period_step(ts.period_starts)
     t_train = plan.train_length
     t_test = ts.num_periods - t_train
     horizons = sorted(plan.horizons)
@@ -122,9 +127,9 @@ def rolling_evaluate(
     num_providers = ts.values.shape[1]
     cells_per_provider = int(np.prod(ts.tensor_dims[1:]))
 
-    # Evaluation period m is the target of window w at horizon n when
-    # m = w + n - 1; its per-provider dispersion serves every such window.
-    spread = ts.values[t_train:].reshape(t_test, num_providers, -1).var(axis=2)
+    # Evaluation period m <= t_test - 2 is the target of window w at horizon
+    # n when m = w + n - 1; its per-provider dispersion serves every such window.
+    spread = ts.values[t_train:-1].reshape(t_test - 1, num_providers, -1).var(axis=2)
     norms = spread if normalizer == "variance" else np.sqrt(spread)
     # errors[j, w, i]: window w's squared error at horizons[j] for provider i;
     # horizon n has t_test - n windows, and the windows past them stay NaN.

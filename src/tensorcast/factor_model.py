@@ -34,8 +34,8 @@ import numpy as np
 from .panel import (
     Standardization,
     TensorSeries,
+    cell_standardization,
     destandardize,
-    estimate_standardization,
     read_npz,
     standardize,
     write_npz,
@@ -368,7 +368,7 @@ def fit_factor_model(
     narrowed to the chosen ranks for the projection pass. Returns the fitted
     model together with the extracted factor series.
     """
-    z = estimate_standardization(ys)
+    z = cell_standardization(ys.values)
     xs = standardize(ys, z)
     if ranks is None:
         init = initial_loadings(xs, Ranks(*rank_bounds(xs.tensor_dims, r_max, k_max)))

@@ -8,11 +8,12 @@ recursively, and add the seasonal index of each future position back.
 Observation-space forecasts then reapply the loadings and the per-cell
 standardization, the same reconstruction used for in-sample fitted values.
 
-forecast_series takes a whole (T, ...) block of score series, and a model
-forecasts all of a window's scores in one call. Every step is one stacked
-pass over the block: the trend from cumulative sums, the seasonal means
-summed cycle by cycle, the AIC scores of every order from one QR of the
-augmented design, one batched QR refit per distinct order, and one
+forecast_series takes a whole (T, ...) block of score series, 1-D included,
+and hands its stage functions the one shape they take, a (T, k) block; a
+model forecasts all of a window's scores in one call. Every step is one
+stacked pass over the block: the trend from cumulative sums, the seasonal
+means summed cycle by cycle, the AIC scores of every order from one QR of
+the augmented design, one batched QR refit per distinct order, and one
 recursion; only _ar_factor builds its designs in chunks of _CHUNK series.
 Sums over time run in a fixed order along each series and each design is
 factored on its own, so a series' forecast does not depend on the block
@@ -85,39 +86,38 @@ class ScoreModel:
 
 @dataclass(frozen=True)
 class ARFit:
-    """Autoregression of order p: x_t = c + sum_i coeffs[i] x_{t-1-i} + e_t.
+    """Autoregressions of order p, one per column of a (T, k) block:
+    x_t = intercept + sum_i coeffs[i] x_{t-1-i} + e_t.
 
-    For one series the coefficients are a tuple of floats. For a (T, k) block
     intercept and variance are (k,) arrays and coeffs is (p, k); a series of
     lower order than p has zeros in its trailing rows.
     """
 
-    intercept: float | np.ndarray
-    coeffs: tuple[float, ...] | np.ndarray
-    variance: float | np.ndarray
+    intercept: np.ndarray
+    coeffs: np.ndarray
+    variance: np.ndarray
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
 
 
+def _block(x: np.ndarray) -> np.ndarray:
+    """x as a float (T, k) block of series; any other shape is a ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"expected a (T, k) block of series, got shape {x.shape}")
+    return x
+
+
 def _rows(x: np.ndarray) -> np.ndarray:
-    """A (T,) or (T, k) block as a C-contiguous (k, T) array, one series per row.
+    """A (T, k) block as a C-contiguous (k, T) array, one series per row.
 
     Sums over time then run along the contiguous last axis, which numpy adds
     up the same way for one row or many: a series' result does not depend on
     the block it sits in.
     """
-    return np.ascontiguousarray(x.reshape(x.shape[0], -1).T)
-
-
-def _columns(rows: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Inverse of _rows for a (k, L) result: (L,) for a 1-D input, else (L, k)."""
-    return rows.T.reshape(rows.shape[1], *like.shape[1:])
-
-
-def _per_series(values: np.ndarray, like: np.ndarray) -> float | np.ndarray:
-    return float(values[0]) if like.ndim == 1 else values
+    return np.ascontiguousarray(x.T)
 
 
 def classical_decompose(x: np.ndarray, period: int) -> np.ndarray:
@@ -125,13 +125,12 @@ def classical_decompose(x: np.ndarray, period: int) -> np.ndarray:
     x = trend + seasonal[t mod m] + remainder, with a centered moving-average
     trend.
 
-    x is one series (T,) or a block of series (T, k), each decomposed on its
-    own; the result is (m,) or (m, k). For even periods the trend uses the
-    standard 2 x m average (window m+1 with half weights at the ends).
-    Seasonal indices are positionwise means of the detrended interior,
-    re-centered to sum to zero.
+    x is a (T, k) block of series, each decomposed on its own; the result is
+    (m, k). For even periods the trend uses the standard 2 x m average
+    (window m+1 with half weights at the ends). Seasonal indices are
+    positionwise means of the detrended interior, re-centered to sum to zero.
     """
-    x = np.asarray(x, dtype=float)
+    x = _block(x)
     m = int(period)
     t = x.shape[0]
     if m < 2:
@@ -164,7 +163,7 @@ def classical_decompose(x: np.ndarray, period: int) -> np.ndarray:
         seasonal[:, : cycle.shape[1]] += cycle
     seasonal /= np.bincount(np.arange(half, t - half) % m, minlength=m)
     seasonal -= seasonal.mean(axis=1, keepdims=True)
-    return _columns(seasonal, x)
+    return seasonal.T
 
 
 def _ar_factor(rows: np.ndarray, order: int, start: int) -> np.ndarray:
@@ -187,66 +186,50 @@ def _ar_factor(rows: np.ndarray, order: int, start: int) -> np.ndarray:
     return r
 
 
-def _ar_lstsq(
-    rows: np.ndarray, order: int, start: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conditional least squares of x_t on an intercept and `order` lags for
-    t >= start, per row: intercepts (k,), coefficients (order, k) and residual
-    mean squares (k,)."""
-    r = _ar_factor(rows, order, start)
-    p = order + 1
-    beta = np.linalg.solve(r[:, :p, :p], r[:, :p, p:])[:, :, 0]
-    variance = r[:, p, p] ** 2 / (rows.shape[1] - start)
-    return beta[:, 0], np.ascontiguousarray(beta[:, 1:].T), variance
-
-
 def fit_ar1(x: np.ndarray) -> ARFit:
-    """fit_ar(x, 1): x_t = c + phi x_{t-1} + e_t, with coeffs (phi,).
+    """fit_ar(x, 1): x_t = c + phi x_{t-1} + e_t per column, coeffs (1, k).
 
     A constant series (zero lagged-regressor variance) is an error.
     """
-    x = np.asarray(x, dtype=float)
-    if len(x) < 3:
-        raise ValueError(f"need at least 3 observations, got {len(x)}")
+    x = _block(x)
     if np.any(np.ptp(x[:-1], axis=0) == 0.0):
         raise ValueError("constant series: lagged regressor has zero variance")
     return fit_ar(x, 1)
 
 
-def forecast_ar1(fit: ARFit, last: float | np.ndarray, n: int) -> np.ndarray:
-    """forecast_ar seeded by the last value alone: a (k,) last gives (n, k)."""
+def forecast_ar1(fit: ARFit, last: np.ndarray, n: int) -> np.ndarray:
+    """forecast_ar seeded by the last row alone: a (k,) last gives (n, k)."""
     return forecast_ar(fit, np.asarray(last, dtype=float)[None], n)
 
 
 def fit_ar(x: np.ndarray, order: int) -> ARFit:
-    """Conditional least squares for an AR(order) with intercept; order 0 is
-    the mean model. x is one series (T,) or a block (T, k) fitted column by
-    column."""
-    x = np.asarray(x, dtype=float)
+    """Conditional least squares for an AR(order) with intercept, fitted to
+    each column of a (T, k) block; order 0 is the mean model."""
+    x = _block(x)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     need = max(order + 2, 2 * order + 1)  # at least as many equations as coefficients
     if len(x) < need:
         raise ValueError(f"need at least {need} observations for order {order}")
-    intercept, coeffs, variance = _ar_lstsq(_rows(x), order, order)
-    return ARFit(
-        intercept=_per_series(intercept, x),
-        coeffs=tuple(float(b) for b in coeffs[:, 0]) if x.ndim == 1 else coeffs,
-        variance=_per_series(variance, x),
-    )
+    r = _ar_factor(_rows(x), order, order)
+    p = order + 1
+    beta = np.linalg.solve(r[:, :p, :p], r[:, :p, p:])[:, :, 0]
+    variance = r[:, p, p] ** 2 / (len(x) - order)
+    return ARFit(beta[:, 0], np.ascontiguousarray(beta[:, 1:].T), variance)
 
 
-def fit_ar_aic(x: np.ndarray, max_order: int = 5) -> ARFit:
+def fit_ar_aic(x: np.ndarray, max_order: int) -> ARFit:
     """AR with the order (0..max_order) chosen by AIC on a common sample.
 
     All candidate orders are scored on the observations from max_order
     onward so their likelihoods are comparable; the winner is refit on the
-    full series. Ties go to the smaller order. For a (T, k) block each column
-    picks its own order, the columns that share an order are refit together,
-    and the coefficients are zero-padded to the largest candidate order.
+    full series. Ties go to the smaller order. Each column of the (T, k)
+    block picks its own order, the columns that share an order are refit
+    together, and the coefficients are zero-padded to the largest candidate
+    order.
     """
-    x = np.asarray(x, dtype=float)
-    t = x.shape[0]
+    x = _block(x)
+    t, k = x.shape
     if t < 2:
         raise ValueError(f"need at least 2 observations, got {t}")
     pmax = max(0, min(int(max_order), (t - 2) // 2))
@@ -260,36 +243,28 @@ def fit_ar_aic(x: np.ndarray, max_order: int = 5) -> ARFit:
     with np.errstate(divide="ignore"):
         fit_term = np.where(rss <= _EXACT_FIT * total, -np.inf, n_eff * np.log(rss / n_eff))
     orders = np.argmin(fit_term + 2 * np.arange(1, pmax + 2), axis=1)
-    if x.ndim == 1:
-        return fit_ar(x, int(orders[0]))
-
-    block = x.reshape(t, -1)
-    k = block.shape[1]
     intercept, coeffs, variance = np.empty(k), np.zeros((pmax, k)), np.empty(k)
     for p in np.unique(orders):
         cols = np.flatnonzero(orders == p)
-        fit = fit_ar(block[:, cols], int(p))
+        fit = fit_ar(x[:, cols], int(p))
         intercept[cols], coeffs[:p, cols], variance[cols] = fit.intercept, fit.coeffs, fit.variance
-    return ARFit(intercept=intercept, coeffs=coeffs, variance=variance)
+    return ARFit(intercept, coeffs, variance)
 
 
 def forecast_ar(fit: ARFit, history: np.ndarray, n: int) -> np.ndarray:
-    """Recursive n-step forecast from the last `order` observed values.
-
-    A block fit with (T, k) history gives an (n, k) forecast.
-    """
+    """Recursive n-step forecast of each column of a (T, k) history from its
+    last `order` values: (n, k)."""
+    history = _block(history)
     if n < 1:
         raise ValueError(f"horizon must be >= 1, got {n}")
-    history = np.asarray(history, dtype=float)
     if len(history) < fit.order:
         raise ValueError(f"need {fit.order} trailing values, got {len(history)}")
-    coeffs = np.asarray(fit.coeffs, dtype=float)
     window = list(history[len(history) - fit.order :])
-    out = np.empty((n, *np.shape(fit.intercept)))
+    out = np.empty((n, len(fit.intercept)))
     for h in range(n):
         lagged = 0.0
         for i in range(fit.order):
-            lagged = lagged + coeffs[i] * window[-1 - i]
+            lagged = lagged + fit.coeffs[i] * window[-1 - i]
         out[h] = fit.intercept + lagged
         window.append(out[h])
     return out

@@ -45,7 +45,7 @@ __all__ = [
     "Standardization",
     "ingest_csv",
     "fold",
-    "estimate_standardization",
+    "cell_standardization",
     "standardize",
     "destandardize",
     "period_step",
@@ -381,11 +381,6 @@ def cell_standardization(values: np.ndarray) -> Standardization:
             stacklevel=2,
         )
     return Standardization(mu=mu, sigma=sigma)
-
-
-def estimate_standardization(ts: TensorSeries) -> Standardization:
-    """Per-cell standardization of a folded series; see cell_standardization."""
-    return cell_standardization(ts.values)
 
 
 def standardize(ts: TensorSeries, z: Standardization) -> TensorSeries:

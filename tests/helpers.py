@@ -39,7 +39,7 @@ from tensorcast.panel import (
     CalendarSpec,
     PanelSeries,
     TensorSeries,
-    estimate_standardization,
+    cell_standardization,
     standardize,
 )
 from tensorcast.tensor import mode_product
@@ -247,7 +247,7 @@ def looped_fpca_forecast(
     """benchmarks.fpca_forecast as a loop over the (provider, day) slices, each
     with its own full eigh; returns the forecast values and the per-slice
     component counts."""
-    z = estimate_standardization(ts)
+    z = cell_standardization(ts.values)
     x = standardize(ts, z).values
     fits = []
     for i, d in np.ndindex(*ts.tensor_dims[:2]):
@@ -346,7 +346,7 @@ def sliced_fit_factor_model(
 ) -> tuple[TensorFactorModel, FactorSeries]:
     """factor_model.fit_factor_model on sliced_initial_loadings and
     recompressed_narrowed."""
-    z = estimate_standardization(ys)
+    z = cell_standardization(ys.values)
     xs = standardize(ys, z)
     if ranks is None:
         init = sliced_initial_loadings(xs, Ranks(*rank_bounds(xs.tensor_dims, r_max, k_max)))
@@ -433,29 +433,27 @@ def _scalar_ar_design(x: np.ndarray, order: int, start: int) -> tuple[np.ndarray
 
 
 def scalar_fit_ar(x: np.ndarray, order: int) -> ARFit:
-    """forecast.fit_ar for one series, by lstsq."""
+    """forecast.fit_ar for one series (T,), by lstsq: a one-column ARFit."""
     x = np.asarray(x, dtype=float)
     design, y = _scalar_ar_design(x, order, order)
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta
     return ARFit(
-        intercept=float(beta[0]),
-        coeffs=tuple(float(b) for b in beta[1:]),
-        variance=float(np.mean(resid**2)),
+        intercept=beta[:1],
+        coeffs=beta[1:, None],
+        variance=np.array([np.mean(resid**2)]),
     )
 
 
 def scalar_fit_ar1(x: np.ndarray) -> ARFit:
     """forecast.fit_ar1 for one series, by lstsq."""
     x = np.asarray(x, dtype=float)
-    if len(x) < 3:
-        raise ValueError(f"need at least 3 observations, got {len(x)}")
     if np.ptp(x[:-1]) == 0.0:
         raise ValueError("constant series: lagged regressor has zero variance")
     return scalar_fit_ar(x, 1)
 
 
-def scalar_fit_ar_aic(x: np.ndarray, max_order: int = 5) -> ARFit:
+def scalar_fit_ar_aic(x: np.ndarray, max_order: int) -> ARFit:
     """forecast.fit_ar_aic for one series: one lstsq per candidate order."""
     x = np.asarray(x, dtype=float)
     pmax = max(0, min(int(max_order), (len(x) - 2) // 2))
@@ -472,11 +470,13 @@ def scalar_fit_ar_aic(x: np.ndarray, max_order: int = 5) -> ARFit:
 
 
 def scalar_forecast_ar(fit: ARFit, history: np.ndarray, n: int) -> np.ndarray:
+    """forecast.forecast_ar for a one-column fit and one series (T,)."""
     history = np.asarray(history, dtype=float)
     window = list(history[len(history) - fit.order :])
+    intercept, coeffs = float(fit.intercept[0]), [float(c) for c in fit.coeffs[:, 0]]
     out = np.empty(n)
     for h in range(n):
-        value = fit.intercept + sum(c * window[-1 - i] for i, c in enumerate(fit.coeffs))
+        value = intercept + sum(c * window[-1 - i] for i, c in enumerate(coeffs))
         out[h] = value
         window.append(value)
     return out

@@ -160,19 +160,19 @@ def test_seasonal_and_ar1_parameter_recovery():
     seasonal -= seasonal.mean()
     t_axis = np.arange(70)
     x = 3.0 + 0.25 * t_axis + seasonal[t_axis % 7]
-    seasonal_err = float(np.max(np.abs(classical_decompose(x, 7) - seasonal)))
+    seasonal_err = float(np.max(np.abs(classical_decompose(x[:, None], 7)[:, 0] - seasonal)))
 
     phi, c = 0.7, 0.5
     series = np.zeros(2100)
     shocks = rng.standard_normal(2100)
     for i in range(1, 2100):
         series[i] = c + phi * series[i - 1] + shocks[i]
-    fit = fit_ar1(series[100:])  # burn-in dropped, T=2000
-    phi_err = abs(fit.coeffs[0] - phi)
+    fit = fit_ar1(series[100:, None])  # burn-in dropped, T=2000
+    phi_err = abs(fit.coeffs[0, 0] - phi)
     _verdict(
         "seasonal and AR(1) parameter recovery",
         seasonal_err <= 1e-9 and phi_err <= 0.05,
-        f"seasonal err {seasonal_err:.2e}, phi {fit.coeffs[0]:.4f}",
+        f"seasonal err {seasonal_err:.2e}, phi {fit.coeffs[0, 0]:.4f}",
     )
 
 

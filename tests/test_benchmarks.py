@@ -31,7 +31,6 @@ from tensorcast.forecast import ScoreModel, forecast_factors, forecast_observati
 from tensorcast.panel import (
     TensorSeries,
     cell_standardization,
-    estimate_standardization,
     standardize,
 )
 
@@ -359,9 +358,9 @@ def aic_orders(monkeypatch):
     orders: list[np.ndarray] = []
     real = forecast.fit_ar_aic
 
-    def record(x, max_order=5):
+    def record(x, max_order):
         fit = real(x, max_order)
-        orders.append(np.count_nonzero(np.atleast_2d(fit.coeffs), axis=0))
+        orders.append(np.count_nonzero(fit.coeffs, axis=0))
         return fit
 
     monkeypatch.setattr(forecast, "fit_ar_aic", record)
@@ -393,6 +392,6 @@ def test_fpca_matches_per_slice_oracle(baseline_windows, aic_orders, ncomp):
         assert new_orders.size and np.any(new_orders > 0)
         np.testing.assert_array_equal(new_orders, old_orders)
 
-        x = standardize(ys, estimate_standardization(ys)).values
+        x = standardize(ys, cell_standardization(ys.values)).values
         _, _, eigvals, _ = _centred_pca(x.reshape(171, -1, 24).swapaxes(0, 1), 24)
         assert _component_count(eigvals, ncomp, 24).tolist() == counts

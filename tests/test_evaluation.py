@@ -192,6 +192,24 @@ def test_failed_window_marks_only_horizons_it_feeds():
             assert np.isfinite(cell.mse)
 
 
+def test_irregular_period_starts_fail_once_before_any_window():
+    # A series built in code never passes the archive loader's spacing check;
+    # the backtest states it once, naming the start in series terms.
+    ts = simulate(SimSpec(dims=(3, 7, 24), ranks=Ranks(1, (1, 2)), num_periods=70, seed=0))[0]
+    starts = ts.period_starts.copy()
+    starts[60:] += np.timedelta64(1, "h")
+    irregular = TensorSeries(ts.values, starts, ts.provider_ids)
+    calls = []
+
+    def forecaster(train: TensorSeries, n: int) -> np.ndarray:
+        calls.append(n)
+        return np.zeros((n, *ts.tensor_dims))
+
+    with pytest.raises(ValueError, match=r"not evenly spaced: start 60 "):
+        rolling_evaluate(forecaster, irregular, RollingPlan(train_length=40, horizons=(1, 4)))
+    assert not calls
+
+
 def test_std_normalizer_flag():
     rng = np.random.default_rng(6)
     ts = random_series(rng, 24)

@@ -42,8 +42,8 @@ from tensorcast.factor_model import (
 from tensorcast.panel import (
     Standardization,
     TensorSeries,
+    cell_standardization,
     destandardize,
-    estimate_standardization,
     standardize,
 )
 from tensorcast.tensor import top_eigenvectors
@@ -396,7 +396,7 @@ class TestFitFactorModel:
         rng = np.random.default_rng(24)
         ts, _, _ = noiseless_series(rng, (5, 4, 6), (1, 1, 1), t=60, noise_sd=0.2)
         model, _ = fit_factor_model(ts, Ranks(1, (1, 1)))
-        z = estimate_standardization(ts)
+        z = cell_standardization(ts.values)
         np.testing.assert_array_equal(model.standardization.mu, z.mu)
         np.testing.assert_array_equal(model.standardization.sigma, z.sigma)
 
@@ -480,7 +480,7 @@ class TestEinsumOracle:
 
     def test_fixed_rank_loadings_match(self, paper_windows):
         for ys in paper_windows:
-            xs = standardize(ys, estimate_standardization(ys))
+            xs = standardize(ys, cell_standardization(ys.values))
             ranks = Ranks(1, (1, 2))
             new = projected_loadings(initial_loadings(xs, ranks))
             with einsum_moments():
@@ -492,7 +492,7 @@ class TestEinsumOracle:
 
     def test_auto_ranks_match(self, paper_windows):
         for ys in paper_windows:
-            xs = standardize(ys, estimate_standardization(ys))
+            xs = standardize(ys, cell_standardization(ys.values))
             bounds = Ranks(*rank_bounds(xs.tensor_dims))
             new = select_ranks(initial_loadings(xs, bounds))
             with einsum_moments():
@@ -550,7 +550,7 @@ class TestSlicedFirstPassOracle:
         monkeypatch.setattr(np.linalg, "qr",
                             lambda a, *args, **kw: qr.append(a.shape) or real_qr(a, *args, **kw))
         ys = paper_windows[0]
-        xs = standardize(ys, estimate_standardization(ys))
+        xs = standardize(ys, cell_standardization(ys.values))
         initial_loadings(xs, Ranks(1, (1, 2)))
         assert full == [(1, 63, 63)]
         assert {shape[-2] for shape in qr} == {168, 216}

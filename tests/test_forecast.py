@@ -19,6 +19,7 @@ from helpers import (
     recorded_score_blocks,
     scalar_adjusted,
     scalar_classical_decompose,
+    scalar_fit_ar,
     scalar_fit_ar_aic,
     scalar_forecast_series,
     weekly_starts,
@@ -51,15 +52,42 @@ from tensorcast.benchmarks import fpca_forecast, mfm_forecast, vfm_forecast
 from tensorcast.panel import Standardization, TensorSeries, destandardize
 
 
+def _ar1(c: float, phi: float, variance: float = 1.0) -> ARFit:
+    """A one-series AR(1) fit."""
+    return ARFit(intercept=np.array([c]), coeffs=np.array([[phi]]), variance=np.array([variance]))
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        lambda x: classical_decompose(x, 4),
+        lambda x: fit_ar(x, 1),
+        fit_ar1,
+        lambda x: fit_ar_aic(x, 2),
+        lambda x: forecast_ar(_ar1(0.0, 0.5), x, 3),
+        lambda x: forecast_ar1(_ar1(0.0, 0.5), x[-1], 3),
+    ],
+    ids=["classical_decompose", "fit_ar", "fit_ar1", "fit_ar_aic", "forecast_ar", "forecast_ar1"],
+)
+def test_stage_functions_take_only_a_block(stage):
+    # One shape check, ahead of every other rule: a constant 1-D series
+    # would otherwise fail fit_ar1's constant-series rule.
+    x = np.random.default_rng(2).standard_normal(40).cumsum()
+    for bad in (x, np.full(40, 1.0), x.reshape(40, 1, 1)):
+        with pytest.raises(ValueError, match=r"expected a \(T, k\) block of series"):
+            stage(bad)
+    stage(x[:, None])
+
+
 class TestClassicalDecompose:
     def test_pure_seasonal_signal(self):
         s = np.array([1.0, -2.0, 0.5, 0.5])
-        x = s[np.arange(16) % 4]
-        np.testing.assert_allclose(classical_decompose(x, 4), s, atol=1e-12)
+        x = s[np.arange(16) % 4, None]
+        np.testing.assert_allclose(classical_decompose(x, 4), s[:, None], atol=1e-12)
 
     def test_linear_trend_no_seasonality(self):
         t = np.arange(20, dtype=float)
-        x = 3.0 + 0.7 * t
+        x = 3.0 + 0.7 * t[:, None]
         # A centered moving average reproduces a linear function exactly, so
         # nothing of the line is left in the seasonal indices.
         np.testing.assert_allclose(classical_decompose(x, 4), 0.0, atol=1e-10)
@@ -71,15 +99,15 @@ class TestClassicalDecompose:
         s -= s.mean()
         trend = 1.5 + 0.02 * np.arange(t)
         x = trend + s[np.arange(t) % m]
-        np.testing.assert_allclose(classical_decompose(x, m), s, atol=1e-9)
+        np.testing.assert_allclose(classical_decompose(x[:, None], m), s[:, None], atol=1e-9)
 
     def test_too_short_errors(self):
-        with pytest.raises(ValueError):
-            classical_decompose(np.zeros(7), 4)
+        with pytest.raises(ValueError, match="need at least 8 points"):
+            classical_decompose(np.zeros((7, 1)), 4)
 
     def test_seasonal_sums_to_zero_and_shift_invariant(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(40)
+        x = rng.standard_normal((40, 1))
         seasonal = classical_decompose(x, 5)
         assert abs(seasonal.sum()) < 1e-10
         np.testing.assert_allclose(classical_decompose(x + 17.0, 5), seasonal, atol=1e-10)
@@ -87,11 +115,11 @@ class TestClassicalDecompose:
 
 class TestFitAr1:
     def test_deterministic_halving_recursion(self):
-        x = 0.5 ** np.arange(30)
+        x = 0.5 ** np.arange(30)[:, None]
         fit = fit_ar1(x)
-        assert abs(fit.coeffs[0] - 0.5) < 1e-12
-        assert abs(fit.intercept) < 1e-12
-        assert fit.variance < 1e-12
+        assert abs(fit.coeffs[0, 0] - 0.5) < 1e-12
+        assert abs(fit.intercept[0]) < 1e-12
+        assert fit.variance[0] < 1e-12
 
     def test_recovers_simulated_coefficient(self):
         rng = np.random.default_rng(3)
@@ -99,72 +127,87 @@ class TestFitAr1:
         x[0] = 0.0
         for t in range(1, 2000):
             x[t] = 1.0 + 0.7 * x[t - 1] + rng.standard_normal()
-        fit = fit_ar1(x)
-        assert abs(fit.coeffs[0] - 0.7) < 0.05
+        fit = fit_ar1(x[:, None])
+        assert abs(fit.coeffs[0, 0] - 0.7) < 0.05
 
     def test_constant_series_errors(self):
         with pytest.raises(ValueError, match="constant"):
-            fit_ar1(np.full(10, 2.5))
+            fit_ar1(np.full((10, 1), 2.5))
 
     def test_too_short_errors(self):
+        with pytest.raises(ValueError, match="need at least 3 observations for order 1"):
+            fit_ar(np.array([[1.0], [2.0]]), 1)
         with pytest.raises(ValueError):
-            fit_ar1(np.array([1.0, 2.0]))
+            fit_ar1(np.array([[1.0], [2.0]]))
 
 
 class TestForecastAr1:
     def test_phi_zero_forecasts_mean(self):
-        out = forecast_ar1(ARFit(intercept=3.0, coeffs=(0.0,), variance=1.0), last=100.0, n=4)
-        np.testing.assert_array_equal(out, [3.0, 3.0, 3.0, 3.0])
+        out = forecast_ar1(_ar1(3.0, 0.0), last=np.array([100.0]), n=4)
+        np.testing.assert_array_equal(out, np.full((4, 1), 3.0))
 
     def test_random_walk_forecasts_flat(self):
-        out = forecast_ar1(ARFit(intercept=0.0, coeffs=(1.0,), variance=1.0), last=7.0, n=5)
-        np.testing.assert_array_equal(out, np.full(5, 7.0))
+        out = forecast_ar1(_ar1(0.0, 1.0), last=np.array([7.0]), n=5)
+        np.testing.assert_array_equal(out, np.full((5, 1), 7.0))
 
     def test_halving_recursion(self):
-        out = forecast_ar1(ARFit(intercept=0.0, coeffs=(0.5,), variance=0.0), last=8.0, n=3)
-        np.testing.assert_array_equal(out, [4.0, 2.0, 1.0])
+        out = forecast_ar1(_ar1(0.0, 0.5, 0.0), last=np.array([8.0]), n=3)
+        np.testing.assert_array_equal(out, [[4.0], [2.0], [1.0]])
 
     def test_converges_to_stationary_mean(self):
         c, phi, last = 2.0, 0.8, 11.0
         mean = c / (1 - phi)
-        out = forecast_ar1(ARFit(intercept=c, coeffs=(phi,), variance=0.0), last=last, n=60)
+        out = forecast_ar1(_ar1(c, phi, 0.0), last=np.array([last]), n=60)
         for h in (1, 10, 30, 60):
-            assert abs(out[h - 1] - mean) < abs(phi) ** h * abs(last - mean) + 1e-12
+            assert abs(out[h - 1, 0] - mean) < abs(phi) ** h * abs(last - mean) + 1e-12
 
 
 class TestFitArGeneral:
     def test_ar0_is_mean_model(self):
-        x = np.array([1.0, 3.0, 5.0, 3.0])
+        x = np.array([[1.0], [3.0], [5.0], [3.0]])
         fit = fit_ar(x, 0)
         assert fit.order == 0
-        assert fit.intercept == pytest.approx(3.0)
-        np.testing.assert_array_equal(forecast_ar(fit, x, 3), np.full(3, fit.intercept))
+        assert fit.intercept[0] == pytest.approx(3.0)
+        np.testing.assert_array_equal(forecast_ar(fit, x, 3), np.full((3, 1), fit.intercept))
 
     def test_order_one_matches_fit_ar1(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal(50).cumsum()
-        fit = fit_ar1(x)
-        assert fit == fit_ar(x, 1)
+        x = rng.standard_normal((50, 1)).cumsum(axis=0)
+        fit, direct = fit_ar1(x), fit_ar(x, 1)
+        for name in ("intercept", "coeffs", "variance"):
+            assert np.array_equal(getattr(fit, name), getattr(direct, name)), name
         np.testing.assert_array_equal(forecast_ar1(fit, x[-1], 6), forecast_ar(fit, x, 6))
 
     def test_exact_ar2_recursion_recovered(self):
-        x = np.empty(40)
+        x = np.empty((40, 1))
         x[0], x[1] = 1.0, 0.5
         for t in range(2, 40):
             x[t] = 0.3 + 0.6 * x[t - 1] - 0.2 * x[t - 2]
         fit = fit_ar(x, 2)
-        np.testing.assert_allclose(fit.coeffs, (0.6, -0.2), atol=1e-8)
-        assert fit.variance < 1e-12
+        np.testing.assert_allclose(fit.coeffs[:, 0], (0.6, -0.2), atol=1e-8)
+        assert fit.variance[0] < 1e-12
 
     def test_aic_prefers_small_order_for_constants_and_finds_structure(self):
-        fit = fit_ar_aic(np.full(30, 4.0))
-        assert fit.order == 0
+        # A block fit pads every column's coefficients to the largest
+        # candidate order; order 0 leaves them all zero.
+        fit = fit_ar_aic(np.full((30, 1), 4.0), 5)
+        assert not fit.coeffs.any() and fit.intercept[0] == pytest.approx(4.0)
         rng = np.random.default_rng(5)
-        x = np.empty(400)
+        x = np.empty((400, 1))
         x[0] = x[1] = 0.0
         for t in range(2, 400):
             x[t] = 0.5 * x[t - 1] + 0.3 * x[t - 2] + 0.1 * rng.standard_normal()
-        assert fit_ar_aic(x).order >= 1
+        assert fit_ar_aic(x, 5).coeffs.any()
+
+    def test_block_fits_match_the_scalar_oracle_per_column(self):
+        x = _mixed_block(120, 8, 4)[:, np.arange(8) % 5 != 4]
+        for order in (0, 1, 3):
+            fit = fit_ar(x, order)
+            for j in range(x.shape[1]):
+                oracle = scalar_fit_ar(x[:, j], order)
+                for name in ("intercept", "coeffs", "variance"):
+                    np.testing.assert_allclose(getattr(fit, name)[..., j], getattr(oracle, name)[..., 0],
+                                               rtol=1e-9, atol=1e-12, err_msg=name)
 
 
 class TestForecastSeries:
@@ -184,7 +227,7 @@ class TestForecastSeries:
         # into the trend windows and violate the seasonal-free premise.)
         t = 156
         x = 2.0 + 0.03 * np.arange(t)
-        direct = forecast_ar1(fit_ar1(x), x[-1], 4)
+        direct = forecast_ar1(fit_ar1(x[:, None]), x[-1:], 4)[:, 0]
         via_decomposition = forecast_series(x, 4, score=ScoreModel(period=52))
         np.testing.assert_allclose(via_decomposition, direct, atol=1e-6)
 
@@ -434,9 +477,9 @@ def test_decomposition_is_bit_identical_to_the_padded_layout():
     rng = np.random.default_rng(5)
     for m in (2, 3, 7, 12, 24, 52):
         for t in sorted({2 * m, 2 * m + 1, 2 * m + m // 2, 3 * m - 1, 171, 200}):
-            for x in (rng.standard_normal(t).cumsum(), rng.standard_normal((t, 4)).cumsum(axis=0)):
-                expected = padded_classical_decompose(x, m)
-                assert np.array_equal(classical_decompose(x, m), expected), (m, t, x.ndim)
+            x = rng.standard_normal((t, 4)).cumsum(axis=0)
+            expected = padded_classical_decompose(x, m)
+            assert np.array_equal(classical_decompose(x, m), expected), (m, t)
 
 
 @pytest.fixture(scope="module")
