@@ -2,118 +2,20 @@
 
 from __future__ import annotations
 
-from .benchmarks import fpca_forecast, mfm_forecast, split_providers, vfm_forecast
-from .evaluation import (
-    EvalCell,
-    EvalReport,
-    RollingPlan,
-    SimSpec,
-    emit_report,
-    load_report,
-    make_benchmark_forecaster,
-    make_tensor_forecaster,
-    merge_reports,
-    rolling_evaluate,
-    simulate,
-)
-from .factor_model import (
-    FactorSeries,
-    LoadingSet,
-    Ranks,
-    TensorFactorModel,
-    extract_factors,
-    fit_factor_model,
-    fitted_values,
-    in_sample_mse,
-    initial_loadings,
-    load_model,
-    projected_loadings,
-    reconstruct_common,
-    save_model,
-    select_ranks,
-)
-from .forecast import (
-    ScoreModel,
-    classical_decompose,
-    fit_ar,
-    fit_ar1,
-    fit_ar_aic,
-    forecast_ar,
-    forecast_ar1,
-    forecast_factors,
-    forecast_observations,
-    forecast_series,
-)
-from .panel import (
-    CalendarSpec,
-    PanelSeries,
-    Standardization,
-    TensorSeries,
-    cell_standardization,
-    destandardize,
-    fold,
-    ingest_csv,
-    load_tensor_series,
-    save_tensor_series,
-    standardize,
-)
-from .tensor import mode_product, multi_mode_product, top_eigenvectors
+from . import benchmarks, evaluation, factor_model, forecast, panel, tensor
+from .benchmarks import *
+from .evaluation import *
+from .factor_model import *
+from .forecast import *
+from .panel import *
+from .tensor import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CalendarSpec",
-    "EvalCell",
-    "EvalReport",
-    "FactorSeries",
-    "LoadingSet",
-    "PanelSeries",
-    "Ranks",
-    "RollingPlan",
-    "ScoreModel",
-    "SimSpec",
-    "Standardization",
-    "TensorFactorModel",
-    "TensorSeries",
-    "cell_standardization",
-    "classical_decompose",
-    "destandardize",
-    "emit_report",
-    "extract_factors",
-    "fit_ar",
-    "fit_ar1",
-    "fit_ar_aic",
-    "fit_factor_model",
-    "fitted_values",
-    "fold",
-    "forecast_ar",
-    "forecast_ar1",
-    "forecast_factors",
-    "forecast_observations",
-    "forecast_series",
-    "fpca_forecast",
-    "in_sample_mse",
-    "ingest_csv",
-    "initial_loadings",
-    "load_model",
-    "load_report",
-    "load_tensor_series",
-    "make_benchmark_forecaster",
-    "make_tensor_forecaster",
-    "merge_reports",
-    "mfm_forecast",
-    "mode_product",
-    "multi_mode_product",
-    "projected_loadings",
-    "reconstruct_common",
-    "rolling_evaluate",
-    "save_model",
-    "save_tensor_series",
-    "select_ranks",
-    "simulate",
-    "split_providers",
-    "standardize",
-    "top_eigenvectors",
-    "vfm_forecast",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += benchmarks.__all__
+__all__ += evaluation.__all__
+__all__ += factor_model.__all__
+__all__ += forecast.__all__
+__all__ += panel.__all__
+__all__ += tensor.__all__

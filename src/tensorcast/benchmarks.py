@@ -30,6 +30,8 @@ from .forecast import (ScoreModel, forecast_factors, forecast_observations, fore
 from .panel import TensorSeries, cell_moments, cell_standardization, destandardize, standardize
 from .tensor import top_eigenvectors
 
+__all__ = ["split_providers", "mfm_forecast", "vfm_forecast", "fpca_forecast"]
+
 _FPCA_VARIANCE_TARGET = 0.95
 _FPCA_MAX_COMPONENTS = 6
 

@@ -546,12 +546,10 @@ def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> None:
     reports = []
     for name, fn in forecasters.items():
         logger.info("backtesting %s over %d windows", name, windows)
-        reports.append(
-            rolling_evaluate(fn, ts, plan, model=name, normalizer=bt.normalizer,
-                             metadata={"seed": str(cfg.seed)})
-        )
+        reports.append(rolling_evaluate(fn, ts, plan, model=name, normalizer=bt.normalizer))
     merged = merge_reports(reports)
     merged.metadata["model"] = ",".join(forecasters)
+    merged.metadata["seed"] = str(cfg.seed)
     paths = emit_report(merged, cfg.out_dir)
     for key in ("csv", "json", "md", "trace"):
         print(paths[key])

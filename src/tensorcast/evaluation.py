@@ -28,6 +28,20 @@ from .forecast import ScoreModel, forecast_factors, forecast_observations
 from .panel import TensorSeries, period_step
 from .tensor import mode_product
 
+__all__ = [
+    "RollingPlan",
+    "EvalCell",
+    "EvalReport",
+    "merge_reports",
+    "rolling_evaluate",
+    "make_tensor_forecaster",
+    "make_benchmark_forecaster",
+    "SimSpec",
+    "simulate",
+    "emit_report",
+    "load_report",
+]
+
 ForecastFn = Callable[[TensorSeries, int], np.ndarray]
 
 
@@ -102,7 +116,6 @@ def rolling_evaluate(
     plan: RollingPlan,
     model: str = "model",
     normalizer: str = "variance",
-    metadata: dict[str, str] | None = None,
 ) -> EvalReport:
     """Score a forecaster over all sliding windows of the evaluation span.
 
@@ -171,7 +184,7 @@ def rolling_evaluate(
             rel = mse / norm if norm > 0 else float("nan")
             cells.append(EvalCell(model, n, pid, mse, rel, False, "", trace))
 
-    meta = {
+    return EvalReport(cells=cells, metadata={
         "model": model,
         "train_length": str(t_train),
         "horizons": ",".join(str(n) for n in horizons),
@@ -179,10 +192,7 @@ def rolling_evaluate(
         "providers": ",".join(ts.provider_ids),
         "normalizer": normalizer,
         "span": f"{ts.period_starts[0]}..{ts.period_starts[-1]}",
-    }
-    if metadata:
-        meta.update(metadata)
-    return EvalReport(cells=cells, metadata=meta)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +278,11 @@ class SimSpec:
         self.ranks.validate_against(self.dims)
         if self.num_periods < 2:
             raise ValueError(f"need at least 2 periods, got {self.num_periods}")
+        for name in ("factor_mean", "amplitudes", "ar_coefficient", "ar_sd", "nu_sd", "eta_sds",
+                     "mu", "sigma"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ValueError(f"{name} must be finite")
         if abs(self.ar_coefficient) > 1:
             raise ValueError(f"|ar_coefficient| must be <= 1, got {self.ar_coefficient}")
         if self.ar_sd < 0 or self.nu_sd < 0:

@@ -70,6 +70,9 @@ class Ranks:
     k: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in (self.r, *self.k)):
+            raise ValueError(f"ranks must be integers, got r={self.r!r}, k={self.k!r}")
+        object.__setattr__(self, "r", int(self.r))
         object.__setattr__(self, "k", tuple(int(v) for v in self.k))
         if self.r < 1 or any(v < 1 for v in self.k):
             raise ValueError(f"ranks must be >= 1, got r={self.r}, k={self.k}")

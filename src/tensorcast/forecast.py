@@ -186,12 +186,20 @@ def _ar_factor(rows: np.ndarray, order: int, start: int) -> np.ndarray:
     return r
 
 
+def _require_length(x: np.ndarray, order: int) -> None:
+    """An AR(order) fit needs at least as many equations as coefficients."""
+    need = max(order + 2, 2 * order + 1)
+    if len(x) < need:
+        raise ValueError(f"need at least {need} observations for order {order}")
+
+
 def fit_ar1(x: np.ndarray) -> ARFit:
     """fit_ar(x, 1): x_t = c + phi x_{t-1} + e_t per column, coeffs (1, k).
 
     A constant series (zero lagged-regressor variance) is an error.
     """
     x = _block(x)
+    _require_length(x, 1)
     if np.any(np.ptp(x[:-1], axis=0) == 0.0):
         raise ValueError("constant series: lagged regressor has zero variance")
     return fit_ar(x, 1)
@@ -208,9 +216,7 @@ def fit_ar(x: np.ndarray, order: int) -> ARFit:
     x = _block(x)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    need = max(order + 2, 2 * order + 1)  # at least as many equations as coefficients
-    if len(x) < need:
-        raise ValueError(f"need at least {need} observations for order {order}")
+    _require_length(x, order)
     r = _ar_factor(_rows(x), order, order)
     p = order + 1
     beta = np.linalg.solve(r[:, :p, :p], r[:, :p, p:])[:, :, 0]
@@ -259,6 +265,8 @@ def forecast_ar(fit: ARFit, history: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"horizon must be >= 1, got {n}")
     if len(history) < fit.order:
         raise ValueError(f"need {fit.order} trailing values, got {len(history)}")
+    if history.shape[1] != len(fit.intercept):
+        raise ValueError(f"fit has {len(fit.intercept)} series, history has {history.shape[1]}")
     window = list(history[len(history) - fit.order :])
     out = np.empty((n, len(fit.intercept)))
     for h in range(n):

@@ -576,6 +576,15 @@ def test_simulate_dims_need_a_seasonal_extent(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [("nu_sd", "nan"), ("ar_coefficient", "nan"),
+                                        ("amplitudes", "inf")])
+def test_simulate_rejects_non_finite_settings(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "run.ini", {"simulate": {key: value}})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert f"simulate: {key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_defaults_are_the_sim_spec_defaults(tmp_path):
     recipe = load_config(write_config(tmp_path / "run.ini", {})).simulate._asdict()
     checked = set()

@@ -455,6 +455,17 @@ def test_simulate_validates_its_spec():
         SimSpec(dims=(2, 3, 4), ranks=Ranks(1, (1,)), num_periods=5)
 
 
+@pytest.mark.parametrize("setting", [
+    {"factor_mean": np.nan}, {"amplitudes": np.inf}, {"amplitudes": (1.0, np.nan)},
+    {"ar_coefficient": np.nan}, {"ar_sd": np.inf}, {"nu_sd": np.nan}, {"eta_sds": (0.1, np.nan)},
+    {"mu": np.full((2, 3, 4), np.nan)}, {"sigma": np.full((2, 3, 4), np.inf)},
+])
+def test_sim_spec_rejects_non_finite_settings(setting):
+    (name,) = setting
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SimSpec(dims=(2, 3, 4), ranks=Ranks(1, (1, 1)), num_periods=5, **setting)
+
+
 # ---------------------------------------------------------------------------
 # report emission
 

@@ -56,6 +56,16 @@ class TestRanks:
         with pytest.raises(ValueError):
             Ranks(1, (1, 0))
 
+    @pytest.mark.parametrize("r, k", [(1, (1.9, 2)), (1.5, (1, 2)), (1, (1, "2"))])
+    def test_rejects_non_integer_counts(self, r, k):
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            Ranks(r, k)
+
+    def test_stores_numpy_integer_counts_as_python_ints(self):
+        ranks = Ranks(np.int64(2), np.array([1, 2]))
+        assert ranks == Ranks(2, (1, 2))
+        assert all(type(v) is int for v in (ranks.r, *ranks.k))
+
     def test_validates_against_dims(self):
         Ranks(2, (1, 2)).validate_against((3, 4, 5))
         with pytest.raises(ValueError):

@@ -135,10 +135,11 @@ class TestFitAr1:
             fit_ar1(np.full((10, 1), 2.5))
 
     def test_too_short_errors(self):
-        with pytest.raises(ValueError, match="need at least 3 observations for order 1"):
-            fit_ar(np.array([[1.0], [2.0]]), 1)
-        with pytest.raises(ValueError):
-            fit_ar1(np.array([[1.0], [2.0]]))
+        # fit_ar1 applies fit_ar's rule before its constant-regressor check.
+        for x in (np.array([[1.0], [2.0]]), np.array([[1.0]])):
+            for fit in (lambda x: fit_ar(x, 1), fit_ar1):
+                with pytest.raises(ValueError, match="need at least 3 observations for order 1"):
+                    fit(x)
 
 
 class TestForecastAr1:
@@ -160,6 +161,13 @@ class TestForecastAr1:
         out = forecast_ar1(_ar1(c, phi, 0.0), last=np.array([last]), n=60)
         for h in (1, 10, 30, 60):
             assert abs(out[h - 1, 0] - mean) < abs(phi) ** h * abs(last - mean) + 1e-12
+
+    @pytest.mark.parametrize("forecast_fn, history",
+                             [(forecast_ar, np.ones((20, 3))), (forecast_ar1, np.ones(3))])
+    def test_fit_and_history_widths_must_match(self, forecast_fn, history):
+        fit = ARFit(np.zeros(2), np.full((1, 2), 0.5), np.ones(2))
+        with pytest.raises(ValueError, match="fit has 2 series, history has 3"):
+            forecast_fn(fit, history, 4)
 
 
 class TestFitArGeneral:

@@ -3,12 +3,17 @@ the baselines' calls must fire the spans the benchmark requires."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import os
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+
+from tensorcast import cli
 from tensorcast.evaluation import SimSpec, make_benchmark_forecaster, make_tensor_forecaster, simulate
 from tensorcast.factor_model import Ranks
 
@@ -57,3 +62,35 @@ def test_handles_fire_the_required_spans():
     missing = required - set(recorder.names)
     assert not missing, f"spans the benchmark requires did not fire: {sorted(missing)}"
     assert recorder.eigh_sizes and recorder.counts["tensor.top_eigenvectors.flop"] > 0
+
+
+def test_csv_pipeline_fires_the_required_spans(tmp_path):
+    # The recorder can rebind a command only where cli._COMMANDS holds the
+    # bare function, and its forecast counter reads the config from
+    # cmd_forecast's first argument.
+    spans, run = load("spans"), load("run")
+    rng = np.random.default_rng(0)
+    hours = np.datetime64("2020-01-06T00", "h") + np.arange(12 * 168)
+    stamps = [str(h).replace("T", " ") + ":00:00" for h in hours]
+    daily = 1000 + 100 * np.sin(2 * np.pi * np.arange(len(hours)) / 24)
+    recorder = spans.SpanRecorder()
+    for name in ("AAA", "BBB", "CCC"):
+        load_mw = daily + rng.normal(0.0, 10.0, len(hours))
+        lines = [f"Datetime,{name}_MW"] + [f"{t},{v!r}" for t, v in zip(stamps, load_mw.tolist())]
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        recorder.csv_rows[f"{name}.csv"] = len(hours)
+    config = tmp_path / "run.ini"
+    config.write_text("[data]\npaths = AAA.csv, BBB.csv, CCC.csv\n\n[model]\nperiod = 4\n")
+    recorder.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main([step, "--config", str(config)])
+                     for step in ("ingest", "fit", "forecast")]
+    finally:
+        recorder.uninstall()
+    assert codes == [0, 0, 0]
+    assert not recorder.failed
+    missing = set(run.EXPECTED_SPANS["csv-pipeline"]) - set(recorder.names)
+    assert not missing, f"spans the benchmark requires did not fire: {sorted(missing)}"
+    assert recorder.counts["panel.ingest_csv.rows"] == 3 * len(hours)
+    assert recorder.counts["cli.forecast.csv_bytes"] > 0
