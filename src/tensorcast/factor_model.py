@@ -70,7 +70,9 @@ class Ranks:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) for v in (self.r, *self.k)):
+        # bool is an int subclass, but True is not a count.
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.r, *self.k)):
             raise ValueError(f"ranks must be integers, got r={self.r!r}, k={self.k!r}")
         object.__setattr__(self, "r", int(self.r))
         object.__setattr__(self, "k", tuple(int(v) for v in self.k))

@@ -74,7 +74,7 @@ class ScoreModel:
     def __post_init__(self):
         for name in ("period", "max_order"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.kind not in SCORE_MODELS:
             raise ValueError(f"unknown score model {self.kind!r}")

@@ -5,6 +5,9 @@ column with ``YYYY-MM-DD HH:MM:SS`` local timestamps, and one ``<PROVIDER>_MW``
 value column per file). Ingestion aligns all providers on a common hourly grid,
 averages duplicated clock hours (DST fall-back), linearly interpolates gaps of
 at most six hours, and refuses providers with more than 5% missing hours.
+A file of just those two columns, stamps on the hour and plain decimal
+values is parsed a byte column at a time (_parse_columns); any other file
+row by row, with the same results.
 
 Folding re-indexes the aligned panel as a sequence of (N, S1, ..., SM) tensors,
 one per full calendar period, dropping partial periods at both ends. The
@@ -15,9 +18,10 @@ and scale so the factor model sees zero-mean, unit-variance inputs.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
-import io
+import re
 import warnings
 import zipfile
 from dataclasses import dataclass, field
@@ -37,6 +41,14 @@ _WEEKDAYS = ("monday", "tuesday", "wednesday", "thursday", "friday", "saturday",
 _MAX_INTERP_GAP = 6
 _MAX_MISSING_FRACTION = 0.05
 _MISSING_TOKENS = {"", "na", "nan", "null"}
+
+# The column parser's strict subset (_parse_columns): its header, and the
+# template of a data line up to the value, 'd' marking a digit.
+_STRICT_HEADER = re.compile(rb"Datetime,([\w.-]+)_MW")
+_STAMP = b"dddd-dd-dd dd:00:00,"
+_MAX_DIGITS = 15
+_POW10 = np.array([float(10**k) for k in range(_MAX_DIGITS + 1)])
+_EPOCH_DAY = int(np.datetime64(_EPOCH, "D").astype(np.int64))  # days since 1970-01-01
 
 __all__ = [
     "PanelSeries",
@@ -167,13 +179,9 @@ def _hour_index(ts: datetime) -> int:
     return (ts - _EPOCH).days * 24 + ts.hour
 
 
-def _parse_file(path: str | Path) -> tuple[str, np.ndarray, np.ndarray, int]:
-    """Read one provider CSV into its sorted distinct hour indices, their mean
-    values (duplicates summed in file order) and the number of duplicates.
-
-    Missing value tokens are skipped; they become gaps on the aligned grid.
-    """
-    path = Path(path)
+def _parse_rows(path: Path) -> tuple[str, list[int], list[float]]:
+    """The provider, hour indices and values of any CSV file, row by row in
+    file order; a bad row is a ValueError naming ``path:line``."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -211,6 +219,133 @@ def _parse_file(path: str | Path) -> tuple[str, np.ndarray, np.ndarray, int]:
             values.append(value)
     if not hours:
         raise ValueError(f"{path}: no data rows")
+    return provider, hours, values
+
+
+def _parse_columns(data: bytes) -> tuple[str, np.ndarray, np.ndarray] | None:
+    r"""The provider, hour indices and values of a file in the strict subset,
+    in file order, parsed a byte column at a time; None for any other file.
+
+    The subset: the header ``Datetime,<ID>_MW``, then lines of exactly
+    ``YYYY-MM-DD HH:00:00,<value>`` ending in ``\n`` (the last one may end
+    the file instead), where <value> is ``-?\d+(\.\d+)?`` of at most 15
+    digits or a missing token. Dates must be valid, so each file of the
+    subset holds what the row loop reads from it, and the numbers are the
+    same: a mantissa m < 10**15 < 2**53 and a power 10**k, k < 23, are exact
+    doubles, so the correctly rounded m / 10**k is float() of the text.
+    """
+    head_end = data.find(b"\n")
+    header = _STRICT_HEADER.fullmatch(data, 0, max(head_end, 0))
+    if header is None:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    if not data.endswith(b"\n"):
+        newlines = np.append(newlines, len(buf))
+    starts, width = newlines[:-1] + 1, np.diff(newlines) - 1 - len(_STAMP)
+    del newlines
+    if not starts.size or width.min() < 0 or width.max() > _MAX_DIGITS + 2:
+        return None
+    hours = _stamp_hours(buf, starts)
+    if hours is None:
+        return None
+    values = _decimal_values(buf, starts + len(_STAMP), width.astype(np.int8))
+    if values is None:
+        return None
+    keep = ~np.isnan(values)
+    if not keep.any():
+        return None
+    return header[1].decode(), hours[keep], values[keep]
+
+
+def _stamp_hours(buf: np.ndarray, starts: np.ndarray) -> np.ndarray | None:
+    """The hour index (as _hour_index) of the ``YYYY-MM-DD HH:00:00,`` at each
+    of ``starts``; None unless every one is a valid date and hour so written."""
+    # Runs of 'd' in the template are the numbers year, month, day and hour.
+    fields, number = [], None
+    for j, expected in enumerate(_STAMP):
+        col = buf[starts + j]
+        if expected == ord("d"):
+            col -= ord("0")  # a byte that is no digit wraps past 9
+            if col.max() > 9:
+                return None
+            number = col.astype(np.int32) if number is None else number * 10 + col
+        elif (col != expected).any():
+            return None
+        elif number is not None:
+            fields.append(number)
+            number = None
+    year, month, day, hour = fields
+    if not np.all((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour <= 23)):
+        return None
+    months = (year - 1970) * 12 + (month - 1)
+    first = months.min()
+    months -= first
+    # Day numbers, counted from _EPOCH, of the first day of each month in
+    # the file's range and of the month after it.
+    month_starts = (np.arange(first, first + months.max() + 2).astype("datetime64[M]")
+                    .astype("datetime64[D]").astype(np.int64) - _EPOCH_DAY)
+    day += month_starts[months] - 1
+    if np.any(day >= month_starts[months + 1]):
+        return None
+    return day.astype(np.int64) * 24 + hour
+
+
+def _decimal_values(buf: np.ndarray, starts: np.ndarray, width: np.ndarray) -> np.ndarray | None:
+    r"""The value held by the ``width`` bytes at each of ``starts``, NaN for
+    a missing token; None unless every one is a missing token or a decimal
+    ``-?\d+(\.\d+)?`` of at most 15 digits."""
+    # Per line: the digits as one integer, the count of digits and of
+    # points, the column of the point, and a leading minus sign.
+    mantissa = np.zeros(len(starts), np.int64)
+    digits, points, point = (np.zeros(len(starts), np.int8) for _ in range(3))
+    negative = np.zeros(len(starts), dtype=bool)
+    for j in range(width.max()):
+        live = width > j
+        col = np.take(buf, starts + j, mode="clip")
+        if j == 0:
+            negative = live & (col == ord("-"))
+        is_point = live & (col == ord("."))
+        points += is_point
+        point[is_point] = j
+        col -= ord("0")
+        is_digit = live & (col <= 9)
+        np.multiply(mantissa, 10, out=mantissa, where=is_digit)
+        np.add(mantissa, col, out=mantissa, where=is_digit)
+        digits += is_digit
+    # Nothing but the digits, at most one point, and a sign in front; the
+    # point has a digit on each side.
+    decimal = ((digits >= 1) & (digits <= _MAX_DIGITS) & (points <= 1)
+               & (digits + points + negative == width)
+               & ((points == 0) | ((point > negative) & (point < width - 1))))
+    missing = width == 0
+    for token in _MISSING_TOKENS - {""}:
+        lines = np.flatnonzero(width == len(token))
+        match = np.ones(lines.size, dtype=bool)
+        for j, expected in enumerate(token.encode()):
+            match &= (buf[starts[lines] + j] | 0x20) == expected  # lower case
+        missing[lines[match]] = True
+    if not np.all(decimal | missing):
+        return None
+    values = mantissa.astype(np.float64)  # exact below 2**53
+    del mantissa
+    values /= _POW10[np.where(points == 1, width - 1 - point, 0)]
+    np.negative(values, out=values, where=negative)
+    values[missing] = np.nan
+    return values
+
+
+def _parse_file(path: str | Path) -> tuple[str, np.ndarray, np.ndarray, int]:
+    """Read one provider CSV into its sorted distinct hour indices, their mean
+    values (duplicates summed in file order) and the number of duplicates.
+
+    Missing value tokens are skipped; they become gaps on the aligned grid.
+    A file in the column parser's strict subset is read by it, any other by
+    the row loop; both give the same hours and values.
+    """
+    path = Path(path)
+    parsed = _parse_columns(path.read_bytes())
+    provider, hours, values = _parse_rows(path) if parsed is None else parsed
     distinct, inverse, counts = np.unique(hours, return_inverse=True, return_counts=True)
     means = np.bincount(inverse, weights=values) / counts
     return provider, distinct, means, len(hours) - len(distinct)

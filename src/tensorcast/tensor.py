@@ -130,9 +130,10 @@ def _certified_leading(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     b, p, _ = s.shape
     vecs, vals = np.empty((b, p, k)), np.empty((b, k))
     flat = s.reshape(b, p * p)
-    # One dot product per member, so a member's norm, and with it every step
-    # below, is the same alone as in any stack (np.einsum's is not).
-    norm = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+    # numpy's pairwise sum along each row: a member's norm, and with it every
+    # step below, is the same alone as in any stack (np.einsum's is not) and
+    # at any BLAS thread count (a BLAS dot product of length p**2 is not).
+    norm = np.sqrt(np.sum(flat * flat, axis=1))
     pending = np.flatnonzero(norm > 0.0)
     c, scale = (s if pending.size == b else s[pending]), norm[pending, None, None]
     start = np.random.default_rng(_START_SEED).standard_normal((p, k + _EXTRA))

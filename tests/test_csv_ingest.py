@@ -1,0 +1,223 @@
+"""The two CSV parse paths of panel ingestion: the column parser reads the
+strict ``Datetime,<ID>_MW`` subset and gives what the row loop gives; every
+other file goes to the row loop.
+
+A numpy-seeded generator writes small PJM-style files, each with one
+mutation, and every case must give the row loop's exact outcome: the same
+provider, hours, mean bytes and duplicate count, or the same exception."""
+
+from __future__ import annotations
+
+import tracemalloc
+from datetime import datetime, timedelta
+
+import numpy as np
+import pytest
+
+from tensorcast import panel
+from tensorcast.panel import ingest_csv
+
+TOKENS = ("", "NA", "na", "nan", "NaN", "NULL", "null", "Null")
+
+
+def random_value(rng: np.random.Generator) -> str:
+    """A plain decimal of 1 to 15 digits, or now and then a missing token."""
+    if rng.random() < 0.1:
+        return TOKENS[rng.integers(len(TOKENS))]
+    digits = int(rng.integers(1, 16))
+    text = "".join(rng.choice(list("0123456789"), size=digits))
+    point = int(rng.integers(0, digits))  # 0: no point
+    if point:
+        text = text[:point] + "." + text[point:]
+    return ("-" if rng.random() < 0.2 else "") + text
+
+
+def random_file(rng: np.random.Generator) -> tuple[str, list[str]]:
+    """The header and data lines of a file in the strict subset: hourly
+    stamps from a random start (any year, often before 2001), an hour
+    listed twice here and there, one dropped now and then."""
+    provider = ["AEP", "PJM_Load", "DOM", "X.1-b"][rng.integers(4)]
+    year = int(rng.integers(1, 9999) if rng.random() < 0.3 else rng.integers(1990, 2030))
+    start = datetime(year, 1, 1) + timedelta(hours=int(rng.integers(0, 365 * 24)))
+    lines = []
+    for i in range(int(rng.integers(1, 40))):
+        stamp = (start + timedelta(hours=i)).isoformat(" ")
+        if rng.random() < 0.05:
+            continue
+        for _ in range(2 if rng.random() < 0.1 else 1):
+            lines.append(f"{stamp},{random_value(rng)}")
+    return f"Datetime,{provider}_MW", lines
+
+
+def render(header: str, lines: list[str], end: str = "\n") -> bytes:
+    return (end.join([header, *lines]) + end).encode()
+
+
+def _at(rng, lines, edit):
+    """lines with the line at a random position replaced by edit(line)."""
+    i = int(rng.integers(len(lines)))
+    return [*lines[:i], edit(lines[i]), *lines[i + 1:]]
+
+
+def _value(rng, lines, value):
+    return _at(rng, lines, lambda line: line.split(",")[0] + "," + value)
+
+
+def _stamp(rng, lines, stamp):
+    return _at(rng, lines, lambda line: stamp + "," + line.split(",")[1])
+
+
+# name -> (whether the column parser reads the mutated file, mutation).
+# A mutation maps (rng, header, lines) to the file's bytes.
+MUTATIONS = {
+    "none": (True, lambda rng, h, ls: render(h, ls)),
+    "no final newline": (True, lambda rng, h, ls: render(h, ls)[:-1]),
+    "out of order": (True, lambda rng, h, ls: render(h, list(rng.permutation(ls)))),
+    "duplicate rows": (True, lambda rng, h, ls: render(h, ls + list(rng.choice(ls, size=3)))),
+    "pre-2001 date": (True, lambda rng, h, ls: render(h, _stamp(rng, ls, "1999-12-31 23:00:00"))),
+    "leap day": (True, lambda rng, h, ls: render(h, _stamp(rng, ls, "2000-02-29 05:00:00"))),
+    "crlf": (False, lambda rng, h, ls: render(h, ls, "\r\n")),
+    "bom": (False, lambda rng, h, ls: b"\xef\xbb\xbf" + render(h, ls)),
+    "quotes": (False, lambda rng, h, ls: render(h, _at(rng, ls, lambda line: line.replace(
+        ",", ',"') + '"'))),
+    "blank line": (False, lambda rng, h, ls: render(h, ls[:1] + [""] + ls[1:])),
+    "extra column": (False, lambda rng, h, ls: render(
+        h + ",Note", [line + ",x" for line in ls])),
+    "trailing comma": (False, lambda rng, h, ls: render(h, _at(rng, ls, lambda line: line + ","))),
+    "swapped columns": (False, lambda rng, h, ls: render(
+        ",".join(h.split(",")[::-1]), [",".join(line.split(",")[::-1]) for line in ls])),
+    "padded header": (False, lambda rng, h, ls: render(h.replace(",", ", "), ls)),
+    "T separator": (False, lambda rng, h, ls: render(h, _at(rng, ls, lambda line: line.replace(
+        " ", "T")))),
+    "UTC offset": (False, lambda rng, h, ls: render(h, _at(rng, ls, lambda line: line.replace(
+        ",", "+01:00,")))),
+    "30 minutes": (False, lambda rng, h, ls: render(h, _stamp(rng, ls, "2020-01-06 01:30:00"))),
+    "Feb 29 in a common year": (False, lambda rng, h, ls: render(
+        h, _stamp(rng, ls, "2021-02-29 00:00:00"))),
+    "April 31": (False, lambda rng, h, ls: render(h, _stamp(rng, ls, "2020-04-31 00:00:00"))),
+    "month 13": (False, lambda rng, h, ls: render(h, _stamp(rng, ls, "2020-13-01 00:00:00"))),
+    "hour 24": (False, lambda rng, h, ls: render(h, _stamp(rng, ls, "2020-01-01 24:00:00"))),
+    "year 0": (False, lambda rng, h, ls: render(h, _stamp(rng, ls, "0000-01-01 00:00:00"))),
+    "non-ASCII byte": (False, lambda rng, h, ls: render(h.replace("_MW", "\u00e9_MW"), ls)),
+    "invalid UTF-8": (False, lambda rng, h, ls: render(h, _value(rng, ls, "7")).replace(
+        b",7\n", b",7\xff\n", 1)),
+    "only missing values": (False, lambda rng, h, ls: render(h, _value(
+        rng, [line.split(",")[0] + ",NA" for line in ls], "null"))),
+    "empty body": (False, lambda rng, h, ls: render(h, [])),
+    "header only, no newline": (False, lambda rng, h, ls: h.encode()),
+    "empty file": (False, lambda rng, h, ls: b""),
+}
+# One line's value replaced; the column parser reads only the first two.
+VALUES = ("-12345678.9012345", "-0.0", "1234567890.123456", "+1", "1e5", "1.", ".5", " 12.5",
+          "NA ", "inf", "-Infinity", "1\x002", "1.2.3", "1-2", "--1", "-", "-.5", "12a", "0x1F",
+          "1_000")
+MUTATIONS.update({
+    f"value {value!r}": (i < 2, lambda rng, h, ls, value=value: render(h, _value(rng, ls, value)))
+    for i, value in enumerate(VALUES)
+})
+
+
+def outcome(path) -> tuple:
+    """What _parse_file makes of a file: its result as bytes, or its error."""
+    try:
+        provider, hours, means, duplicates = panel._parse_file(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return provider, hours.dtype, hours.tobytes(), means.tobytes(), duplicates
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_both_paths_agree_on_every_mutation(mutation, tmp_path, monkeypatch):
+    fast, mutate = MUTATIONS[mutation]
+    path = tmp_path / "AEP_hourly.csv"
+    for case in range(12):
+        rng = np.random.default_rng([sorted(MUTATIONS).index(mutation), case])
+        path.write_bytes(mutate(rng, *random_file(rng)))
+        assert (panel._parse_columns(path.read_bytes()) is not None) == fast, case
+        got = outcome(path)
+        with monkeypatch.context() as m:
+            m.setattr(panel, "_parse_columns", lambda data: None)
+            assert got == outcome(path), case
+
+
+def test_decimals_parse_to_the_bits_of_float(tmp_path):
+    # 100,000 decimals of 1 to 15 digits, leading zeros kept, a point after
+    # any digit but the last, a minus sign on one in five.
+    rng = np.random.default_rng(7)
+    counts = rng.integers(1, 16, 100_000)
+    texts = []
+    for m, count, point, minus in zip(rng.integers(0, 10**counts), counts,
+                                      rng.integers(0, counts), rng.random(counts.size) < 0.2):
+        text = f"{m:0{count}d}"
+        texts.append("-" * int(minus) + (text[:point] + "." + text[point:] if point else text))
+    path = tmp_path / "AEP_hourly.csv"
+    path.write_bytes(render("Datetime,AEP_MW", [f"2001-01-01 00:00:00,{t}" for t in texts]))
+    provider, hours, values = panel._parse_columns(path.read_bytes())
+    assert provider == "AEP" and not hours.any()
+    assert values.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+
+def test_hours_match_the_row_loop_across_the_calendar(tmp_path):
+    # Every 97th day from 0001-01-01 to 9999-12-30, at a random hour.
+    days = np.arange(np.datetime64("0001-01-01"), np.datetime64("9999-12-31"), 97)
+    stamps = days + np.random.default_rng(3).integers(0, 24, days.size).astype("timedelta64[h]")
+    lines = [f"{s.replace('T', ' ')}:00:00,1" for s in np.datetime_as_string(stamps, unit="h")]
+    path = tmp_path / "AEP_hourly.csv"
+    path.write_bytes(render("Datetime,AEP_MW", lines))
+    _, hours, _ = panel._parse_columns(path.read_bytes())
+    assert hours.tolist() == panel._parse_rows(path)[1]
+    assert hours[0] < 0 < hours[-1]
+
+
+def pjm_file(path):
+    """Eight weeks of a PJM-style file: the DST fall-back hour listed twice,
+    one hour dropped, and each missing token once."""
+    rng = np.random.default_rng(5)
+    start = datetime(2019, 10, 7)
+    lines = []
+    for i in range(8 * 168):
+        stamp = (start + timedelta(hours=i)).isoformat(" ")
+        if stamp == "2019-10-20 14:00:00":
+            continue
+        lines.append(f"{stamp},{rng.uniform(9000, 15000):.1f}")
+        if stamp == "2019-11-03 01:00:00":
+            lines.append(f"{stamp},{rng.uniform(9000, 15000):.1f}")
+    for i, token in enumerate(("", "NA", "nan", "null")):
+        lines[100 + 50 * i] = lines[100 + 50 * i].split(",")[0] + "," + token
+    path.write_text("Datetime,AEP_MW\n" + "\n".join(lines) + "\n")
+    return path
+
+
+def test_pjm_format_takes_the_column_parser(tmp_path, monkeypatch):
+    path = pjm_file(tmp_path / "AEP_hourly.csv")
+
+    def row_loop(path):
+        raise AssertionError(f"{path} went to the row loop")
+
+    with monkeypatch.context() as m:
+        m.setattr(panel, "_parse_rows", row_loop)
+        fast = ingest_csv([path])
+    slow = ingest_csv([path])
+    assert fast.repairs == slow.repairs == {
+        "duplicates_averaged": 1, "gaps_interpolated": 5, "edge_hours_dropped": 0}
+    assert fast.values.tobytes() == slow.values.tobytes()
+    assert fast.timestamps.tobytes() == slow.timestamps.tobytes()
+
+
+def traced_peak(fn, *args) -> int:
+    fn(*args)  # warm caches before tracing
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_column_parser_peak_memory_is_at_most_the_row_loops(tmp_path, monkeypatch):
+    path = pjm_file(tmp_path / "AEP_hourly.csv")
+    columns = traced_peak(panel._parse_file, path)
+    with monkeypatch.context() as m:
+        m.setattr(panel, "_parse_columns", lambda data: None)
+        rows = traced_peak(panel._parse_file, path)
+    assert columns <= rows

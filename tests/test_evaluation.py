@@ -313,6 +313,8 @@ def test_forecaster_handles_take_only_their_models_settings():
         ({"period": 4.0}, "period must be an integer, got 4.0"),
         ({"period": "52"}, "period must be an integer, got '52'"),
         ({"max_order": 2.5}, "max_order must be an integer, got 2.5"),
+        ({"max_order": True}, "max_order must be an integer, got True"),
+        ({"period": True}, "period must be an integer, got True"),
     ],
 )
 def test_forecaster_handles_reject_bad_score_settings_at_construction(setting, message):

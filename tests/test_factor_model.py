@@ -56,7 +56,8 @@ class TestRanks:
         with pytest.raises(ValueError):
             Ranks(1, (1, 0))
 
-    @pytest.mark.parametrize("r, k", [(1, (1.9, 2)), (1.5, (1, 2)), (1, (1, "2"))])
+    @pytest.mark.parametrize(
+        "r, k", [(1, (1.9, 2)), (1.5, (1, 2)), (1, (1, "2")), (True, (True,)), (1, (2, True))])
     def test_rejects_non_integer_counts(self, r, k):
         with pytest.raises(ValueError, match="ranks must be integers"):
             Ranks(r, k)
