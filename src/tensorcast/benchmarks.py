@@ -15,30 +15,65 @@ scores always use ar_aic:
 * FPCA: one principal-component basis per day of the week over daily curves.
 
 VFM and FPCA decompose all of a window's covariances in one stacked
-top_eigenvectors call (_centred_pca).
+top_eigenvectors call (_centred_pca). mfm_ranks, vfm_components and
+fpca_components are the baselines' checks of their count settings.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
 from .factor_model import FactorSeries, Ranks, fit_factor_model
 from .forecast import (ScoreModel, forecast_factors, forecast_observations, forecast_series,
                        future_starts)
-from .panel import TensorSeries, cell_moments, cell_standardization, destandardize, standardize
+from .panel import (TensorSeries, as_count, cell_moments, cell_standardization, destandardize,
+                    standardize)
 from .tensor import top_eigenvectors
 
-__all__ = ["split_providers", "mfm_forecast", "vfm_forecast", "fpca_forecast"]
+__all__ = ["split_providers", "mfm_ranks", "vfm_components", "fpca_components", "mfm_forecast",
+           "vfm_forecast", "fpca_forecast"]
 
 _FPCA_VARIANCE_TARGET = 0.95
 _FPCA_MAX_COMPONENTS = 6
 
 
-def _require_matrices(ts: TensorSeries) -> None:
-    if ts.values.ndim != 4:
-        raise ValueError(f"expected a (T, N, S1, S2) series, got shape {ts.values.shape}")
+def _require_matrices(shape: Sequence[int]) -> tuple[int, ...]:
+    if len(shape) != 4:
+        raise ValueError(f"expected a (T, N, S1, S2) series, got shape {tuple(shape)}")
+    return tuple(shape)
+
+
+def _count_within(keyword: str, value: object, limit: int, what: str) -> int:
+    value = as_count(keyword, value, 1)
+    if value > limit:
+        raise ValueError(f"{keyword}={value} out of range 1..{limit} ({what})")
+    return value
+
+
+def mfm_ranks(shape: Sequence[int], k_day: int, k_hour: int) -> Ranks:
+    """MFM's per-provider ranks on a (T, N, S1, S2) series: k_day <= S1, k_hour <= S2."""
+    _, _, s1, s2 = _require_matrices(shape)
+    return Ranks(_count_within("k_day", k_day, s1, "S1"),
+                 (_count_within("k_hour", k_hour, s2, "S2"),))
+
+
+def vfm_components(shape: Sequence[int], r: int, stacked: bool) -> int:
+    """VFM's component count on a (T, N, S1, S2) series: below T and at most
+    the week-vector length, S1 S2 (N S1 S2 when stacked)."""
+    t, n, s1, s2 = _require_matrices(shape)
+    r = _count_within("r", r, n * s1 * s2 if stacked else s1 * s2, "the week-vector length")
+    if t <= r:
+        raise ValueError(f"need more periods than components, got T={t} with r={r}")
+    return r
+
+
+def fpca_components(shape: Sequence[int], ncomp: int | None) -> int | None:
+    """FPCA's component count on a (T, N, S1, S2) series: None (automatic) or <= S2."""
+    s2 = _require_matrices(shape)[3]
+    return None if ncomp is None else _count_within("ncomp", ncomp, s2, "S2")
 
 
 def _label_forecast(ts: TensorSeries, values: np.ndarray) -> TensorSeries:
@@ -56,7 +91,7 @@ def split_providers(ts: TensorSeries) -> list[TensorSeries]:
     The days are the cross-section of each part (labeled day0, day1, ...) and
     the hours its one seasonal mode.
     """
-    _require_matrices(ts)
+    _require_matrices(ts.values.shape)
     return [
         TensorSeries(
             values=ts.values[:, i].copy(),
@@ -93,7 +128,7 @@ def mfm_forecast(
     sigma is below the standardization's clamp floor (cell_moments)
     forecasts its per-cell mean.
     """
-    ranks = Ranks(r=k_day, k=(k_hour,))
+    ranks = mfm_ranks(ts.values.shape, k_day, k_hour)
     mu, sigma, floor = cell_moments(ts.values)
     out = np.empty((n, *ts.tensor_dims))
     fitted = []  # (provider index, model, factor values)
@@ -145,17 +180,13 @@ def vfm_forecast(
     stacked=True all providers' coordinates join a single PCA so the factors
     are shared across providers.
     """
-    _require_matrices(ts)
-    if ts.num_periods <= r:
-        raise ValueError(f"need more periods than components, got T={ts.num_periods} with r={r}")
+    r = vfm_components(ts.values.shape, r, stacked)
     z = cell_standardization(ts.values)
     t, num = ts.values.shape[:2]
     # (B, T, p) week vectors: one block per provider, or one of all providers.
     x = standardize(ts, z).values
     blocks = _vectorize_weeks(x).reshape(1, t, -1) if stacked else _vectorize_weeks(x.swapaxes(0, 1))
     del x  # the blocks are a copy; keep one panel-sized array alive, not two
-    if not 1 <= r <= blocks.shape[2]:
-        raise ValueError(f"component count {r} out of range 1..{blocks.shape[2]}")
     mean, basis, _, varies = _centred_pca(blocks, r)
     if not varies.all():
         raise ValueError("degenerate covariance: data has no variation")
@@ -172,9 +203,7 @@ def _component_count(eigvals: np.ndarray, requested: int | None, limit: int) -> 
     """Components kept per eigenvalue row (..., p): requested, or enough for
     _FPCA_VARIANCE_TARGET of the variance, at most _FPCA_MAX_COMPONENTS."""
     if requested is not None:
-        if not 1 <= requested <= limit:
-            raise ValueError(f"component count {requested} out of range 1..{limit}")
-        return np.full(eigvals.shape[:-1], requested)
+        return np.full(eigvals.shape[:-1], _count_within("ncomp", requested, limit, "S2"))
     variances = np.clip(eigvals, 0.0, None)
     total = np.sum(variances, axis=-1, keepdims=True)
     share = np.divide(np.cumsum(variances, axis=-1), total, out=np.zeros_like(variances),
@@ -197,7 +226,7 @@ def fpca_forecast(
     whatever score's kind). Forecast curves reassemble into weekly matrices
     with day slices in their original row order.
     """
-    _require_matrices(ts)
+    ncomp = fpca_components(ts.values.shape, ncomp)
     z = cell_standardization(ts.values)
     x = standardize(ts, z).values
     t, s2 = x.shape[0], x.shape[-1]

@@ -2,14 +2,16 @@
 
 One INI-style configuration file drives every subcommand; the flags only
 select the command, point at the config, and override a handful of run
-parameters (seed, output directory, horizon). Validation is fail-closed:
-unknown sections or keys, malformed values, and internally inconsistent
-settings are all rejected with exit code 2 before any data is read or any
-file is written. Settings that depend on the data are checked against the
-archive once it is read, before any fit: the rank settings by the
-estimator's own rules (Ranks.validate_against, rank_bounds), the score
-period and the baseline settings by the archive's length and dims, and a
-model archive by the data archive's providers and dims; these too exit 2.
+parameters (seed, output directory, horizon) by the rules of their keys.
+Validation is fail-closed: unknown sections or keys, malformed values and
+inconsistent settings exit 2, naming the key, before any data is read or any
+file is written. load_config only converts text to values and builds the
+records that own the ranges of their settings (Ranks, ScoreModel,
+RollingPlan, SimSpec, CalendarSpec). Once the archive is read, before any
+fit, the settings that depend on the data meet the rules of the code that
+reads them (the estimator's rank rules, each baseline's check, the plan's and
+the score period's lengths, a model archive's providers and dims); these too
+exit 2.
 Exit codes: 0 success, 1 computation failure, 2 usage or configuration
 error. Logs go to stderr; every machine-readable product goes to a file,
 and each command prints the paths it wrote on stdout.
@@ -35,6 +37,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from .benchmarks import fpca_components, mfm_ranks, vfm_components
 from .evaluation import (
     RollingPlan,
     SimSpec,
@@ -65,6 +68,7 @@ from .panel import (
     ingest_csv,
     load_tensor_series,
     save_tensor_series,
+    span_hours,
     standardize,
     write_npz,
 )
@@ -146,30 +150,23 @@ def _unless(sentinel: str, parse: Parser) -> Parser:
     return lambda where, raw: None if raw.lower() == sentinel else parse(where, raw)
 
 
+def _checked(where: str, call: Callable, *args, **kwargs) -> Any:
+    """call(*args, **kwargs), with its ValueError as a ConfigError naming ``where``."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _parse_span(where: str, raw: str) -> tuple[datetime, datetime] | None:
     if not raw:
         return None
     parts = [p.strip() for p in raw.split("..")]
     if len(parts) != 2 or not all(parts):
         raise ConfigError(f"{where}: expected START..END, got {raw!r}")
-    try:
-        start, end = (datetime.fromisoformat(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    if start.tzinfo or end.tzinfo:
-        raise ConfigError(f"{where}: give local clock times without a UTC offset, got {raw!r}")
-    if any(t.minute or t.second or t.microsecond for t in (start, end)):
-        raise ConfigError(f"{where}: ends must be on the hourly grid (whole hours), got {raw!r}")
-    if start > end:
-        raise ConfigError(f"{where}: start {parts[0]} is after end {parts[1]}")
-    return start, end
-
-
-def _parse_horizons(where: str, raw: str) -> tuple[int, ...]:
-    horizons = _list(_int(1), "horizon")(where, raw)
-    if len(set(horizons)) != len(horizons):
-        raise ConfigError(f"{where}: duplicate entries in {horizons}")
-    return horizons
+    span = tuple(_checked(where, datetime.fromisoformat, p) for p in parts)
+    _checked(where, span_hours, span)  # the span rule is the ingest's own
+    return span
 
 
 def _parse_benchmarks(where: str, raw: str) -> tuple[str, ...]:
@@ -181,8 +178,12 @@ def _parse_benchmarks(where: str, raw: str) -> tuple[str, ...]:
 
 
 def _parse_ranks(where: str, raw: str) -> Ranks:
-    counts = _list(_int(1), "count")(where, raw)
-    return Ranks(counts[0], counts[1:])
+    counts = _list(_parse_int, "count")(where, raw)
+    return _checked(where, Ranks, counts[0], counts[1:])
+
+
+def _parse_horizons(where: str, raw: str) -> tuple[int, ...]:
+    return _checked(where, RollingPlan.checked_horizons, _list(_parse_int)(where, raw))
 
 
 # Every recognized key with its default, parser and help line. load_config
@@ -196,7 +197,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
         "archive": ("tensors.npz", _text, "folded-series archive; relative names land in out"),
     },
     "calendar": {
-        "periods": ("7,24", _list(_int(2)),
+        "periods": ("7,24", _list(_parse_int),
                     "seasonal extents S1,...,SM; 7,24 = day-of-week x hour-of-day"),
         "week_start": ("monday", _text, "weekday whose 00:00 anchors seasonal index zero"),
     },
@@ -207,12 +208,12 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
         "k_max": ("", _unless("", _list(_int(1))),
                   "seasonal rank bounds for automatic selection; "
                   "empty = min(3, S_j - 1) per archive extent S_j"),
-        "period": (str(ScoreModel.period), _int(2),
+        "period": (str(ScoreModel.period), _parse_int,
                    "seasonal period of the per-factor score models"),
         "score_model": (ScoreModel.kind, _choice(*SCORE_MODELS),
                         "TFM, MFM and VFM score extrapolation: 'ar1' or 'ar_aic'; "
                         "FPCA always uses ar_aic"),
-        "max_order": (str(ScoreModel.max_order), _int(0),
+        "max_order": (str(ScoreModel.max_order), _parse_int,
                       "maximum AR order when score_model = ar_aic"),
         "archive": ("model.npz", _text, "fitted-model archive; relative names land in out"),
     },
@@ -220,7 +221,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
         "horizon": ("1", _int(1), "forecast steps ahead (the --horizon flag overrides)"),
     },
     "backtest": {
-        "train_length": ("", _unless("", _int(2)),
+        "train_length": ("", _unless("", _parse_int),
                          "rolling window length in periods (required for backtest)"),
         "horizons": (",".join(map(str, RollingPlan.horizons)), _parse_horizons,
                      "evaluation horizons in periods"),
@@ -236,20 +237,20 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
         "mfm_hour_factors": ("2", _int(1), "hour-mode factors of the matrix baseline"),
     },
     "simulate": {
-        "dims": ("9,7,24", _list(_int(1)), "synthetic dims N,S1,...,SM"),
+        "dims": ("9,7,24", _list(_parse_int), "synthetic dims N,S1,...,SM"),
         "ranks": ("1,1,2", _parse_ranks, "synthetic factor counts R,K1,...,KM"),
-        "num_periods": ("342", _int(2), "number of simulated periods"),
+        "num_periods": ("342", _parse_int, "number of simulated periods"),
         "factor_mean": (str(SimSpec.factor_mean), _parse_float,
                         "level of every factor coordinate"),
-        "amplitudes": (str(SimSpec.amplitudes), _list(_parse_float, "amplitude"),
+        "amplitudes": (str(SimSpec.amplitudes), _list(_parse_float),
                        "sinusoid amplitudes, cycled over factor coordinates"),
-        "periods": (str(SimSpec.periods), _list(_int(1), "period"),
+        "periods": (str(SimSpec.periods), _list(_parse_int),
                     "sinusoid periods, cycled over factor coordinates"),
         "ar_coefficient": (str(SimSpec.ar_coefficient), _parse_float,
                            "AR(1) coefficient of the factor innovations"),
         "ar_sd": (str(SimSpec.ar_sd), _parse_float, "AR(1) innovation standard deviation"),
         "nu_sd": (str(SimSpec.nu_sd), _parse_float, "observation noise standard deviation"),
-        "eta_sds": (str(SimSpec.eta_sds), _list(_parse_float, "scale"),
+        "eta_sds": (str(SimSpec.eta_sds), _list(_parse_float),
                     "idiosyncratic shock scale per seasonal level, cycled"),
         "archive": ("sim.npz", _text, "simulated-series archive; relative names land in out"),
         "truth": ("truth.npz", _text, "ground-truth loadings/factors archive"),
@@ -271,9 +272,10 @@ class RunConfig:
     Each config section is a record whose fields are the section's keys,
     parsed as ``_SCHEMA`` says (``cfg.model.r_max``, ``cfg.backtest.horizons``;
     ``model.ranks`` and ``simulate.ranks`` are Ranks, the former None for
-    automatic selection), except that ``calendar`` is a CalendarSpec. The [run]
-    keys become ``out_dir`` and ``seed``, which the command-line flags may
-    override; ``base_out_dir`` keeps the configured output directory.
+    automatic selection), except that ``calendar`` is a CalendarSpec. ``score``,
+    ``plan`` (None without a train_length) and ``sim`` are the records of
+    [model], [backtest] and [simulate]; [run] gives ``out_dir`` and ``seed``,
+    which the flags may override, and ``base_out_dir`` keeps the former.
     """
 
     config_dir: Path
@@ -283,19 +285,20 @@ class RunConfig:
     forecast: Any
     backtest: Any
     simulate: Any
+    score: ScoreModel
+    plan: RollingPlan | None
+    sim: SimSpec
     base_out_dir: Path
     out_dir: Path
     seed: int
 
     def input_path(self, name: str) -> Path:
         """Input files: relative names resolve against the config location."""
-        p = Path(name)
-        return p if p.is_absolute() else self.config_dir / p
+        return self.config_dir / name
 
     def out_path(self, name: str) -> Path:
         """Artifacts: relative names resolve under the output directory."""
-        p = Path(name)
-        return p if p.is_absolute() else self.out_dir / p
+        return self.out_dir / name
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -328,25 +331,21 @@ def load_config(path: str | Path) -> RunConfig:
             values[key] = parse(f"{section}.{key}", raw)
         sections[section] = _SECTIONS[section](**values)
 
-    try:
-        calendar = CalendarSpec(**sections["calendar"]._asdict())
-    except ValueError as exc:
-        raise ConfigError(f"calendar: {exc}") from None
-
-    out_dir = Path(sections["run"].out)
-    if not out_dir.is_absolute():
-        out_dir = path.parent / out_dir
+    model, bt, run = sections["model"], sections["backtest"], sections["run"]
+    recipe = sections["simulate"]._asdict()
+    del recipe["archive"], recipe["truth"]
+    out_dir = path.parent / run.out  # an absolute run.out stays as it is
     return RunConfig(
         config_dir=path.parent,
-        data=sections["data"],
-        calendar=calendar,
-        model=sections["model"],
-        forecast=sections["forecast"],
-        backtest=sections["backtest"],
-        simulate=sections["simulate"],
+        **{name: sections[name] for name in ("data", "model", "forecast", "backtest", "simulate")},
+        calendar=_checked("calendar", CalendarSpec, **sections["calendar"]._asdict()),
+        score=_checked("model", ScoreModel, model.period, model.score_model, model.max_order),
+        plan=(None if bt.train_length is None
+              else _checked("backtest", RollingPlan, bt.train_length, bt.horizons)),
+        sim=_checked("simulate", SimSpec, **recipe, seed=run.seed),
         base_out_dir=out_dir,
         out_dir=out_dir,
-        seed=sections["run"].seed,
+        seed=run.seed,
     )
 
 
@@ -364,19 +363,16 @@ def _check_rank_settings(model: Any, dims: tuple[int, ...]) -> None:
     """Reject [model] rank settings the archive's tensors cannot take, by
     the estimator's own rules: explicit ranks by Ranks.validate_against,
     automatic ranks (None) by rank_bounds."""
-    try:
-        if model.ranks is None:
-            rank_bounds(dims, model.r_max, model.k_max)
-        else:
-            model.ranks.validate_against(dims)
-    except ValueError as exc:
-        setting = "model.ranks" if model.ranks is not None else "model.ranks = auto"
-        raise ConfigError(f"{setting}: {exc}, for the {dims} tensors in data.archive") from None
+    setting = "model.ranks" if model.ranks is not None else "model.ranks = auto"
+    where = f"{setting} for the {dims} tensors in data.archive"
+    if model.ranks is None:
+        _checked(where, rank_bounds, dims, model.r_max, model.k_max)
+    else:
+        _checked(where, model.ranks.validate_against, dims)
 
 
 def _check_two_seasons(period: int, length: int, source: str) -> None:
-    """Reject a score period longer than half the ``length`` periods, named by
-    ``source``, that the score models are fitted on: each needs two seasons."""
+    """Reject a score period without two seasons in the ``length`` periods named by ``source``."""
     if length < 2 * period:
         raise ConfigError(f"model.period = {period} needs at least {2 * period} periods, "
                           f"but {source} {length}")
@@ -432,11 +428,8 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> None:
-    n = args.horizon if args.horizon is not None else cfg.forecast.horizon
-    if n < 1:
-        raise ConfigError(f"--horizon must be >= 1, got {n}")
     ts = _load_archive(cfg)
-    _check_two_seasons(cfg.model.period, ts.num_periods, "data.archive holds")
+    _check_two_seasons(cfg.score.period, ts.num_periods, "data.archive holds")
     model = load_model(_require_file(cfg.out_path(cfg.model.archive), "model archive"))
     if model.provider_ids != ts.provider_ids:
         raise ConfigError(
@@ -449,10 +442,9 @@ def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> None:
         )
     xs = standardize(ts, model.standardization)
     factors = extract_factors(xs, model.loadings)
-    score = ScoreModel(cfg.model.period, cfg.model.score_model, cfg.model.max_order)
-    ff = forecast_factors(factors, n, score=score)
+    ff = forecast_factors(factors, cfg.forecast.horizon, score=cfg.score)
     fc = forecast_observations(ff, model.loadings, model.standardization)
-    logger.info("forecast %d periods ahead from %d observed", n, ts.num_periods)
+    logger.info("forecast %d periods ahead from %d observed", cfg.forecast.horizon, ts.num_periods)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     archive = cfg.out_dir / "forecast.npz"
     save_tensor_series(archive, fc)
@@ -515,34 +507,42 @@ def _write_loadings_csv(path: Path, model: TensorFactorModel) -> None:
 
 
 # The [backtest] keys of each baseline, keyed by the keyword of its forecast
-# function that each one sets.
+# function that each one sets, and the baseline's check of those settings.
 _BASELINE_KEYS = {
     "mfm": {"k_day": "mfm_day_factors", "k_hour": "mfm_hour_factors"},
     "vfm": {"r": "vfm_components", "stacked": "vfm_stacked"},
     "fpca": {"ncomp": "fpca_components"},
 }
+_BASELINE_CHECKS = {"mfm": mfm_ranks, "vfm": vfm_components, "fpca": fpca_components}
+
+
+def _baseline_settings(bt: Any, train_length: int, dims: tuple[int, ...]) -> dict[str, dict]:
+    """Each enabled baseline's forecast settings by name, passed by the
+    baseline's own check for windows of the archive; a failure names its keys."""
+    settings = {}
+    for name in bt.benchmarks:
+        keys = _BASELINE_KEYS[name]
+        settings[name] = {kw: getattr(bt, key) for kw, key in keys.items()}
+        named = " and ".join(f"backtest.{key} = {getattr(bt, key)}" for key in keys.values())
+        _checked(f"backtest.benchmarks holds {name} with {named}, for the {dims} tensors",
+               _BASELINE_CHECKS[name], (train_length, *dims), **settings[name])
+    return settings
 
 
 def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> None:
     ts = _load_archive(cfg)
-    bt, model = cfg.backtest, cfg.model
-    if bt.train_length is None:
+    bt, model, plan = cfg.backtest, cfg.model, cfg.plan
+    if plan is None:
         raise ConfigError("backtest.train_length is required for backtest")
-    _check_two_seasons(model.period, bt.train_length, "backtest.train_length =")
-    plan = RollingPlan(train_length=bt.train_length, horizons=bt.horizons)
-    try:
-        plan.validate_for(ts.num_periods)
-    except ValueError as exc:
-        raise ConfigError(f"backtest: {exc}") from None
+    _check_two_seasons(cfg.score.period, plan.train_length, "backtest.train_length =")
+    _checked("backtest", plan.validate_for, ts.num_periods)
     _check_rank_settings(model, ts.tensor_dims)
-    _check_baselines(bt, ts.tensor_dims)
-    score = ScoreModel(model.period, model.score_model, model.max_order)
+    baselines = _baseline_settings(bt, plan.train_length, ts.tensor_dims)
     forecasters = {"TFM": make_tensor_forecaster(ranks=model.ranks, r_max=model.r_max,
-                                                 k_max=model.k_max, score=score)}
-    for name in bt.benchmarks:
-        settings = {kw: getattr(bt, key) for kw, key in _BASELINE_KEYS[name].items()}
-        forecasters[name.upper()] = make_benchmark_forecaster(name, score=score, **settings)
-    windows = ts.num_periods - bt.train_length - min(bt.horizons)
+                                                 k_max=model.k_max, score=cfg.score)}
+    for name, settings in baselines.items():
+        forecasters[name.upper()] = make_benchmark_forecaster(name, score=cfg.score, **settings)
+    windows = ts.num_periods - plan.train_length - min(plan.horizons)
     reports = []
     for name, fn in forecasters.items():
         logger.info("backtesting %s over %d windows", name, windows)
@@ -555,38 +555,10 @@ def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> None:
         print(paths[key])
 
 
-def _check_baselines(bt: Any, dims: tuple[int, ...]) -> None:
-    """Reject enabled baseline settings the archive's tensors cannot hold."""
-    if not bt.benchmarks:
-        return
-    if len(dims) != 3:
-        raise ConfigError(f"backtest.benchmarks: the baselines need (N, S1, S2) tensors, "
-                          f"but data.archive holds {dims} tensors")
-    n, s1, s2 = dims
-    width = n * s1 * s2 if bt.vfm_stacked else s1 * s2
-    limits = [  # (baseline, key, largest value, what bounds it)
-        ("mfm", "mfm_day_factors", s1, "S1"),
-        ("mfm", "mfm_hour_factors", s2, "S2"),
-        ("vfm", "vfm_components", width, "the week-vector length"),
-        ("vfm", "vfm_components", bt.train_length - 1, "backtest.train_length - 1"),
-        ("fpca", "fpca_components", s2, "S2"),
-    ]
-    for name, key, limit, what in limits:
-        value = getattr(bt, key)
-        if name in bt.benchmarks and value is not None and value > limit:
-            raise ConfigError(f"backtest.{key} = {value} exceeds {what} = {limit} "
-                              f"for the {dims} tensors in data.archive")
-
-
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
-    recipe = cfg.simulate._asdict()
-    archive = cfg.out_path(recipe.pop("archive"))
-    truth_path = cfg.out_path(recipe.pop("truth"))
-    try:
-        spec = SimSpec(**recipe, seed=cfg.seed)
-    except ValueError as exc:
-        raise ConfigError(f"simulate: {exc}") from None
-    ts, loadings, factors = simulate(spec)
+    archive = cfg.out_path(cfg.simulate.archive)
+    truth_path = cfg.out_path(cfg.simulate.truth)
+    ts, loadings, factors = simulate(cfg.sim)
     logger.info("simulated %d periods of shape %s with seed %d",
                 ts.num_periods, ts.tensor_dims, cfg.seed)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -652,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, metavar="PATH",
                         help="run configuration file")
-    common.add_argument("--seed", type=int, default=None, metavar="S",
+    common.add_argument("--seed", default=None, metavar="S",
                         help="RNG seed, overrides [run] seed")
     common.add_argument("--out", default=None, metavar="DIR",
                         help="output directory, overrides [run] out")
@@ -669,19 +641,22 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sub = subparsers.add_parser(name, parents=[common], help=_COMMAND_HELP[name])
         if name == "forecast":
-            sub.add_argument("--horizon", type=int, default=None, metavar="N",
+            sub.add_argument("--horizon", default=None, metavar="N",
                              help="forecast steps ahead, overrides [forecast] horizon")
     return parser
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
+    """cfg with the flags applied, each parsed by the rule of the key it overrides."""
     updates: dict[str, object] = {}
     if args.out is not None:
         updates["out_dir"] = Path(args.out)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        updates["seed"] = args.seed
+        seed = _SCHEMA["run"]["seed"][1]("--seed", args.seed.strip())
+        updates.update(seed=seed, sim=dataclasses.replace(cfg.sim, seed=seed))
+    if getattr(args, "horizon", None) is not None:
+        horizon = _SCHEMA["forecast"]["horizon"][1]("--horizon", args.horizon.strip())
+        updates["forecast"] = cfg.forecast._replace(horizon=horizon)
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 

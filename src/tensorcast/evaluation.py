@@ -25,7 +25,7 @@ import numpy as np
 from .benchmarks import fpca_forecast, mfm_forecast, vfm_forecast
 from .factor_model import LoadingSet, FactorSeries, Ranks, fit_factor_model
 from .forecast import ScoreModel, forecast_factors, forecast_observations
-from .panel import TensorSeries, period_step
+from .panel import TensorSeries, as_count, period_step
 from .tensor import mode_product
 
 __all__ = [
@@ -53,14 +53,18 @@ class RollingPlan:
     horizons: tuple[int, ...] = (1, 4, 13, 26)
 
     def __post_init__(self):
-        if self.train_length < 2:
-            raise ValueError(f"train_length must be >= 2, got {self.train_length}")
-        if not self.horizons:
-            raise ValueError("need at least one horizon")
-        if any(n < 1 for n in self.horizons):
-            raise ValueError(f"horizons must be >= 1, got {self.horizons}")
-        if len(set(self.horizons)) != len(self.horizons):
-            raise ValueError(f"duplicate horizons in {self.horizons}")
+        object.__setattr__(self, "train_length", as_count("train_length", self.train_length, 2))
+        object.__setattr__(self, "horizons", self.checked_horizons(self.horizons))
+
+    @staticmethod
+    def checked_horizons(horizons: Sequence[int]) -> tuple[int, ...]:
+        """The horizon rule, which needs no train length, as a tuple of horizons."""
+        horizons = tuple(as_count("horizons", n, 1) for n in horizons)
+        if not horizons:
+            raise ValueError("horizons must list at least one horizon")
+        if len(set(horizons)) != len(horizons):
+            raise ValueError(f"duplicate horizons in {horizons}")
+        return horizons
 
     def validate_for(self, num_periods: int) -> None:
         """Require at least one evaluation window for every horizon."""
@@ -272,29 +276,30 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
+        self.dims = tuple(as_count("dims", d, 1) for d in self.dims)
         if len(self.dims) < 2:
             raise ValueError("dims must list the cross-section and at least one seasonal extent")
-        self.ranks.validate_against(self.dims)
-        if self.num_periods < 2:
-            raise ValueError(f"need at least 2 periods, got {self.num_periods}")
-        for name in ("factor_mean", "amplitudes", "ar_coefficient", "ar_sd", "nu_sd", "eta_sds",
-                     "mu", "sigma"):
+        try:
+            self.ranks.validate_against(self.dims)
+        except ValueError as exc:
+            raise ValueError(f"ranks {self.ranks} do not fit dims {self.dims}: {exc}") from None
+        self.num_periods = as_count("num_periods", self.num_periods, 2)
+        self.periods = (as_count("periods", self.periods, 1) if np.ndim(self.periods) == 0
+                        else tuple(as_count("periods", p, 1) for p in self.periods))
+        self.seed = as_count("seed", self.seed, 0)
+        for name in ("factor_mean", "amplitudes", "periods", "ar_coefficient", "ar_sd", "nu_sd",
+                     "eta_sds", "mu", "sigma"):
             value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
-                raise ValueError(f"{name} must be finite")
+            finite = np.isfinite(np.asarray(value, dtype=float))
+            if value is not None and not (finite.size and finite.all()):
+                raise ValueError(f"{name} must be finite and non-empty")
+            if name in ("mu", "sigma") and value is not None and value.shape != self.dims:
+                raise ValueError(f"{name} shape {value.shape} does not match dims {self.dims}")
         if abs(self.ar_coefficient) > 1:
             raise ValueError(f"|ar_coefficient| must be <= 1, got {self.ar_coefficient}")
-        if self.ar_sd < 0 or self.nu_sd < 0:
-            raise ValueError("noise scales must be >= 0")
-        if np.any(np.asarray(self.eta_sds, dtype=float) < 0):
-            raise ValueError("eta_sds must be >= 0")
-        if np.any(np.asarray(self.periods, dtype=int) < 1):
-            raise ValueError("seasonal periods must be >= 1")
-        if self.mu is not None and self.mu.shape != self.dims:
-            raise ValueError(f"mu shape {self.mu.shape} does not match dims {self.dims}")
-        if self.sigma is not None and self.sigma.shape != self.dims:
-            raise ValueError(f"sigma shape {self.sigma.shape} does not match dims {self.dims}")
+        for name in ("ar_sd", "nu_sd", "eta_sds"):
+            if np.any(np.asarray(getattr(self, name), dtype=float) < 0):
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property
     def num_levels(self) -> int:

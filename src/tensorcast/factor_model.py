@@ -34,6 +34,7 @@ import numpy as np
 from .panel import (
     Standardization,
     TensorSeries,
+    as_count,
     cell_standardization,
     destandardize,
     read_npz,
@@ -70,14 +71,8 @@ class Ranks:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        # bool is an int subclass, but True is not a count.
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (self.r, *self.k)):
-            raise ValueError(f"ranks must be integers, got r={self.r!r}, k={self.k!r}")
-        object.__setattr__(self, "r", int(self.r))
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
-        if self.r < 1 or any(v < 1 for v in self.k):
-            raise ValueError(f"ranks must be >= 1, got r={self.r}, k={self.k}")
+        object.__setattr__(self, "r", as_count("r", self.r, 1))
+        object.__setattr__(self, "k", tuple(as_count("k", v, 1) for v in self.k))
 
     def validate_against(self, dims: Sequence[int]) -> None:
         n, seasonal = dims[0], tuple(dims[1:])
@@ -336,7 +331,8 @@ def rank_bounds(
         raise ValueError("automatic rank selection needs at least 2 providers")
     if k_max is None:
         k_max = [min(3, s_j - 1) for s_j in dims[1:]]
-    bounds = min(r_max, dims[0] - 1), tuple(int(k) for k in k_max)
+    k_max = tuple(as_count("k_max", k, 1) for k in k_max)
+    bounds = min(as_count("r_max", r_max, 1), dims[0] - 1), k_max
     _check_bounds(dims, *bounds)
     return bounds
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factor_model import FactorSeries, LoadingSet, fitted_values
-from .panel import Standardization, TensorSeries, period_step
+from .panel import Standardization, TensorSeries, as_count, period_step
 
 __all__ = [
     "ARFit",
@@ -72,16 +72,10 @@ class ScoreModel:
     max_order: int = 5
 
     def __post_init__(self):
-        for name in ("period", "max_order"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(self, "period", as_count("period", self.period, 2))
         if self.kind not in SCORE_MODELS:
             raise ValueError(f"unknown score model {self.kind!r}")
-        if self.period < 2:
-            raise ValueError(f"period must be >= 2, got {self.period}")
-        if self.max_order < 0:
-            raise ValueError(f"max_order must be >= 0, got {self.max_order}")
+        object.__setattr__(self, "max_order", as_count("max_order", self.max_order, 0))
 
 
 @dataclass(frozen=True)
@@ -131,10 +125,8 @@ def classical_decompose(x: np.ndarray, period: int) -> np.ndarray:
     positionwise means of the detrended interior, re-centered to sum to zero.
     """
     x = _block(x)
-    m = int(period)
+    m = as_count("period", period, 2)
     t = x.shape[0]
-    if m < 2:
-        raise ValueError(f"period must be >= 2, got {m}")
     if t < 2 * m:
         raise ValueError(f"need at least {2 * m} points for period {m}, got {t}")
 
@@ -214,8 +206,7 @@ def fit_ar(x: np.ndarray, order: int) -> ARFit:
     """Conditional least squares for an AR(order) with intercept, fitted to
     each column of a (T, k) block; order 0 is the mean model."""
     x = _block(x)
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    order = as_count("order", order, 0)
     _require_length(x, order)
     r = _ar_factor(_rows(x), order, order)
     p = order + 1
@@ -238,7 +229,7 @@ def fit_ar_aic(x: np.ndarray, max_order: int) -> ARFit:
     t, k = x.shape
     if t < 2:
         raise ValueError(f"need at least 2 observations, got {t}")
-    pmax = max(0, min(int(max_order), (t - 2) // 2))
+    pmax = min(as_count("max_order", max_order, 0), (t - 2) // 2)
     # One factorization scores every nested order: rss[:, p] is the residual
     # sum of squares of order p on the common sample.
     r = _ar_factor(_rows(x), pmax, pmax)
@@ -261,8 +252,7 @@ def forecast_ar(fit: ARFit, history: np.ndarray, n: int) -> np.ndarray:
     """Recursive n-step forecast of each column of a (T, k) history from its
     last `order` values: (n, k)."""
     history = _block(history)
-    if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
+    n = as_count("horizon", n, 1)
     if len(history) < fit.order:
         raise ValueError(f"need {fit.order} trailing values, got {len(history)}")
     if history.shape[1] != len(fit.intercept):
@@ -291,8 +281,7 @@ def forecast_series(x: np.ndarray, n: int, *, score: ScoreModel = ScoreModel()) 
     Every step runs once over the whole block (only _ar_factor chunks its
     designs); a series' forecast is bit-identical whatever block it sits in.
     """
-    if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
+    n = as_count("horizon", n, 1)
     x = np.asarray(x, dtype=float)
     t = x.shape[0]
     series = x.reshape(t, -1)

@@ -51,11 +51,13 @@ _POW10 = np.array([float(10**k) for k in range(_MAX_DIGITS + 1)])
 _EPOCH_DAY = int(np.datetime64(_EPOCH, "D").astype(np.int64))  # days since 1970-01-01
 
 __all__ = [
+    "as_count",
     "PanelSeries",
     "CalendarSpec",
     "TensorSeries",
     "Standardization",
     "ingest_csv",
+    "span_hours",
     "fold",
     "cell_standardization",
     "standardize",
@@ -66,6 +68,15 @@ __all__ = [
     "read_npz",
     "write_npz",
 ]
+
+
+def as_count(name: str, value: object, minimum: int) -> int:
+    """The count check: value as an int if it is an integer >= minimum, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass
@@ -99,9 +110,9 @@ class CalendarSpec:
     week_start: str = "monday"
 
     def __post_init__(self):
-        if not self.periods or any(int(s) < 2 for s in self.periods):
-            raise ValueError(f"every seasonal period must be >= 2, got {self.periods}")
-        object.__setattr__(self, "periods", tuple(int(s) for s in self.periods))
+        object.__setattr__(self, "periods", tuple(as_count("periods", s, 2) for s in self.periods))
+        if not self.periods:
+            raise ValueError("periods must list at least one seasonal period")
         if self.week_start.lower() not in _WEEKDAYS:
             raise ValueError(f"unknown week_start {self.week_start!r}")
         object.__setattr__(self, "week_start", self.week_start.lower())
@@ -172,11 +183,22 @@ class Standardization:
 def _hour_index(ts: datetime) -> int:
     # Timestamps are naive local hours; an aware one cannot be placed on that grid.
     if ts.tzinfo is not None:
-        raise ValueError(f"timestamp {ts} carries a UTC offset; expected a naive local time")
+        raise ValueError(f"timestamp {ts} carries a UTC offset; give times without a UTC offset")
     if ts.minute or ts.second or ts.microsecond:
         raise ValueError(f"timestamp {ts} is not on the hourly grid")
     # _EPOCH is a midnight, so the hours past whole days are ts.hour.
     return (ts - _EPOCH).days * 24 + ts.hour
+
+
+def span_hours(span: tuple[datetime | str, datetime | str]) -> tuple[int, int]:
+    """The first and last hour index of an inclusive (start, end) span of naive
+    local times on the hourly grid, as datetimes or ISO strings."""
+    first, last = (_hour_index(datetime.fromisoformat(t) if isinstance(t, str) else t)
+                   for t in span)
+    if first > last:
+        raise ValueError(f"span {span[0]}..{span[1]} is reversed: start {span[0]} is after end "
+                         f"{span[1]}")
+    return first, last
 
 
 def _parse_rows(path: Path) -> tuple[str, list[int], list[float]]:
@@ -396,10 +418,7 @@ def ingest_csv(
     providers = [provider for provider, *_ in parsed]
 
     if span is not None:
-        first, last = (_hour_index(datetime.fromisoformat(t) if isinstance(t, str) else t)
-                       for t in span)
-        if first > last:
-            raise ValueError(f"span {span[0]}..{span[1]} is reversed: its start is after its end")
+        first, last = span_hours(span)
     else:
         first = max(int(hours[0]) for _, hours, _, _ in parsed)
         last = min(int(hours[-1]) for _, hours, _, _ in parsed)

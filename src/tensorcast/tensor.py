@@ -129,11 +129,11 @@ def _certified_leading(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     certify; eigenvalues descending, vector signs not yet fixed."""
     b, p, _ = s.shape
     vecs, vals = np.empty((b, p, k)), np.empty((b, k))
-    flat = s.reshape(b, p * p)
-    # numpy's pairwise sum along each row: a member's norm, and with it every
-    # step below, is the same alone as in any stack (np.einsum's is not) and
-    # at any BLAS thread count (a BLAS dot product of length p**2 is not).
-    norm = np.sqrt(np.sum(flat * flat, axis=1))
+    # numpy's pairwise sum over each member's own row, one row at a time: a
+    # member's norm, and with it every step below, is the same alone as in any
+    # stack (np.einsum's is not) and at any BLAS thread count (a BLAS dot
+    # product of length p**2 is not), and no (B, p**2) temporary is made.
+    norm = np.sqrt([np.sum(row * row) for row in s.reshape(b, p * p)])
     pending = np.flatnonzero(norm > 0.0)
     c, scale = (s if pending.size == b else s[pending]), norm[pending, None, None]
     start = np.random.default_rng(_START_SEED).standard_normal((p, k + _EXTRA))

@@ -12,9 +12,12 @@ from tensorcast.benchmarks import (
     _component_count,
     _matricize_weeks,
     _vectorize_weeks,
+    fpca_components,
     fpca_forecast,
     mfm_forecast,
+    mfm_ranks,
     split_providers,
+    vfm_components,
     vfm_forecast,
 )
 from tensorcast.factor_model import (
@@ -194,6 +197,38 @@ def test_vfm_requires_more_periods_than_components():
     ts_long = make_series(rng.standard_normal((10, 1, 2, 3)))
     with pytest.raises(ValueError, match="out of range"):
         vfm_forecast(ts_long, 1, r=7, score=ScoreModel(period=2))
+
+
+@pytest.mark.parametrize("check, settings, message", [
+    (mfm_ranks, {"k_day": 8, "k_hour": 2}, r"k_day=8 out of range 1\.\.7 \(S1\)"),
+    (mfm_ranks, {"k_day": 1, "k_hour": 25}, r"k_hour=25 out of range 1\.\.24 \(S2\)"),
+    (mfm_ranks, {"k_day": True, "k_hour": 2}, "k_day must be an integer, got True"),
+    (mfm_ranks, {"k_day": 1, "k_hour": 0}, "k_hour must be >= 1, got 0"),
+    (vfm_components, {"r": 169, "stacked": False}, r"r=169 out of range 1\.\.168"),
+    (vfm_components, {"r": 300, "stacked": True}, "more periods than components"),
+    (vfm_components, {"r": 2.0, "stacked": False}, "r must be an integer, got 2.0"),
+    (fpca_components, {"ncomp": 25}, r"ncomp=25 out of range 1\.\.24 \(S2\)"),
+    (fpca_components, {"ncomp": np.bool_(True)}, "ncomp must be an integer"),
+])
+def test_baseline_checks_reject_settings_the_series_cannot_take(check, settings, message):
+    with pytest.raises(ValueError, match=message):
+        check((171, 3, 7, 24), **settings)
+
+
+def test_baseline_checks_pass_plain_int_settings():
+    assert mfm_ranks((171, 3, 7, 24), np.int64(7), 24) == Ranks(7, (24,))
+    assert type(vfm_components((171, 3, 7, 24), np.int32(170), True)) is int
+    assert fpca_components((171, 3, 7, 24), None) is None
+
+
+@pytest.mark.parametrize("forecaster, settings", [
+    (mfm_forecast, {"k_day": 1.0}), (vfm_forecast, {"r": True}), (fpca_forecast, {"ncomp": 2.5}),
+])
+def test_forecasts_run_their_baseline_check_first(forecaster, settings):
+    # A count that is not an integer fails before any data is touched.
+    ts = make_series(np.random.default_rng(4).standard_normal((24, 2, 3, 4)))
+    with pytest.raises(ValueError, match="must be an integer"):
+        forecaster(ts, 1, score=ScoreModel(period=4), **settings)
 
 
 def test_vfm_with_kron_structured_loading_matches_mfm_reconstruction():

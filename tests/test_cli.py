@@ -175,6 +175,61 @@ def test_flag_overrides_are_validated(tmp_path):
     assert main(["fit", "--config", str(tmp_path / "run.ini"), "--seed", "-1"]) == 2
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "period", "1"),
+    ("model", "max_order", "-1"),
+    ("model", "ranks", "1,0,2"),
+    ("backtest", "train_length", "1"),
+    ("backtest", "horizons", "1,1"),
+    ("backtest", "horizons", "0,4"),
+    ("calendar", "periods", "7,1"),
+    ("simulate", "num_periods", "1"),
+    ("simulate", "ranks", "1,0,2"),
+    ("simulate", "dims", "9,0,24"),
+    ("simulate", "periods", "0"),
+    ("simulate", "nu_sd", "-1"),
+])
+def test_record_rules_fail_at_load_naming_the_key(tmp_path, capsys, section, key, value):
+    # The records own these ranges; load_config builds them before any
+    # archive is read, so the message names the key, not a missing archive.
+    cfg = write_config(tmp_path / "run.ini", {section: {key: value}})
+    assert main(["fit", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert section in err and key in err and "not found" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_config_holds_the_records(tmp_path):
+    cfg = load_config(write_config(tmp_path / "run.ini", {
+        "model": {"period": "12", "score_model": "AR_AIC", "max_order": "3"},
+        "backtest": {"train_length": "40", "horizons": "4,1"},
+        "simulate": {"dims": "3,7,24", "num_periods": "60"},
+        "run": {"seed": "9"},
+    }))
+    assert cfg.score == ScoreModel(12, "ar_aic", 3)  # score_model keeps its case folding
+    assert cfg.plan == evaluation.RollingPlan(40, (4, 1))
+    assert cfg.sim.dims == (3, 7, 24) and cfg.sim.num_periods == 60 and cfg.sim.seed == 9
+    assert load_config(write_config(tmp_path / "bare.ini", {})).plan is None
+
+
+def test_flags_are_parsed_by_their_keys_rules(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.ini", {
+        "simulate": {"dims": "3,7,24", "num_periods": "12"}, "run": {"seed": "5"}})
+    for argv, flag in [(["fit", "--seed", "x"], "--seed: expected an integer"),
+                       (["fit", "--seed", "-1"], "--seed: must be >= 0"),
+                       (["forecast", "--horizon", "1.5"], "--horizon: expected an integer"),
+                       (["forecast", "--horizon", "0"], "--horizon: must be >= 1")]:
+        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 2
+        assert flag in capsys.readouterr().err
+    # --seed reaches the simulation recipe as [run] seed does.
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    flagged = write_config(tmp_path / "flag.ini", {"simulate": {"dims": "3,7,24",
+                                                                "num_periods": "12"}})
+    assert main(["simulate", "--config", str(flagged), "--out", str(tmp_path / "b"),
+                 "--seed", "5"]) == 0
+    assert (tmp_path / "a" / "sim.npz").read_bytes() == (tmp_path / "b" / "sim.npz").read_bytes()
+
+
 def test_horizon_flag_belongs_to_forecast_only(tmp_path, capsys):
     cfg = str(write_config(tmp_path / "run.ini", {}))
     for command in ("ingest", "ranks", "fit", "backtest", "simulate", "report"):

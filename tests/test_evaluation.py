@@ -84,6 +84,24 @@ def test_rolling_plan_validation():
     RollingPlan(train_length=10, horizons=(26,)).validate_for(37)
 
 
+@pytest.mark.parametrize("settings, field", [
+    ({"train_length": 40.5}, "train_length"),  # once failed later, in rolling_evaluate
+    ({"train_length": True}, "train_length"),
+    ({"horizons": (1.0, 4)}, "horizons"),
+    ({"horizons": (True, 4)}, "horizons"),  # once read as horizon 1
+    ({"horizons": (np.bool_(True), 4)}, "horizons"),
+])
+def test_rolling_plan_rejects_counts_that_are_not_integers(settings, field):
+    with pytest.raises(ValueError, match=field):
+        RollingPlan(**{"train_length": 40, **settings})
+
+
+def test_rolling_plan_stores_plain_int_counts_in_a_hashable_plan():
+    plan = RollingPlan(np.int64(40), horizons=[np.int64(1), 4])
+    assert plan == RollingPlan(40, (1, 4)) and hash(plan) == hash(RollingPlan(40, (1, 4)))
+    assert type(plan.train_length) is int and all(type(n) is int for n in plan.horizons)
+
+
 def test_oracle_forecaster_scores_zero():
     rng = np.random.default_rng(0)
     ts = random_series(rng, 20)
@@ -466,6 +484,36 @@ def test_sim_spec_rejects_non_finite_settings(setting):
     (name,) = setting
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         SimSpec(dims=(2, 3, 4), ranks=Ranks(1, (1, 1)), num_periods=5, **setting)
+
+
+@pytest.mark.parametrize("setting, field", [
+    ({"dims": (3.7, 7, 24)}, "dims"),  # once became (3, 7, 24)
+    ({"dims": (3, True, 24)}, "dims"),  # once became (3, 1, 24)
+    ({"dims": (3, 0, 24)}, "dims"),  # once reported as "seasonal rank 1 exceeds period 0"
+    ({"periods": 52.5}, "periods"),  # once truncated by the generator
+    ({"periods": (52, 0)}, "periods"),
+    ({"num_periods": 60.5}, "num_periods"),  # once failed inside numpy
+    ({"num_periods": 1}, "num_periods"),
+    ({"seed": -1}, "seed"),  # once failed inside numpy
+    ({"seed": 1.0}, "seed"),
+    ({"ar_sd": -0.5}, "ar_sd"),
+    ({"nu_sd": -0.5}, "nu_sd"),
+    ({"dims": (3, 7, 24, 24)}, "dims"),  # three seasonal modes for two seasonal ranks
+    ({"periods": ()}, "periods"),  # once a NaN panel with an error naming no setting
+    ({"amplitudes": ()}, "amplitudes"),  # once zero amplitudes without a word
+    ({"eta_sds": ()}, "eta_sds"),  # once zero shocks without a word
+])
+def test_sim_spec_rejects_bad_counts_naming_the_field(setting, field):
+    spec = {"dims": (3, 7, 24), "ranks": Ranks(1, (1, 2)), "num_periods": 60, **setting}
+    with pytest.raises(ValueError, match=field):
+        SimSpec(**spec)
+
+
+def test_sim_spec_stores_plain_int_counts():
+    spec = SimSpec(dims=np.array([3, 7, 24]), ranks=Ranks(1, (1, 2)), num_periods=np.int64(60),
+                   periods=(np.int32(52), 12), seed=np.uint8(3))
+    assert (spec.dims, spec.num_periods, spec.periods, spec.seed) == ((3, 7, 24), 60, (52, 12), 3)
+    assert all(type(v) is int for v in (*spec.dims, spec.num_periods, *spec.periods, spec.seed))
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ class TestRanks:
     @pytest.mark.parametrize(
         "r, k", [(1, (1.9, 2)), (1.5, (1, 2)), (1, (1, "2")), (True, (True,)), (1, (2, True))])
     def test_rejects_non_integer_counts(self, r, k):
-        with pytest.raises(ValueError, match="ranks must be integers"):
+        with pytest.raises(ValueError, match="must be an integer"):
             Ranks(r, k)
 
     def test_stores_numpy_integer_counts_as_python_ints(self):
@@ -435,6 +435,17 @@ class TestFitFactorModel:
         ts = make_series(np.random.default_rng(26).standard_normal((30, 1, 7, 24)))
         with pytest.raises(ValueError, match="automatic rank selection needs at least 2 providers"):
             fit_factor_model(ts)
+
+    @pytest.mark.parametrize("r_max, k_max, name", [
+        (3, (1.9, 2), "k_max"),  # once truncated to (1, 2)
+        (2.5, None, "r_max"),  # once passed through as a float bound
+        (True, None, "r_max"),
+        (3, (2, np.bool_(True)), "k_max"),
+    ])
+    def test_rank_bounds_take_integer_counts_only(self, r_max, k_max, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            rank_bounds((9, 7, 24), r_max, k_max)
+        assert rank_bounds((9, 7, 24), np.int64(3), (np.int32(2), 3)) == (3, (2, 3))
 
     def test_each_fit_unfolds_each_mode_once_per_pass(self, monkeypatch):
         # Either fit unfolds the three modes once: an auto-rank fit narrows

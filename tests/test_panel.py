@@ -279,6 +279,16 @@ class TestCalendarSpec:
         with pytest.raises(ValueError):
             CalendarSpec(periods=(5,))
 
+    @pytest.mark.parametrize("periods", [(7.9, 24), (7, True, 24), (7, "24"), ()])
+    def test_rejects_periods_that_are_not_integer_counts(self, periods):
+        # (7.9, 24) once became (7, 24) without a word.
+        with pytest.raises(ValueError, match="periods"):
+            CalendarSpec(periods=periods)
+
+    def test_stores_numpy_integer_periods_as_python_ints(self):
+        cal = CalendarSpec(periods=(np.int64(7), np.int32(24)))
+        assert cal == CalendarSpec() and all(type(s) is int for s in cal.periods)
+
     def test_seasonal_indices_monday_anchor(self):
         cal = CalendarSpec()
         # 2001-01-01 was a Monday; hour 0 is Monday 00:00.

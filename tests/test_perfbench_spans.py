@@ -1,5 +1,6 @@
-"""Guard for the benchmark's span table: every traced name must exist, and
-the baselines' calls must fire the spans the benchmark requires."""
+"""Guards for the frozen benchmark: every traced name must exist, the
+baselines' calls must fire the spans the benchmark requires, and every
+workload must still set up against the library's constructors and CLI."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import logging
 import os
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +26,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def load(name: str):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     # run.py pins the BLAS thread variables when loaded; keep them out of
     # this process's environment.
     with mock.patch.dict(os.environ):
@@ -94,3 +98,28 @@ def test_csv_pipeline_fires_the_required_spans(tmp_path):
     assert not missing, f"spans the benchmark requires did not fire: {sorted(missing)}"
     assert recorder.counts["panel.ingest_csv.rows"] == 3 * len(hours)
     assert recorder.counts["cli.forecast.csv_bytes"] > 0
+
+
+def test_every_workload_sets_up_and_a_pipeline_pass_succeeds(tmp_path, monkeypatch):
+    # The workloads call RollingPlan, SimSpec, make_benchmark_forecaster and
+    # cli.main on a generated config; a constructor or key they rely on that
+    # changes shape fails here, not in a later benchmark run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports inputs.py
+    panel_log = logging.getLogger("tensorcast.panel")
+    level = panel_log.level
+    pipeline = None
+    try:
+        workloads = load("workloads")
+        for name in workloads.WORKLOADS:
+            workload = workloads.make_workload(name, 0, tmp_path / name)
+            if name == "csv-pipeline":
+                pipeline = workload  # its constructor attached the repair log
+            workload.generate()
+            workload.warm_up()
+        result = pipeline.run_pass()
+        assert (result.attempted, result.failed) == (3, 0), result.problems
+    finally:
+        sys.modules.pop("inputs", None)
+        if pipeline is not None:
+            panel_log.removeHandler(pipeline.repair_log)
+        panel_log.setLevel(level)

@@ -7,6 +7,9 @@ import pytest
 
 from helpers import frobenius_norm, hadamard, kron, oracle_top_eigenvectors, refold, unfold
 from tensorcast import tensor
+from tensorcast.evaluation import SimSpec, simulate
+from tensorcast.factor_model import Ranks
+from tensorcast.panel import cell_standardization, standardize
 from tensorcast.tensor import mode_product, multi_mode_product, top_eigenvectors
 
 
@@ -341,6 +344,36 @@ class TestStackedEigenLayer:
             np.testing.assert_array_equal(vm, alone_v)
             np.testing.assert_array_equal(wm, alone_w)
         np.testing.assert_array_equal(top_eigenvectors(s, 2)[0], v)
+
+    def test_paper_vfm_stack_members_match_their_solo_solves(self, monkeypatch):
+        # VFM's (9, 168, 168) week covariances on the first train-171 window
+        # of the seed-0 paper panel. Each member's Frobenius norm, which
+        # scales the certified iteration, and its eigenpairs are byte-equal
+        # whether it is solved alone or in the stack.
+        ts = simulate(SimSpec(dims=(9, 7, 24), ranks=Ranks(1, (1, 2)), num_periods=342,
+                              seed=0))[0]
+        x = standardize(ts, cell_standardization(ts.values)).values[:171]
+        blocks = np.ascontiguousarray(x.transpose(1, 0, 3, 2)).reshape(9, 171, 168)
+        blocks -= blocks.mean(axis=1, keepdims=True)
+        cov = blocks.swapaxes(1, 2) @ blocks / 171
+        squares, fallback = [], []
+        real_sum, real_full = np.sum, tensor._full_leading
+
+        def recording_sum(a, *args, **kwargs):
+            out = real_sum(a, *args, **kwargs)
+            if np.ndim(a) == 1 and np.size(a) == 168 * 168:
+                squares.append(out.tobytes())
+            return out
+
+        monkeypatch.setattr(np, "sum", recording_sum)
+        monkeypatch.setattr(tensor, "_full_leading",
+                            lambda m, k: fallback.append(len(m)) or real_full(m, k))
+        v, w = top_eigenvectors(cov, 2)
+        assert len(squares) == 9 and not fallback  # one norm per member, all certified
+        for member, vm, wm, square in zip(cov, v, w, list(squares)):
+            alone_v, alone_w = top_eigenvectors(member, 2)
+            assert squares[-1] == square
+            assert alone_v.tobytes() == vm.tobytes() and alone_w.tobytes() == wm.tobytes()
 
     def test_near_tied_matrix_takes_the_fallback(self, monkeypatch):
         # lambda_2 / lambda_3 = 0.998 over a slowly decaying tail: no block of
