@@ -25,7 +25,7 @@ import numpy as np
 from .benchmarks import fpca_forecast, mfm_forecast, vfm_forecast
 from .factor_model import LoadingSet, FactorSeries, Ranks, fit_factor_model
 from .forecast import ScoreModel, forecast_factors, forecast_observations
-from .panel import TensorSeries, as_count, period_step
+from .panel import TensorSeries, as_count, as_counts, period_step
 from .tensor import mode_product
 
 __all__ = [
@@ -59,7 +59,7 @@ class RollingPlan:
     @staticmethod
     def checked_horizons(horizons: Sequence[int]) -> tuple[int, ...]:
         """The horizon rule, which needs no train length, as a tuple of horizons."""
-        horizons = tuple(as_count("horizons", n, 1) for n in horizons)
+        horizons = as_counts("horizons", horizons, 1)
         if not horizons:
             raise ValueError("horizons must list at least one horizon")
         if len(set(horizons)) != len(horizons):
@@ -276,7 +276,7 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.dims = tuple(as_count("dims", d, 1) for d in self.dims)
+        self.dims = as_counts("dims", self.dims, 1)
         if len(self.dims) < 2:
             raise ValueError("dims must list the cross-section and at least one seasonal extent")
         try:

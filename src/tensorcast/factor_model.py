@@ -35,8 +35,8 @@ from .panel import (
     Standardization,
     TensorSeries,
     as_count,
+    as_counts,
     cell_standardization,
-    destandardize,
     read_npz,
     standardize,
     write_npz,
@@ -53,7 +53,6 @@ __all__ = [
     "projected_loadings",
     "extract_factors",
     "reconstruct_common",
-    "fitted_values",
     "rank_bounds",
     "select_ranks",
     "in_sample_mse",
@@ -72,7 +71,7 @@ class Ranks:
 
     def __post_init__(self):
         object.__setattr__(self, "r", as_count("r", self.r, 1))
-        object.__setattr__(self, "k", tuple(as_count("k", v, 1) for v in self.k))
+        object.__setattr__(self, "k", as_counts("k", self.k, 1))
 
     def validate_against(self, dims: Sequence[int]) -> None:
         n, seasonal = dims[0], tuple(dims[1:])
@@ -271,12 +270,6 @@ def reconstruct_common(factor_values: np.ndarray, loadings: LoadingSet) -> np.nd
     return multi_mode_product(factor_values, [None, loadings.lam, *loadings.b])
 
 
-def fitted_values(f: FactorSeries, loadings: LoadingSet, z: Standardization) -> TensorSeries:
-    """Fitted observations: the reconstructed common component destandardized."""
-    common = TensorSeries(reconstruct_common(f.values, loadings), f.period_starts, f.provider_ids)
-    return destandardize(common, z)
-
-
 # Ratios within 10% of the best are treated as tied; without a band, the
 # argmax over the near-flat ratios of factorless data is effectively random
 # instead of resolving toward the smaller rank.
@@ -331,7 +324,7 @@ def rank_bounds(
         raise ValueError("automatic rank selection needs at least 2 providers")
     if k_max is None:
         k_max = [min(3, s_j - 1) for s_j in dims[1:]]
-    k_max = tuple(as_count("k_max", k, 1) for k in k_max)
+    k_max = as_counts("k_max", k_max, 1)
     bounds = min(as_count("r_max", r_max, 1), dims[0] - 1), k_max
     _check_bounds(dims, *bounds)
     return bounds

@@ -5,8 +5,8 @@ deterministic seasonal component with the classical additive decomposition,
 fit an autoregression to the seasonally adjusted series (trend is left in, so
 low-frequency movement is extrapolated rather than frozen), forecast
 recursively, and add the seasonal index of each future position back.
-Observation-space forecasts then reapply the loadings and the per-cell
-standardization, the same reconstruction used for in-sample fitted values.
+forecast_observations then reapplies the loadings and the per-cell
+standardization, to forecast factors as to in-sample ones.
 
 forecast_series takes a whole (T, ...) block of score series, 1-D included,
 and hands its stage functions the one shape they take, a (T, k) block; a
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factor_model import FactorSeries, LoadingSet, fitted_values
-from .panel import Standardization, TensorSeries, as_count, period_step
+from .factor_model import FactorSeries, LoadingSet, reconstruct_common
+from .panel import Standardization, TensorSeries, as_count, destandardize, period_step
 
 __all__ = [
     "ARFit",
@@ -321,6 +321,7 @@ def forecast_factors(f: FactorSeries, n: int, *, score: ScoreModel = ScoreModel(
 def forecast_observations(
     ff: FactorSeries, loadings: LoadingSet, z: Standardization
 ) -> TensorSeries:
-    """Observation-space forecasts: the in-sample reconstruction
-    (fitted_values) applied to forecast factor tensors."""
-    return fitted_values(ff, loadings, z)
+    """Observations of a factor series, forecast or in-sample: the common
+    component (reconstruct_common) destandardized to each cell's scale."""
+    common = reconstruct_common(ff.values, loadings)
+    return destandardize(TensorSeries(common, ff.period_starts, ff.provider_ids), z)

@@ -18,7 +18,6 @@ and scale so the factor model sees zero-mean, unit-variance inputs.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 import re
@@ -52,6 +51,7 @@ _EPOCH_DAY = int(np.datetime64(_EPOCH, "D").astype(np.int64))  # days since 1970
 
 __all__ = [
     "as_count",
+    "as_counts",
     "PanelSeries",
     "CalendarSpec",
     "TensorSeries",
@@ -77,6 +77,15 @@ def as_count(name: str, value: object, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def as_counts(name: str, values: object, minimum: int) -> tuple[int, ...]:
+    """The list check: a list, tuple or 1-D array of counts (as_count) as a
+    tuple of ints; a str, bytes, scalar or other container is a ValueError."""
+    if not (isinstance(values, (list, tuple))
+            or isinstance(values, np.ndarray) and values.ndim == 1):
+        raise ValueError(f"{name} must be a list of integers, got {values!r}")
+    return tuple(as_count(name, v, minimum) for v in values)
 
 
 @dataclass
@@ -110,10 +119,10 @@ class CalendarSpec:
     week_start: str = "monday"
 
     def __post_init__(self):
-        object.__setattr__(self, "periods", tuple(as_count("periods", s, 2) for s in self.periods))
+        object.__setattr__(self, "periods", as_counts("periods", self.periods, 2))
         if not self.periods:
             raise ValueError("periods must list at least one seasonal period")
-        if self.week_start.lower() not in _WEEKDAYS:
+        if not isinstance(self.week_start, str) or self.week_start.lower() not in _WEEKDAYS:
             raise ValueError(f"unknown week_start {self.week_start!r}")
         object.__setattr__(self, "week_start", self.week_start.lower())
         if _HOURS_PER_WEEK % self.period_hours != 0:
@@ -219,6 +228,8 @@ def _parse_rows(path: Path) -> tuple[str, list[int], list[float]]:
         dt_col = header.index("Datetime")
         val_col = mw_cols[0]
         provider = header[val_col][: -len("_MW")]
+        if not provider:
+            raise ValueError(f"{path}: the '_MW' column names no provider id")
 
         hours, values = [], []
         for lineno, row in enumerate(reader, start=2):
@@ -587,14 +598,16 @@ def write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     mostly random float bits of a panel costs far more time than the space it
     saves. np.savez stamps each zip member with the wall clock, so two
     otherwise identical runs produce different files; here every member gets
-    a fixed timestamp and members are written in the given key order.
+    a fixed timestamp and members are written in the given key order. Each
+    array goes straight into its member, at most 16 MiB at a time.
     """
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for name, arr in arrays.items():
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.asarray(arr), allow_pickle=False)
+            arr = np.asarray(arr)
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, buf.getvalue())
+            info.file_size = arr.nbytes  # zipfile picks ZIP64 headers from the expected size
+            with zf.open(info, "w") as member:
+                np.lib.format.write_array(member, arr, allow_pickle=False)
 
 
 def read_npz(path: str | Path, names: Sequence[str]) -> dict[str, np.ndarray]:

@@ -4,12 +4,14 @@ code is checked against: the scalar score forecaster, the score forecaster
 that ran every step once per chunk of 32 series, the per-matrix full
 eigendecomposition, the per-slice functional PCA, the first pass that
 solves every column and recompresses when it narrows, the rolling
-evaluation loop that kept per-horizon error and dispersion arrays, and the
-row-by-row forecast.csv writer."""
+evaluation loop that kept per-horizon error and dispersion arrays, the
+row-by-row forecast.csv writer, and the .npz writer that built each member
+in memory first."""
 
 from __future__ import annotations
 
 import csv
+import io
 import zipfile
 from contextlib import contextmanager
 from dataclasses import replace
@@ -650,3 +652,14 @@ def deflated_copy(src: Path, dst: Path) -> None:
     with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w", zipfile.ZIP_DEFLATED) as zout:
         for info in zin.infolist():
             zout.writestr(info.filename, zin.read(info))
+
+
+def buffered_write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
+    """panel.write_npz as it was, each member built in an in-memory buffer and
+    copied out of it into the archive: the oracle of the streamed writer."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for name, arr in arrays.items():
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, np.asarray(arr), allow_pickle=False)
+            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            zf.writestr(info, buf.getvalue())

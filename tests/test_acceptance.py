@@ -27,7 +27,6 @@ from tensorcast.factor_model import (
     Ranks,
     extract_factors,
     fit_factor_model,
-    fitted_values,
     in_sample_mse,
     initial_loadings,
     projected_loadings,
@@ -287,7 +286,7 @@ def test_hourly_panel_qualitative_reproduction():
         model, factors = fit_factor_model(ts, ranks=Ranks(1, (1, k_hour)))
         fits[k_hour] = (model, factors)
     mse = {
-        k: in_sample_mse(ts, fitted_values(f, m.loadings, m.standardization))
+        k: in_sample_mse(ts, forecast_observations(f, m.loadings, m.standardization))
         for k, (m, f) in fits.items()
     }
     if not mse[2] < mse[1]:

@@ -18,10 +18,11 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import pytest
 
 from tensorcast.cli import _SCHEMA, ConfigError, load_config, main
 from tensorcast.evaluation import RollingPlan, SimSpec
-from tensorcast.factor_model import Ranks
+from tensorcast.factor_model import Ranks, rank_bounds
 from tensorcast.forecast import ScoreModel
 from tensorcast.panel import CalendarSpec
 
@@ -165,3 +166,35 @@ def test_records_accept_exactly_the_integers_at_their_minimum():
                     continue
                 assert kind in ("int", "np.int64") and v >= minimum, case
                 assert type(stored(record)) is int and stored(record) == v, case
+
+
+# A list field given no list, and week_start given no string: each once
+# raised TypeError or AttributeError, or named an element, instead of a
+# ValueError naming the field and what it must be.
+NOT_A_LIST = {
+    "Ranks.k = 5": (lambda: Ranks(1, 5), "k must be a list"),
+    "Ranks.k = '12'": (lambda: Ranks(1, "12"), "k must be a list"),
+    "Ranks.k = b'12'": (lambda: Ranks(1, b"12"), "k must be a list"),
+    "CalendarSpec.periods = None": (lambda: CalendarSpec(periods=None), "periods must be a list"),
+    "CalendarSpec.periods = 2-D array": (lambda: CalendarSpec(periods=np.array([[7, 24]])),
+                                         "periods must be a list"),
+    "CalendarSpec.week_start = 3": (lambda: CalendarSpec(week_start=3), "unknown week_start 3"),
+    "RollingPlan.horizons = 4": (lambda: RollingPlan(10, horizons=4), "horizons must be a list"),
+    "SimSpec.dims = 5": (lambda: SimSpec(dims=5, ranks=Ranks(1, (1,)), num_periods=5),
+                         "dims must be a list"),
+    "rank_bounds k_max = 3": (lambda: rank_bounds((9, 7, 24), 3, k_max=3),
+                              "k_max must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_A_LIST)
+def test_a_field_of_the_wrong_container_type_is_a_value_error_naming_it(case):
+    build, message = NOT_A_LIST[case]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
+
+
+def test_list_fields_take_lists_tuples_and_1d_integer_arrays():
+    for values in ([7, 24], (7, 24), np.array([7, 24])):
+        periods = CalendarSpec(periods=values).periods
+        assert periods == (7, 24) and all(type(p) is int for p in periods), values

@@ -8,6 +8,7 @@ provider, hours, mean bytes and duplicate count, or the same exception."""
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from datetime import datetime, timedelta
 
@@ -138,6 +139,46 @@ def test_both_paths_agree_on_every_mutation(mutation, tmp_path, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(panel, "_parse_columns", lambda data: None)
             assert got == outcome(path), case
+
+
+# Header-row mutations: name -> the file's bytes from (header, lines). The
+# column parser reads none of them, and each must end on both paths in the
+# same ValueError naming the path.
+HEADERS = {
+    "lower-case datetime": lambda h, ls: render(h.replace("Datetime", "datetime"), ls),
+    "two _MW columns": lambda h, ls: render(h + ",DOM_MW", [line + ",1" for line in ls]),
+    "_MW column with no id": lambda h, ls: render("Datetime,_MW", ls),
+    "blank line before the header": lambda h, ls: b"\n" + render(h, ls),
+    "header repeated mid-file": lambda h, ls: (render(h, ls[: len(ls) // 2])
+                                               + render(h, ls[len(ls) // 2:])),
+}
+
+
+@pytest.mark.parametrize("mutation", HEADERS)
+def test_header_mutations_fail_alike_naming_the_path(mutation, tmp_path, monkeypatch):
+    path = tmp_path / "AEP_hourly.csv"
+    for case in range(12):
+        rng = np.random.default_rng([len(MUTATIONS) + sorted(HEADERS).index(mutation), case])
+        path.write_bytes(HEADERS[mutation](*random_file(rng)))
+        assert panel._parse_columns(path.read_bytes()) is None, case
+        got = outcome(path)
+        assert got[0] is ValueError and got[1].startswith(f"{path}"), (case, got)
+        with monkeypatch.context() as m:
+            m.setattr(panel, "_parse_columns", lambda data: None)
+            assert got == outcome(path), case
+
+
+@pytest.mark.parametrize("header", ["Datetime,_MW", "Datetime, _MW"])
+def test_an_mw_column_without_a_provider_id_is_rejected(header, tmp_path):
+    # Such a file used to be read as the provider ''.
+    path = tmp_path / "AEP_hourly.csv"
+    path.write_bytes(render(header, ["2020-01-06 00:00:00,1", "2020-01-06 01:00:00,2"]))
+    message = re.escape(f"{path}: the '_MW' column names no provider id")
+    assert panel._parse_columns(path.read_bytes()) is None
+    with pytest.raises(ValueError, match=message):
+        panel._parse_rows(path)
+    with pytest.raises(ValueError, match=message):
+        ingest_csv([path])
 
 
 def test_decimals_parse_to_the_bits_of_float(tmp_path):

@@ -29,7 +29,6 @@ from tensorcast.factor_model import (
     _stack_unfoldings,
     extract_factors,
     fit_factor_model,
-    fitted_values,
     in_sample_mse,
     initial_loadings,
     load_model,
@@ -39,6 +38,7 @@ from tensorcast.factor_model import (
     save_model,
     select_ranks,
 )
+from tensorcast.forecast import forecast_observations
 from tensorcast.panel import (
     Standardization,
     TensorSeries,
@@ -219,7 +219,7 @@ class TestFittedValues:
             provider_ids=["a", "b", "c"],
         )
         np.testing.assert_array_equal(
-            fitted_values(f, loadings, z).values, np.broadcast_to(z.mu, (4, 3, 4, 5))
+            forecast_observations(f, loadings, z).values, np.broadcast_to(z.mu, (4, 3, 4, 5))
         )
 
     def test_end_to_end_noiseless_pipeline(self):
@@ -231,7 +231,7 @@ class TestFittedValues:
         sigma = rng.uniform(0.5, 3.0, (5, 4, 6))
         raw = destandardize(ts, Standardization(mu=mu, sigma=sigma))
         model, factors = fit_factor_model(raw, Ranks(1, (1, 2)))
-        fit = fitted_values(factors, model.loadings, model.standardization)
+        fit = forecast_observations(factors, model.loadings, model.standardization)
         rel = np.linalg.norm(fit.values - raw.values) / np.linalg.norm(raw.values)
         assert rel < 1e-8
 
@@ -242,7 +242,7 @@ class TestFittedValues:
         z = Standardization(mu=np.zeros((5, 4, 6)), sigma=np.ones((5, 4, 6)))
         starts = np.zeros(7, dtype="datetime64[h]")
         f = FactorSeries(values=factors, period_starts=starts, provider_ids=list("abcde"))
-        base = fitted_values(f, loadings, z).values
+        base = forecast_observations(f, loadings, z).values
 
         flipped = LoadingSet(
             lam=loadings.lam * np.array([-1.0, 1.0]), b=[m.copy() for m in loadings.b]
@@ -250,7 +250,7 @@ class TestFittedValues:
         factors_flipped = factors.copy()
         factors_flipped[:, 0] *= -1.0
         f2 = FactorSeries(values=factors_flipped, period_starts=starts, provider_ids=list("abcde"))
-        np.testing.assert_allclose(fitted_values(f2, flipped, z).values, base, atol=1e-12)
+        np.testing.assert_allclose(forecast_observations(f2, flipped, z).values, base, atol=1e-12)
 
 
 class TestRotationInvariance:
@@ -327,10 +327,10 @@ class TestNestedRankFit:
         z = Standardization(mu=np.zeros((6, 5, 8)), sigma=np.ones((6, 5, 8)))
         ranks2 = Ranks(1, (1, 2))
         fit2 = projected_loadings(initial_loadings(ts, ranks2))
-        fitted2 = fitted_values(extract_factors(ts, fit2), fit2, z)
+        fitted2 = forecast_observations(extract_factors(ts, fit2), fit2, z)
         # Nested comparison: drop the trailing column of the hour loading.
         fit1 = LoadingSet(lam=fit2.lam.copy(), b=[fit2.b[0].copy(), fit2.b[1][:, :1].copy()])
-        fitted1 = fitted_values(extract_factors(ts, fit1), fit1, z)
+        fitted1 = forecast_observations(extract_factors(ts, fit1), fit1, z)
         assert in_sample_mse(ts, fitted2) <= in_sample_mse(ts, fitted1)
 
 

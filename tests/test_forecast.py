@@ -31,7 +31,6 @@ from tensorcast.factor_model import (
     Ranks,
     extract_factors,
     fit_factor_model,
-    fitted_values,
     reconstruct_common,
 )
 from tensorcast.forecast import (
@@ -371,13 +370,15 @@ class TestForecastObservations:
         np.testing.assert_array_equal(out.values, np.broadcast_to(z.mu, (2, 3, 4, 5)))
 
     def test_same_reconstruction_as_fitted_values(self):
+        # In-sample fitted values: the common component, destandardized.
         rng = np.random.default_rng(8)
         loadings = random_loading_set(rng, (4, 3, 5), (2, 1, 2))
         factors = rng.standard_normal((6, 2, 1, 2))
         z = Standardization(mu=rng.uniform(1, 2, (4, 3, 5)), sigma=rng.uniform(0.5, 2, (4, 3, 5)))
         starts = np.zeros(6, dtype="datetime64[h]")
         f = FactorSeries(values=factors, period_starts=starts, provider_ids=list("abcd"))
-        a = fitted_values(f, loadings, z).values
+        common = TensorSeries(reconstruct_common(factors, loadings), starts, list("abcd"))
+        a = destandardize(common, z).values
         b = forecast_observations(f, loadings, z).values
         assert a.tobytes() == b.tobytes()
 

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import logging
+import tracemalloc
 import zipfile
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from helpers import deflated_copy, seasonal_indices, unfold_panel, weekly_starts
+from helpers import (
+    buffered_write_npz,
+    deflated_copy,
+    seasonal_indices,
+    unfold_panel,
+    weekly_starts,
+)
+from tensorcast import cli, factor_model, panel
 from tensorcast.panel import (
     CalendarSpec,
     PanelSeries,
@@ -477,6 +487,41 @@ class TestArchive:
         np.testing.assert_array_equal(back.values, ts.values)
         np.testing.assert_array_equal(back.period_starts, ts.period_starts)
         assert back.provider_ids == ts.provider_ids
+
+    def test_archives_are_the_buffered_writers_bytes(self, tmp_path, monkeypatch):
+        # The seed-0 paper panel (save_tensor_series), the simulate truth and
+        # a fitted model (save_model), each written by the streamed writer
+        # and by the buffered one it replaced.
+        config = tmp_path / "run.ini"
+        config.write_text("[data]\narchive = sim.npz\n\n[run]\nseed = 0\n")
+        names = ("sim.npz", "truth.npz", "model.npz")
+
+        def write_all(out):
+            with contextlib.redirect_stdout(io.StringIO()):
+                for command in ("simulate", "fit"):
+                    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+            return [(out / name).read_bytes() for name in names]
+
+        streamed = write_all(tmp_path / "streamed")
+        for module in (panel, factor_model, cli):
+            monkeypatch.setattr(module, "write_npz", buffered_write_npz)
+        buffered = write_all(tmp_path / "buffered")
+        for name, a, b in zip(names, streamed, buffered):
+            assert a == b, name
+
+    def test_writing_a_panel_peaks_near_its_own_bytes(self, tmp_path):
+        values = np.random.default_rng(13).standard_normal((342, 9, 7, 24))
+        peaks = []
+        for write in (write_npz, buffered_write_npz):
+            write(tmp_path / "panel.npz", {"values": values})  # warm caches before tracing
+            tracemalloc.start()
+            try:
+                write(tmp_path / "panel.npz", {"values": values})
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        streamed, buffered = peaks
+        assert streamed <= 1.25 * values.nbytes < buffered, (streamed, buffered, values.nbytes)
 
     def test_archive_holding_a_nan_is_rejected(self, tmp_path):
         values = np.ones((3, 2, 7, 24))
