@@ -168,12 +168,21 @@ def _parse_span(where: str, raw: str) -> tuple[datetime, datetime] | None:
     return span
 
 
+# The baselines in run order, each with its check of its settings and the
+# [backtest] key that sets each keyword of its forecast function.
+_BASELINE_TABLE = {
+    "mfm": (mfm_ranks, {"k_day": "mfm_day_factors", "k_hour": "mfm_hour_factors"}),
+    "vfm": (vfm_components, {"r": "vfm_components", "stacked": "vfm_stacked"}),
+    "fpca": (fpca_components, {"ncomp": "fpca_components"}),
+}
+
+
 def _parse_benchmarks(where: str, raw: str) -> tuple[str, ...]:
     tokens = [token.lower() for token in _split_list(raw)]
     for token in tokens:
-        if token not in ("mfm", "vfm", "fpca"):
+        if token not in _BASELINE_TABLE:
             raise ConfigError(f"{where}: unknown baseline {token!r}")
-    return tuple(name for name in ("mfm", "vfm", "fpca") if name in tokens)
+    return tuple(name for name in _BASELINE_TABLE if name in tokens)
 
 
 def _parse_ranks(where: str, raw: str) -> Ranks:
@@ -224,10 +233,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
                          "rolling window length in periods (required for backtest)"),
         "horizons": (",".join(map(str, RollingPlan.horizons)), _parse_horizons,
                      "evaluation horizons in periods"),
-        "normalizer": ("variance", _choice("variance", "std"),
-                       "relative-MSE divisor: 'variance' or 'std'"),
-        "benchmarks": ("mfm,vfm,fpca", _parse_benchmarks,
-                       "baselines to run, any subset of mfm,vfm,fpca"),
+        "benchmarks": (",".join(_BASELINE_TABLE), _parse_benchmarks,
+                       f"baselines to run, any subset of {','.join(_BASELINE_TABLE)}"),
         "vfm_components": ("2", _int(1), "principal components of the vectorized baseline"),
         "vfm_stacked": ("false", _parse_bool, "pool all providers into one vectorized panel"),
         "fpca_components": ("auto", _unless("auto", _int(1)),
@@ -273,8 +280,9 @@ class RunConfig:
     ``model.ranks`` and ``simulate.ranks`` are Ranks, the former None for
     automatic selection), except that ``calendar`` is a CalendarSpec. ``score``,
     ``plan`` (None without a train_length) and ``sim`` are the records of
-    [model], [backtest] and [simulate]; [run] gives ``out_dir`` and ``seed``,
-    which the flags may override, and ``base_out_dir`` keeps the former.
+    [model], [backtest] and [simulate]. The [run] seed is ``sim.seed`` and
+    [run] out is ``out_dir``; the flags may override either, and
+    ``base_out_dir`` keeps the configured out.
     """
 
     config_dir: Path
@@ -289,7 +297,6 @@ class RunConfig:
     sim: SimSpec
     base_out_dir: Path
     out_dir: Path
-    seed: int
 
     def input_path(self, name: str) -> Path:
         """Input files: relative names resolve against the config location."""
@@ -344,7 +351,6 @@ def load_config(path: str | Path) -> RunConfig:
         sim=_checked("simulate", SimSpec, **recipe, seed=run.seed),
         base_out_dir=out_dir,
         out_dir=out_dir,
-        seed=run.seed,
     )
 
 
@@ -490,26 +496,16 @@ def _write_loadings_csv(path: Path, model: TensorFactorModel) -> None:
                          for factor, value in enumerate(row))
 
 
-# The [backtest] keys of each baseline, keyed by the keyword of its forecast
-# function that each one sets, and the baseline's check of those settings.
-_BASELINE_KEYS = {
-    "mfm": {"k_day": "mfm_day_factors", "k_hour": "mfm_hour_factors"},
-    "vfm": {"r": "vfm_components", "stacked": "vfm_stacked"},
-    "fpca": {"ncomp": "fpca_components"},
-}
-_BASELINE_CHECKS = {"mfm": mfm_ranks, "vfm": vfm_components, "fpca": fpca_components}
-
-
 def _baseline_settings(bt: Any, train_length: int, dims: tuple[int, ...]) -> dict[str, dict]:
     """Each enabled baseline's forecast settings by name, passed by the
     baseline's own check for windows of the archive; a failure names its keys."""
     settings = {}
     for name in bt.benchmarks:
-        keys = _BASELINE_KEYS[name]
+        check, keys = _BASELINE_TABLE[name]
         settings[name] = {kw: getattr(bt, key) for kw, key in keys.items()}
         named = " and ".join(f"backtest.{key} = {getattr(bt, key)}" for key in keys.values())
         _checked(f"backtest.benchmarks holds {name} with {named}, for the {dims} tensors",
-               _BASELINE_CHECKS[name], (train_length, *dims), **settings[name])
+                 check, (train_length, *dims), **settings[name])
     return settings
 
 
@@ -530,10 +526,10 @@ def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> None:
     reports = []
     for name, fn in forecasters.items():
         logger.info("backtesting %s over %d windows", name, windows)
-        reports.append(rolling_evaluate(fn, ts, plan, model=name, normalizer=bt.normalizer))
+        reports.append(rolling_evaluate(fn, ts, plan, model=name))
     merged = merge_reports(reports)
     merged.metadata["model"] = ",".join(forecasters)
-    merged.metadata["seed"] = str(cfg.seed)
+    merged.metadata["seed"] = str(cfg.sim.seed)
     paths = emit_report(merged, cfg.out_dir)
     for key in ("csv", "json", "md", "trace"):
         print(paths[key])
@@ -544,7 +540,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
     truth_path = cfg.out_path(cfg.simulate.truth)
     ts, loadings, factors = simulate(cfg.sim)
     logger.info("simulated %d periods of shape %s with seed %d",
-                ts.num_periods, ts.tensor_dims, cfg.seed)
+                ts.num_periods, ts.tensor_dims, cfg.sim.seed)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_tensor_series(archive, ts)
     truth = {
@@ -637,7 +633,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         updates["out_dir"] = Path(args.out)
     if args.seed is not None:
         seed = _SCHEMA["run"]["seed"][1]("--seed", args.seed.strip())
-        updates.update(seed=seed, sim=dataclasses.replace(cfg.sim, seed=seed))
+        updates["sim"] = dataclasses.replace(cfg.sim, seed=seed)
     if getattr(args, "horizon", None) is not None:
         horizon = _SCHEMA["forecast"]["horizon"][1]("--horizon", args.horizon.strip())
         updates["forecast"] = cfg.forecast._replace(horizon=horizon)

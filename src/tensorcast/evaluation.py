@@ -25,7 +25,7 @@ import numpy as np
 from .benchmarks import fpca_forecast, mfm_forecast, vfm_forecast
 from .factor_model import LoadingSet, FactorSeries, Ranks, fit_factor_model
 from .forecast import ScoreModel, forecast_factors, forecast_observations
-from .panel import TensorSeries, as_count, as_counts, period_step
+from .panel import TensorSeries, as_count, as_counts, as_real, period_step
 from .tensor import mode_product
 
 __all__ = [
@@ -119,7 +119,6 @@ def rolling_evaluate(
     ts: TensorSeries,
     plan: RollingPlan,
     model: str = "model",
-    normalizer: str = "variance",
 ) -> EvalReport:
     """Score a forecaster over all sliding windows of the evaluation span.
 
@@ -128,13 +127,10 @@ def rolling_evaluate(
     last period is never a target (see the module docstring). The period
     starts must be evenly spaced. A window where the forecaster raises marks
     every cell it feeds as failed (with the first error message) while the
-    remaining windows still run. normalizer selects the relative-MSE divisor:
-    per-window population variance of the target cells ("variance", so the
-    target-mean forecaster scores exactly 1) or their standard deviation
-    ("std").
+    remaining windows still run. The relative MSE divides by the mean
+    per-window population variance of the target cells, so the target-mean
+    forecaster scores exactly 1.
     """
-    if normalizer not in ("variance", "std"):
-        raise ValueError(f"unknown normalizer {normalizer!r}")
     plan.validate_for(ts.num_periods)
     period_step(ts.period_starts)
     t_train = plan.train_length
@@ -147,7 +143,6 @@ def rolling_evaluate(
     # Evaluation period m <= t_test - 2 is the target of window w at horizon
     # n when m = w + n - 1; its per-provider dispersion serves every such window.
     spread = ts.values[t_train:-1].reshape(t_test - 1, num_providers, -1).var(axis=2)
-    norms = spread if normalizer == "variance" else np.sqrt(spread)
     # errors[j, w, i]: window w's squared error at horizons[j] for provider i;
     # horizon n has t_test - n windows, and the windows past them stay NaN.
     errors = np.full((len(horizons), t_test - horizons[0], num_providers), np.nan)
@@ -184,7 +179,7 @@ def rolling_evaluate(
                 cells.append(EvalCell(model, n, pid, np.nan, np.nan, True, error, trace))
                 continue
             mse = float(np.mean(trace))
-            norm = float(np.mean(norms[n - 1 : n - 1 + count, i]))
+            norm = float(np.mean(spread[n - 1 : n - 1 + count, i]))
             rel = mse / norm if norm > 0 else float("nan")
             cells.append(EvalCell(model, n, pid, mse, rel, False, "", trace))
 
@@ -194,7 +189,7 @@ def rolling_evaluate(
         "horizons": ",".join(str(n) for n in horizons),
         "num_periods": str(ts.num_periods),
         "providers": ",".join(ts.provider_ids),
-        "normalizer": normalizer,
+        "normalizer": "variance",  # the one divisor, still named in every report
         "span": f"{ts.period_starts[0]}..{ts.period_starts[-1]}",
     })
 
@@ -284,22 +279,29 @@ class SimSpec:
         except ValueError as exc:
             raise ValueError(f"ranks {self.ranks} do not fit dims {self.dims}: {exc}") from None
         self.num_periods = as_count("num_periods", self.num_periods, 2)
-        self.periods = (as_count("periods", self.periods, 1) if np.ndim(self.periods) == 0
-                        else tuple(as_count("periods", p, 1) for p in self.periods))
+        self.periods = _cycled("periods", self.periods, lambda name, p: as_count(name, p, 1))
         self.seed = as_count("seed", self.seed, 0)
-        for name in ("factor_mean", "amplitudes", "periods", "ar_coefficient", "ar_sd", "nu_sd",
-                     "eta_sds", "mu", "sigma"):
+        for name in ("factor_mean", "ar_coefficient", "ar_sd", "nu_sd"):
+            setattr(self, name, as_real(name, getattr(self, name)))
+        for name in ("amplitudes", "eta_sds"):
+            setattr(self, name, _cycled(name, getattr(self, name), as_real))
+        for name in ("mu", "sigma"):
             value = getattr(self, name)
-            finite = np.isfinite(np.asarray(value, dtype=float))
-            if value is not None and not (finite.size and finite.all()):
-                raise ValueError(f"{name} must be finite and non-empty")
-            if name in ("mu", "sigma") and value is not None and value.shape != self.dims:
+            if value is None:
+                continue
+            if not isinstance(value, np.ndarray):
+                raise ValueError(f"{name} must be an array of shape {self.dims}, "
+                                 f"got a {type(value).__name__}")
+            if value.shape != self.dims:
                 raise ValueError(f"{name} shape {value.shape} does not match dims {self.dims}")
+            setattr(self, name, np.array([as_real(name, v) for v in value.flat]).reshape(self.dims))
         if abs(self.ar_coefficient) > 1:
             raise ValueError(f"|ar_coefficient| must be <= 1, got {self.ar_coefficient}")
         for name in ("ar_sd", "nu_sd", "eta_sds"):
-            if np.any(np.asarray(getattr(self, name), dtype=float) < 0):
+            if np.any(np.asarray(getattr(self, name)) < 0):
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.sigma is not None and not np.all(self.sigma > 0):
+            raise ValueError("sigma must be > 0 in every cell")
 
     @property
     def num_levels(self) -> int:
@@ -308,6 +310,17 @@ class SimSpec:
     @property
     def factor_shape(self) -> tuple[int, ...]:
         return (self.ranks.r, *self.ranks.k)
+
+
+def _cycled(name: str, value: object, check: Callable) -> object:
+    """A setting cycled over factor coordinates or levels: check(name, value)
+    of anything but a list, tuple or array, else a non-empty tuple of its
+    checked entries."""
+    if not (isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim):
+        return check(name, value)
+    if len(value) == 0:
+        raise ValueError(f"{name} must list at least one value")
+    return tuple(check(name, v) for v in value)
 
 
 @dataclass

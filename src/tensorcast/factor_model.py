@@ -98,6 +98,8 @@ class LoadingSet:
 
     def __post_init__(self):
         for name, mat in [("lam", self.lam)] + [(f"b[{j}]", m) for j, m in enumerate(self.b)]:
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{name} must be finite")
             p = mat.shape[0]
             gram = mat.T @ mat / p
             if np.max(np.abs(gram - np.eye(mat.shape[1]))) > 1e-8:
@@ -311,11 +313,11 @@ def _check_bounds(dims: Sequence[int], r_max: int, k_max: Sequence[int]) -> None
 
 
 def rank_bounds(
-    dims: Sequence[int], r_max: int = 3, k_max: Sequence[int] | None = None
+    dims: Sequence[int], r_max: int, k_max: Sequence[int] | None
 ) -> tuple[int, tuple[int, ...]]:
     """Candidate maxima for :func:`select_ranks` on tensors of the given dims.
 
-    r_max is capped at N - 1; k_max defaults to min(3, S_j - 1) per seasonal
+    r_max is capped at N - 1; a k_max of None means min(3, S_j - 1) per seasonal
     mode. An explicit k_max is checked, not lowered: it needs one bound per
     seasonal mode, each in [1, S_j - 1]. Fewer than 2 providers leave no
     cross-section ratio to compare. Either problem is a ValueError.
@@ -394,13 +396,16 @@ def save_model(path: str | Path, model: TensorFactorModel) -> None:
 
 
 def load_model(path: str | Path) -> TensorFactorModel:
-    """Read an archive written by :func:`save_model`."""
+    """Read an archive written by :func:`save_model`; a record's ValueError
+    (ranks that are no counts, non-finite loadings or scales) names the path."""
     archive = read_npz(path, ("r", "k", "lam", "mu", "sigma", "provider_ids"))
-    k = tuple(int(v) for v in archive["k"])
-    b = read_npz(path, [f"b{j}" for j in range(len(k))])
-    return TensorFactorModel(
-        ranks=Ranks(int(archive["r"]), k),
-        loadings=LoadingSet(lam=archive["lam"], b=list(b.values())),
-        standardization=Standardization(mu=archive["mu"], sigma=archive["sigma"]),
-        provider_ids=[str(p) for p in archive["provider_ids"]],
-    )
+    b = read_npz(path, [f"b{j}" for j in range(archive["k"].size)])
+    try:
+        return TensorFactorModel(
+            ranks=Ranks(archive["r"].item(), archive["k"].tolist()),
+            loadings=LoadingSet(lam=archive["lam"], b=list(b.values())),
+            standardization=Standardization(mu=archive["mu"], sigma=archive["sigma"]),
+            provider_ids=[str(p) for p in archive["provider_ids"]],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -83,13 +83,12 @@ class ARFit:
     """Autoregressions of order p, one per column of a (T, k) block:
     x_t = intercept + sum_i coeffs[i] x_{t-1-i} + e_t.
 
-    intercept and variance are (k,) arrays and coeffs is (p, k); a series of
-    lower order than p has zeros in its trailing rows.
+    intercept is a (k,) array and coeffs is (p, k); a series of lower order
+    than p has zeros in its trailing rows.
     """
 
     intercept: np.ndarray
     coeffs: np.ndarray
-    variance: np.ndarray
 
     @property
     def order(self) -> int:
@@ -211,8 +210,7 @@ def fit_ar(x: np.ndarray, order: int) -> ARFit:
     r = _ar_factor(_rows(x), order, order)
     p = order + 1
     beta = np.linalg.solve(r[:, :p, :p], r[:, :p, p:])[:, :, 0]
-    variance = r[:, p, p] ** 2 / (len(x) - order)
-    return ARFit(beta[:, 0], np.ascontiguousarray(beta[:, 1:].T), variance)
+    return ARFit(beta[:, 0], np.ascontiguousarray(beta[:, 1:].T))
 
 
 def fit_ar_aic(x: np.ndarray, max_order: int) -> ARFit:
@@ -240,12 +238,12 @@ def fit_ar_aic(x: np.ndarray, max_order: int) -> ARFit:
     with np.errstate(divide="ignore"):
         fit_term = np.where(rss <= _EXACT_FIT * total, -np.inf, n_eff * np.log(rss / n_eff))
     orders = np.argmin(fit_term + 2 * np.arange(1, pmax + 2), axis=1)
-    intercept, coeffs, variance = np.empty(k), np.zeros((pmax, k)), np.empty(k)
+    intercept, coeffs = np.empty(k), np.zeros((pmax, k))
     for p in np.unique(orders):
         cols = np.flatnonzero(orders == p)
         fit = fit_ar(x[:, cols], int(p))
-        intercept[cols], coeffs[:p, cols], variance[cols] = fit.intercept, fit.coeffs, fit.variance
-    return ARFit(intercept, coeffs, variance)
+        intercept[cols], coeffs[:p, cols] = fit.intercept, fit.coeffs
+    return ARFit(intercept, coeffs)
 
 
 def forecast_ar(fit: ARFit, history: np.ndarray, n: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import numbers
 import re
 import warnings
 import zipfile
@@ -52,6 +53,7 @@ _EPOCH_DAY = int(np.datetime64(_EPOCH, "D").astype(np.int64))  # days since 1970
 __all__ = [
     "as_count",
     "as_counts",
+    "as_real",
     "PanelSeries",
     "CalendarSpec",
     "TensorSeries",
@@ -86,6 +88,19 @@ def as_counts(name: str, values: object, minimum: int) -> tuple[int, ...]:
             or isinstance(values, np.ndarray) and values.ndim == 1):
         raise ValueError(f"{name} must be a list of integers, got {values!r}")
     return tuple(as_count(name, v, minimum) for v in values)
+
+
+def as_real(name: str, value: object) -> float:
+    """The float check: value as a float if it is a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return real
 
 
 @dataclass
@@ -185,6 +200,9 @@ class Standardization:
     def __post_init__(self):
         if self.mu.shape != self.sigma.shape:
             raise ValueError("mu and sigma must have identical shapes")
+        for name in ("mu", "sigma"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if not np.all(self.sigma > 0):
             raise ValueError("sigma must be strictly positive")
 
@@ -644,18 +662,19 @@ def save_tensor_series(path: str | Path, ts: TensorSeries) -> None:
 
 
 def load_tensor_series(path: str | Path) -> TensorSeries:
-    """Read an archive written by :func:`save_tensor_series`. Period starts
-    of an archive with 2 or more periods must be evenly spaced (period_step);
-    otherwise the ValueError names the path."""
+    """Read an archive written by :func:`save_tensor_series`. The series
+    must pass TensorSeries' checks, and the period starts of an archive with
+    2 or more periods must be evenly spaced (period_step); otherwise the
+    ValueError names the path."""
     archive = read_npz(path, ("values", "period_starts", "provider_ids"))
-    ts = TensorSeries(
-        values=archive["values"],
-        period_starts=archive["period_starts"].astype("datetime64[h]"),
-        provider_ids=[str(p) for p in archive["provider_ids"]],
-    )
-    if ts.num_periods > 1:
-        try:
+    try:
+        ts = TensorSeries(
+            values=archive["values"],
+            period_starts=archive["period_starts"].astype("datetime64[h]"),
+            provider_ids=[str(p) for p in archive["provider_ids"]],
+        )
+        if ts.num_periods > 1:
             period_step(ts.period_starts)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return ts

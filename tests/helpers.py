@@ -439,12 +439,7 @@ def scalar_fit_ar(x: np.ndarray, order: int) -> ARFit:
     x = np.asarray(x, dtype=float)
     design, y = _scalar_ar_design(x, order, order)
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ beta
-    return ARFit(
-        intercept=beta[:1],
-        coeffs=beta[1:, None],
-        variance=np.array([np.mean(resid**2)]),
-    )
+    return ARFit(intercept=beta[:1], coeffs=beta[1:, None])
 
 
 def scalar_fit_ar1(x: np.ndarray) -> ARFit:
@@ -566,7 +561,6 @@ def oracle_rolling_evaluate(
     ts: TensorSeries,
     plan: RollingPlan,
     model: str = "model",
-    normalizer: str = "variance",
 ) -> EvalReport:
     """evaluation.rolling_evaluate with one error and one dispersion array per
     horizon, the target's dispersion recomputed for each window and horizon
@@ -607,8 +601,7 @@ def oracle_rolling_evaluate(
             err = target - fc[n - 1]
             flat_t = target.reshape(num_providers, -1)
             traces[n][w] = np.sum(err.reshape(num_providers, -1) ** 2, axis=1) / cells_per_provider
-            spread = np.mean((flat_t - flat_t.mean(axis=1, keepdims=True)) ** 2, axis=1)
-            norms[n][w] = spread if normalizer == "variance" else np.sqrt(spread)
+            norms[n][w] = np.mean((flat_t - flat_t.mean(axis=1, keepdims=True)) ** 2, axis=1)
 
     cells = []
     for n in horizons:

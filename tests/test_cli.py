@@ -30,6 +30,7 @@ from tensorcast.panel import (
     fold,
     ingest_csv,
     load_tensor_series,
+    read_npz,
     save_tensor_series,
     write_npz,
 )
@@ -104,11 +105,14 @@ def test_unknown_keys_and_sections_fail_closed(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_malformed_values_exit_2(tmp_path):
+def test_malformed_values_exit_2(tmp_path, capsys):
+    # The relative MSE has one divisor, so [backtest] normalizer is an unknown key.
+    removed = write_config(tmp_path / "removed.ini", {"backtest": {"normalizer": "mad"}})
+    assert main(["fit", "--config", str(removed)]) == 2
+    assert "unknown config key 'normalizer' in section [backtest]" in capsys.readouterr().err
     cases = [
         {"model": {"r_max": "three"}},
         {"backtest": {"horizons": "1,1"}},
-        {"backtest": {"normalizer": "mad"}},
         {"backtest": {"benchmarks": "arima"}},
         {"data": {"span": "2020-01-01"}},
         {"model": {"ranks": ""}},  # 'auto' or at least one count
@@ -417,6 +421,23 @@ def test_data_archive_missing_a_member_exits_1(tmp_path, capsys):
     assert f"{archive}: archive has no member 'period_starts'" in capsys.readouterr().err
 
 
+def test_model_archive_with_a_nan_location_exits_1_naming_it(tmp_path, capsys):
+    # The NaN once passed load_model and failed in the forecast, blamed on
+    # the data archive's first period.
+    simulated_archive(tmp_path, dims=(3, 7, 24), ranks=(1, (1, 1)), t=30, seed=4)
+    cfg = write_config(tmp_path / "run.ini", {"model": {"ranks": "1,1,1", "period": "6"}})
+    assert main(["fit", "--config", str(cfg)]) == 0
+    archive = tmp_path / "out" / "model.npz"
+    arrays = read_npz(archive, ("r", "k", "lam", "b0", "b1", "mu", "sigma", "provider_ids"))
+    arrays["mu"] = arrays["mu"].copy()
+    arrays["mu"].flat[5] = np.nan
+    write_npz(archive, arrays)
+    capsys.readouterr()
+    assert main(["forecast", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"{archive}: mu must be finite" in err and "non-finite value" not in err, err
+
+
 def test_backtest_emits_all_four_report_files(tmp_path, capsys):
     simulated_archive(tmp_path, dims=(2, 7, 24), ranks=(1, (1, 1)), t=60,
                       nu_sd=0.2, seed=9)
@@ -449,6 +470,21 @@ def test_backtest_benchmarks_toggle(tmp_path):
     assert main(["backtest", "--config", str(cfg)]) == 0
     payload = json.loads((tmp_path / "out" / "report.json").read_text())
     assert {c["model"] for c in payload["cells"]} == {"TFM"}
+
+
+def test_backtest_seed_reaches_the_report_metadata(tmp_path):
+    simulated_archive(tmp_path, dims=(2, 7, 24), ranks=(1, (1, 1)), t=30,
+                      nu_sd=0.2, seed=9)
+    cfg = write_config(tmp_path / "run.ini", {
+        "model": {"ranks": "1,1,1", "period": "6"},
+        "backtest": {"train_length": "24", "horizons": "1", "benchmarks": ""},
+        "run": {"seed": "3"},
+    })
+    for flags, seed in [([], "3"), (["--seed", "7"], "7")]:
+        assert main(["backtest", "--config", str(cfg), *flags]) == 0
+        out = tmp_path / "out"
+        assert json.loads((out / "report.json").read_text())["metadata"]["seed"] == seed
+        assert f"- seed: {seed}\n" in (out / "report.md").read_text()
 
 
 def test_backtest_oracle_hook_reports_zero_error(tmp_path, monkeypatch):
@@ -657,12 +693,12 @@ def test_schema_defaults_are_the_model_functions_defaults():
         return "auto" if value is None else str(value).lower()
 
     mapped = set()
-    for name, keys in cli._BASELINE_KEYS.items():
+    for name, (_, keys) in cli._BASELINE_TABLE.items():
         params = inspect.signature(evaluation._BASELINES[name.upper()]).parameters
         for keyword, key in keys.items():
             assert _SCHEMA["backtest"][key][0] == shown(params[keyword].default), key
             mapped.add(key)
-    baseline_keys = {key for key in _SCHEMA["backtest"] if key.split("_")[0] in cli._BASELINE_KEYS}
+    baseline_keys = {key for key in _SCHEMA["backtest"] if key.split("_")[0] in cli._BASELINE_TABLE}
     assert mapped == baseline_keys
     params = inspect.signature(fit_factor_model).parameters
     for key in ("ranks", "r_max"):

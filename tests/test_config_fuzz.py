@@ -10,7 +10,9 @@ section and name on stderr, no traceback and no file written. Every count
 field of the five records is drawn as an int, a numpy integer, a bool, a
 numpy bool, a float, an integral float, a string and None: the record
 accepts exactly the integers at or above the field's minimum, and stores a
-plain int.
+plain int. Every float field of SimSpec is drawn the same way, and as a
+numpy float, NaN and an infinity: it accepts exactly the finite real numbers
+in the field's range, not bools, and stores a plain float.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def awkward_values(rng: np.random.Generator, default: str) -> dict[str, str]:
 
 def value_of(cfg, section: str, key: str):
     if section == "run":
-        return {"out": cfg.base_out_dir, "seed": cfg.seed}[key]
+        return {"out": cfg.base_out_dir, "seed": cfg.sim.seed}[key]
     return getattr(getattr(cfg, section), key)
 
 
@@ -65,7 +67,7 @@ def through_records(cfg):
         calendar=CalendarSpec(periods=cfg.calendar.periods, week_start=cfg.calendar.week_start),
         score=ScoreModel(model.period, model.score_model, model.max_order),
         plan=None if bt.train_length is None else RollingPlan(bt.train_length, bt.horizons),
-        sim=SimSpec(**recipe, seed=cfg.seed),
+        sim=SimSpec(**recipe, seed=cfg.sim.seed),
     )
 
 
@@ -166,6 +168,89 @@ def test_records_accept_exactly_the_integers_at_their_minimum():
                     continue
                 assert kind in ("int", "np.int64") and v >= minimum, case
                 assert type(stored(record)) is int and stored(record) == v, case
+
+
+def sim(**setting) -> SimSpec:
+    return SimSpec(dims=(2, 3, 4), ranks=Ranks(1, (1, 1)), num_periods=5, **setting)
+
+
+def one_cell(v) -> np.ndarray:
+    """A (2, 3, 4) object array of ones holding v in its last cell."""
+    cells = np.ones((2, 3, 4), dtype=object)
+    cells[-1, -1, -1] = v
+    return cells
+
+
+# Each float field of SimSpec: a record built with one drawn value, the
+# stored value, and the range the field's finite reals must lie in.
+FLOAT_FIELDS = {
+    "SimSpec.factor_mean": (lambda v: sim(factor_mean=v), lambda rec: rec.factor_mean,
+                            lambda x: True),
+    "SimSpec.amplitudes": (lambda v: sim(amplitudes=v), lambda rec: rec.amplitudes,
+                           lambda x: True),
+    "SimSpec.amplitudes[j]": (lambda v: sim(amplitudes=(1.0, v)), lambda rec: rec.amplitudes[1],
+                              lambda x: True),
+    "SimSpec.ar_coefficient": (lambda v: sim(ar_coefficient=v), lambda rec: rec.ar_coefficient,
+                               lambda x: abs(x) <= 1),
+    "SimSpec.ar_sd": (lambda v: sim(ar_sd=v), lambda rec: rec.ar_sd, lambda x: x >= 0),
+    "SimSpec.nu_sd": (lambda v: sim(nu_sd=v), lambda rec: rec.nu_sd, lambda x: x >= 0),
+    "SimSpec.eta_sds": (lambda v: sim(eta_sds=v), lambda rec: rec.eta_sds, lambda x: x >= 0),
+    "SimSpec.eta_sds[j]": (lambda v: sim(eta_sds=(0.0, v)), lambda rec: rec.eta_sds[1],
+                           lambda x: x >= 0),
+    # tolist() gives plain floats only from a float array.
+    "SimSpec.mu[cell]": (lambda v: sim(mu=one_cell(v)), lambda rec: rec.mu.tolist()[-1][-1][-1],
+                         lambda x: True),
+    "SimSpec.sigma[cell]": (lambda v: sim(sigma=one_cell(v)),
+                            lambda rec: rec.sigma.tolist()[-1][-1][-1], lambda x: x > 0),
+}
+
+FLOAT_DRAWS = {
+    **DRAWS,
+    "np.float64": lambda v: np.float64(v) / 4,
+    "nan": lambda v: float("nan"),
+    "infinity": lambda v: np.inf if v >= 0 else -np.inf,
+}
+REALS = ("int", "np.int64", "float", "integral float", "np.float64")
+
+
+def test_float_fields_accept_exactly_the_finite_reals_in_their_range():
+    rng = np.random.default_rng(11)
+    for field, (build, stored, in_range) in FLOAT_FIELDS.items():
+        for kind, draw in FLOAT_DRAWS.items():
+            for v in rng.integers(-3, 4, size=4):
+                value = draw(int(v))
+                case = f"{field} = {value!r} ({kind})"
+                try:
+                    record = build(value)
+                except ValueError as exc:
+                    assert field.split(".")[1].split("[")[0] in str(exc), (case, str(exc))
+                    assert not (kind in REALS and in_range(float(value))), (case, str(exc))
+                    continue
+                assert kind in REALS and in_range(float(value)), case
+                assert type(stored(record)) is float and stored(record) == value, case
+
+
+# Float fields given a string, a bool, no array or a scale that is not
+# positive: each was once accepted or raised an error that named no field.
+NOT_A_REAL = {
+    "SimSpec.ar_sd = '0.5'": ({"ar_sd": "0.5"}, "ar_sd must be a real number"),
+    "SimSpec.factor_mean = True": ({"factor_mean": True}, "factor_mean must be a real number"),
+    "SimSpec.amplitudes = 'abc'": ({"amplitudes": "abc"}, "amplitudes must be a real number"),
+    "SimSpec.eta_sds = [1, 'x']": ({"eta_sds": [1, "x"]}, "eta_sds must be a real number"),
+    "SimSpec.amplitudes = a ragged list": ({"amplitudes": [1.0, [2.0, 3.0]]},
+                                           "amplitudes must be a real number"),
+    "SimSpec.mu = a nested list": ({"mu": [[1, 2, 3], [1, 2, 3]]},
+                                   r"mu must be an array of shape \(2, 3, 4\)"),
+    "SimSpec.sigma = 0": ({"sigma": np.zeros((2, 3, 4))}, "sigma must be > 0"),
+    "SimSpec.sigma < 0": ({"sigma": np.full((2, 3, 4), -1.0)}, "sigma must be > 0"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_A_REAL)
+def test_a_float_field_that_is_no_finite_real_in_range_is_a_value_error_naming_it(case):
+    setting, message = NOT_A_REAL[case]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        sim(**setting)
 
 
 # A list field given no list, and week_start given no string: each once

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,9 @@ from tensorcast.panel import (
     TensorSeries,
     cell_standardization,
     destandardize,
+    read_npz,
     standardize,
+    write_npz,
 )
 from tensorcast.tensor import top_eigenvectors
 
@@ -353,6 +357,15 @@ class TestLoadingConsistency:
         assert np.median(errors[400]) < np.median(errors[100])
 
 
+def saved_model_members(tmp_path) -> tuple:
+    """The path of a fitted model's archive and its members."""
+    rng = np.random.default_rng(25)
+    ts, _, _ = noiseless_series(rng, (4, 7, 24), (1, 1, 2), t=30, noise_sd=0.3)
+    path = tmp_path / "model.npz"
+    save_model(path, fit_factor_model(ts, Ranks(1, (1, 2)))[0])
+    return path, read_npz(path, ("r", "k", "lam", "b0", "b1", "mu", "sigma", "provider_ids"))
+
+
 class TestModelArchive:
     def test_round_trip_reproduces_fits(self, tmp_path):
         rng = np.random.default_rng(22)
@@ -392,6 +405,33 @@ class TestModelArchive:
                      (loaded.standardization.mu, model.standardization.mu),
                      (loaded.standardization.sigma, model.standardization.sigma)]:
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("member, name, value", [
+        ("lam", "lam", np.nan), ("b1", r"b\[1\]", np.nan), ("mu", "mu", np.nan),
+        ("sigma", "sigma", np.inf),
+    ])
+    def test_non_finite_member_fails_at_load_naming_the_archive(self, tmp_path, member, name,
+                                                                 value):
+        # Once loaded silently: the Gram check let NaN through, the scales
+        # were checked only for sigma > 0, and the forecast failed later.
+        path, arrays = saved_model_members(tmp_path)
+        arrays[member] = arrays[member].copy()
+        arrays[member].flat[0] = value
+        write_npz(path, arrays)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {name} must be finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize("member, value, message", [
+        ("r", np.array(1.9), "r must be an integer, got 1.9"),  # once truncated to 1
+        ("r", np.array(True), "r must be an integer, got True"),  # once read as 1
+        ("k", np.array([1.0, np.nan]), "k must be an integer, got 1.0"),  # once unnamed
+    ], ids=["r fraction", "r bool", "k float with a NaN"])
+    def test_rank_member_that_is_no_count_fails_at_load_naming_the_archive(self, tmp_path,
+                                                                          member, value, message):
+        path, arrays = saved_model_members(tmp_path)
+        write_npz(path, {**arrays, member: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            load_model(path)
 
 
 class TestFitFactorModel:
@@ -515,7 +555,7 @@ class TestEinsumOracle:
     def test_auto_ranks_match(self, paper_windows):
         for ys in paper_windows:
             xs = standardize(ys, cell_standardization(ys.values))
-            bounds = Ranks(*rank_bounds(xs.tensor_dims))
+            bounds = Ranks(*rank_bounds(xs.tensor_dims, 3, None))
             new = select_ranks(initial_loadings(xs, bounds))
             with einsum_moments():
                 old = select_ranks(einsum_initial_loadings(xs, bounds))
@@ -577,7 +617,7 @@ class TestSlicedFirstPassOracle:
         assert full == [(1, 63, 63)]
         assert {shape[-2] for shape in qr} == {168, 216}
         full.clear(), qr.clear()
-        initial_loadings(xs, Ranks(*rank_bounds(xs.tensor_dims)))
+        initial_loadings(xs, Ranks(*rank_bounds(xs.tensor_dims, 3, None)))
         assert full == [(1, 168, 168), (1, 216, 216), (1, 63, 63)]
         assert qr == []
         full.clear(), qr.clear()

@@ -51,9 +51,17 @@ from tensorcast.benchmarks import fpca_forecast, mfm_forecast, vfm_forecast
 from tensorcast.panel import Standardization, TensorSeries, destandardize
 
 
-def _ar1(c: float, phi: float, variance: float = 1.0) -> ARFit:
+def _ar1(c: float, phi: float) -> ARFit:
     """A one-series AR(1) fit."""
-    return ARFit(intercept=np.array([c]), coeffs=np.array([[phi]]), variance=np.array([variance]))
+    return ARFit(intercept=np.array([c]), coeffs=np.array([[phi]]))
+
+
+def _residual_variance(fit: ARFit, x: np.ndarray) -> float:
+    """Mean squared one-step residual of a one-series fit on its (T, 1) sample."""
+    p = fit.order
+    pred = fit.intercept[0] + sum(fit.coeffs[i, 0] * x[p - 1 - i : len(x) - 1 - i, 0]
+                                  for i in range(p))
+    return float(np.mean((x[p:, 0] - pred) ** 2))
 
 
 @pytest.mark.parametrize(
@@ -118,7 +126,7 @@ class TestFitAr1:
         fit = fit_ar1(x)
         assert abs(fit.coeffs[0, 0] - 0.5) < 1e-12
         assert abs(fit.intercept[0]) < 1e-12
-        assert fit.variance[0] < 1e-12
+        assert _residual_variance(fit, x) < 1e-12
 
     def test_recovers_simulated_coefficient(self):
         rng = np.random.default_rng(3)
@@ -151,20 +159,20 @@ class TestForecastAr1:
         np.testing.assert_array_equal(out, np.full((5, 1), 7.0))
 
     def test_halving_recursion(self):
-        out = forecast_ar1(_ar1(0.0, 0.5, 0.0), last=np.array([8.0]), n=3)
+        out = forecast_ar1(_ar1(0.0, 0.5), last=np.array([8.0]), n=3)
         np.testing.assert_array_equal(out, [[4.0], [2.0], [1.0]])
 
     def test_converges_to_stationary_mean(self):
         c, phi, last = 2.0, 0.8, 11.0
         mean = c / (1 - phi)
-        out = forecast_ar1(_ar1(c, phi, 0.0), last=np.array([last]), n=60)
+        out = forecast_ar1(_ar1(c, phi), last=np.array([last]), n=60)
         for h in (1, 10, 30, 60):
             assert abs(out[h - 1, 0] - mean) < abs(phi) ** h * abs(last - mean) + 1e-12
 
     @pytest.mark.parametrize("forecast_fn, history",
                              [(forecast_ar, np.ones((20, 3))), (forecast_ar1, np.ones(3))])
     def test_fit_and_history_widths_must_match(self, forecast_fn, history):
-        fit = ARFit(np.zeros(2), np.full((1, 2), 0.5), np.ones(2))
+        fit = ARFit(np.zeros(2), np.full((1, 2), 0.5))
         with pytest.raises(ValueError, match="fit has 2 series, history has 3"):
             forecast_fn(fit, history, 4)
 
@@ -181,7 +189,7 @@ class TestFitArGeneral:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((50, 1)).cumsum(axis=0)
         fit, direct = fit_ar1(x), fit_ar(x, 1)
-        for name in ("intercept", "coeffs", "variance"):
+        for name in ("intercept", "coeffs"):
             assert np.array_equal(getattr(fit, name), getattr(direct, name)), name
         np.testing.assert_array_equal(forecast_ar1(fit, x[-1], 6), forecast_ar(fit, x, 6))
 
@@ -192,7 +200,7 @@ class TestFitArGeneral:
             x[t] = 0.3 + 0.6 * x[t - 1] - 0.2 * x[t - 2]
         fit = fit_ar(x, 2)
         np.testing.assert_allclose(fit.coeffs[:, 0], (0.6, -0.2), atol=1e-8)
-        assert fit.variance[0] < 1e-12
+        assert _residual_variance(fit, x) < 1e-12
 
     def test_aic_prefers_small_order_for_constants_and_finds_structure(self):
         # A block fit pads every column's coefficients to the largest
@@ -212,7 +220,7 @@ class TestFitArGeneral:
             fit = fit_ar(x, order)
             for j in range(x.shape[1]):
                 oracle = scalar_fit_ar(x[:, j], order)
-                for name in ("intercept", "coeffs", "variance"):
+                for name in ("intercept", "coeffs"):
                     np.testing.assert_allclose(getattr(fit, name)[..., j], getattr(oracle, name)[..., 0],
                                                rtol=1e-9, atol=1e-12, err_msg=name)
 

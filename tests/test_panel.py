@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import logging
+import re
 import tracemalloc
 import zipfile
 from datetime import datetime, timedelta
@@ -534,6 +535,18 @@ class TestArchive:
             "provider_ids": np.array(["A", "B"]),
         })
         with pytest.raises(ValueError, match=r"non-finite value nan .* \(1, 0, 2, 5\).*'A'"):
+            load_tensor_series(path)
+
+    def test_archive_holding_an_inf_names_the_path(self, tmp_path):
+        values = np.ones((3, 2, 7, 24))
+        values[2, 1, 0, 0] = -np.inf
+        path = tmp_path / "panel.npz"
+        write_npz(path, {
+            "values": values,
+            "period_starts": np.datetime_as_string(weekly_starts(3), unit="h"),
+            "provider_ids": np.array(["A", "B"]),
+        })
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: non-finite value -inf"):
             load_tensor_series(path)
 
 
