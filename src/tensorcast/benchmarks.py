@@ -4,10 +4,10 @@ Each baseline takes a (T, N, S1, S2) TensorSeries (days x hours per provider
 and week) and returns the forecast TensorSeries, as the tensor model does.
 All three share the per-cell standardization and the seasonal-plus-AR score
 forecaster (forecast_series) used by the tensor model; each fits all of a
-window's score blocks before forecasting them in one call. Each takes the
-score settings as one ScoreModel, so with the tensor model's settings MFM's
-and VFM's accuracy differences come from the factorization alone; FPCA's
-scores always use ar_aic:
+window's score blocks before forecasting them in one call. Each takes its
+settings as one record (MFM, VFM, FPCA) whose score field is a ScoreModel, so
+with the tensor model's settings MFM's and VFM's accuracy differences come
+from the factorization alone; FPCA's scores always use ar_aic:
 
 * MFM: a two-mode (day x hour) factor model per provider, fitted by the
   tensor model's own fit_factor_model with days as the cross-section.
@@ -15,13 +15,12 @@ scores always use ar_aic:
 * FPCA: one principal-component basis per day of the week over daily curves.
 
 VFM and FPCA decompose all of a window's covariances in one stacked
-top_eigenvectors call (_centred_pca). mfm_ranks, vfm_components and
-fpca_components are the baselines' checks of their count settings.
+top_eigenvectors call (_centred_pca).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +32,8 @@ from .panel import (TensorSeries, as_count, cell_moments, cell_standardization, 
                     standardize)
 from .tensor import top_eigenvectors
 
-__all__ = ["split_providers", "mfm_ranks", "vfm_components", "fpca_components", "mfm_forecast",
-           "vfm_forecast", "fpca_forecast"]
+__all__ = ["split_providers", "MFM", "VFM", "FPCA", "mfm_forecast", "vfm_forecast",
+           "fpca_forecast"]
 
 _FPCA_VARIANCE_TARGET = 0.95
 _FPCA_MAX_COMPONENTS = 6
@@ -53,27 +52,59 @@ def _count_within(keyword: str, value: object, limit: int, what: str) -> int:
     return value
 
 
-def mfm_ranks(shape: Sequence[int], k_day: int, k_hour: int) -> Ranks:
-    """MFM's per-provider ranks on a (T, N, S1, S2) series: k_day <= S1, k_hour <= S2."""
-    _, _, s1, s2 = _require_matrices(shape)
-    return Ranks(_count_within("k_day", k_day, s1, "S1"),
-                 (_count_within("k_hour", k_hour, s2, "S2"),))
+@dataclass(frozen=True)
+class MFM:
+    """MFM's settings and forecaster handle: k_day x k_hour factors per provider."""
+
+    k_day: int = 1
+    k_hour: int = 2
+    score: ScoreModel = ScoreModel()
+
+    def check(self, shape: Sequence[int]) -> Ranks:
+        """The per-provider ranks on a (T, N, S1, S2) series: k_day <= S1, k_hour <= S2."""
+        _, _, s1, s2 = _require_matrices(shape)
+        return Ranks(_count_within("k_day", self.k_day, s1, "S1"),
+                     (_count_within("k_hour", self.k_hour, s2, "S2"),))
+
+    def __call__(self, train: TensorSeries, n: int) -> np.ndarray:
+        return mfm_forecast(train, n, self).values
 
 
-def vfm_components(shape: Sequence[int], r: int, stacked: bool) -> int:
-    """VFM's component count on a (T, N, S1, S2) series: below T and at most
-    the week-vector length, S1 S2 (N S1 S2 when stacked)."""
-    t, n, s1, s2 = _require_matrices(shape)
-    r = _count_within("r", r, n * s1 * s2 if stacked else s1 * s2, "the week-vector length")
-    if t <= r:
-        raise ValueError(f"need more periods than components, got T={t} with r={r}")
-    return r
+@dataclass(frozen=True)
+class VFM:
+    """VFM's settings and forecaster handle: r components per provider, or shared if stacked."""
+
+    r: int = 2
+    stacked: bool = False
+    score: ScoreModel = ScoreModel()
+
+    def check(self, shape: Sequence[int]) -> int:
+        """The component count on a (T, N, S1, S2) series: < T and <= the week-vector length."""
+        t, n, s1, s2 = _require_matrices(shape)
+        r = _count_within("r", self.r, n * s1 * s2 if self.stacked else s1 * s2,
+                          "the week-vector length")
+        if t <= r:
+            raise ValueError(f"need more periods than components, got T={t} with r={r}")
+        return r
+
+    def __call__(self, train: TensorSeries, n: int) -> np.ndarray:
+        return vfm_forecast(train, n, self).values
 
 
-def fpca_components(shape: Sequence[int], ncomp: int | None) -> int | None:
-    """FPCA's component count on a (T, N, S1, S2) series: None (automatic) or <= S2."""
-    s2 = _require_matrices(shape)[3]
-    return None if ncomp is None else _count_within("ncomp", ncomp, s2, "S2")
+@dataclass(frozen=True)
+class FPCA:
+    """FPCA's settings and forecaster handle: ncomp curve components (None: automatic)."""
+
+    ncomp: int | None = None
+    score: ScoreModel = ScoreModel()
+
+    def check(self, shape: Sequence[int]) -> int | None:
+        """The component count on a (T, N, S1, S2) series: None (automatic) or <= S2."""
+        s2 = _require_matrices(shape)[3]
+        return None if self.ncomp is None else _count_within("ncomp", self.ncomp, s2, "S2")
+
+    def __call__(self, train: TensorSeries, n: int) -> np.ndarray:
+        return fpca_forecast(train, n, self).values
 
 
 def _label_forecast(ts: TensorSeries, values: np.ndarray) -> TensorSeries:
@@ -116,9 +147,7 @@ def _matricize_weeks(vecs: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return vecs.reshape(*vecs.shape[:-1], s2, s1).swapaxes(-1, -2)
 
 
-def mfm_forecast(
-    ts: TensorSeries, n: int, k_day: int = 1, k_hour: int = 2, *, score: ScoreModel = ScoreModel()
-) -> TensorSeries:
+def mfm_forecast(ts: TensorSeries, n: int, spec: MFM = MFM()) -> TensorSeries:
     """Matrix-factor-model forecasts, one independent fit per provider.
 
     Each provider's weekly matrices (split_providers) are fitted by the tensor
@@ -128,7 +157,7 @@ def mfm_forecast(
     sigma is below the standardization's clamp floor (cell_moments)
     forecasts its per-cell mean.
     """
-    ranks = mfm_ranks(ts.values.shape, k_day, k_hour)
+    ranks = spec.check(ts.values.shape)
     mu, sigma, floor = cell_moments(ts.values)
     out = np.empty((n, *ts.tensor_dims))
     fitted = []  # (provider index, model, factor values)
@@ -145,7 +174,7 @@ def mfm_forecast(
             period_starts=ts.period_starts,
             provider_ids=[ts.provider_ids[i] for i, *_ in fitted],
         )
-        ff = forecast_factors(stacked, n, score=score)
+        ff = forecast_factors(stacked, n, score=spec.score)
         for j, (i, model, _) in enumerate(fitted):
             part = FactorSeries(values=ff.values[:, j], period_starts=ff.period_starts,
                                 provider_ids=model.provider_ids)
@@ -171,28 +200,27 @@ def _centred_pca(blocks: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     return mean, basis, variances, varies
 
 
-def vfm_forecast(
-    ts: TensorSeries, n: int, r: int = 2, stacked: bool = False, *, score: ScoreModel = ScoreModel()
-) -> TensorSeries:
+def vfm_forecast(ts: TensorSeries, n: int, spec: VFM = VFM()) -> TensorSeries:
     """Vector-factor-model forecasts: PCA on flattened weekly matrices.
 
     Default is one PCA per provider on its standardized week vectors; with
-    stacked=True all providers' coordinates join a single PCA so the factors
+    spec.stacked all providers' coordinates join a single PCA so the factors
     are shared across providers.
     """
-    r = vfm_components(ts.values.shape, r, stacked)
+    r = spec.check(ts.values.shape)
     z = cell_standardization(ts.values)
     t, num = ts.values.shape[:2]
     # (B, T, p) week vectors: one block per provider, or one of all providers.
     x = standardize(ts, z).values
-    blocks = _vectorize_weeks(x).reshape(1, t, -1) if stacked else _vectorize_weeks(x.swapaxes(0, 1))
+    blocks = (_vectorize_weeks(x).reshape(1, t, -1) if spec.stacked
+              else _vectorize_weeks(x.swapaxes(0, 1)))
     del x  # the blocks are a copy; keep one panel-sized array alive, not two
     mean, basis, _, varies = _centred_pca(blocks, r)
     if not varies.all():
         raise ValueError("degenerate covariance: data has no variation")
     # One score forecast for every block's r scores at once.
     scores = (blocks @ basis).swapaxes(0, 1).reshape(t, -1)
-    future = forecast_series(scores, n, score=score)
+    future = forecast_series(scores, n, score=spec.score)
     parts = future.reshape(n, len(blocks), r).swapaxes(0, 1)
     vecs = (mean[:, None] + parts @ basis.swapaxes(1, 2)).swapaxes(0, 1)
     common = _matricize_weeks(vecs.reshape(n, num, -1), ts.tensor_dims)
@@ -200,10 +228,10 @@ def vfm_forecast(
 
 
 def _component_count(eigvals: np.ndarray, requested: int | None, limit: int) -> np.ndarray:
-    """Components kept per eigenvalue row (..., p): requested, or enough for
-    _FPCA_VARIANCE_TARGET of the variance, at most _FPCA_MAX_COMPONENTS."""
+    """Components kept per eigenvalue row (..., p): requested (FPCA.check's), or enough
+    for _FPCA_VARIANCE_TARGET of the variance, at most _FPCA_MAX_COMPONENTS."""
     if requested is not None:
-        return np.full(eigvals.shape[:-1], _count_within("ncomp", requested, limit, "S2"))
+        return np.full(eigvals.shape[:-1], requested)
     variances = np.clip(eigvals, 0.0, None)
     total = np.sum(variances, axis=-1, keepdims=True)
     share = np.divide(np.cumsum(variances, axis=-1), total, out=np.zeros_like(variances),
@@ -212,21 +240,19 @@ def _component_count(eigvals: np.ndarray, requested: int | None, limit: int) -> 
     return np.where(total[..., 0] > 0.0, np.minimum(covered, min(_FPCA_MAX_COMPONENTS, limit)), 1)
 
 
-def fpca_forecast(
-    ts: TensorSeries, n: int, ncomp: int | None = None, *, score: ScoreModel = ScoreModel()
-) -> TensorSeries:
+def fpca_forecast(ts: TensorSeries, n: int, spec: FPCA = FPCA()) -> TensorSeries:
     """Functional-PCA forecasts: one curve basis per provider and day of week.
 
     Each (provider, day-of-week) slice gives a (T x hours) sample of daily
     curves on the standardized scale. Curves are centered, decomposed into
     principal component curves (enough to explain 95% of variance, at most 6,
-    unless ncomp is given), and the component scores of every slice are
+    unless spec.ncomp is given), and the component scores of every slice are
     forecast together with the shared seasonal-plus-autoregression path at
-    score's period and max_order, each AR order chosen by AIC (kind ar_aic,
-    whatever score's kind). Forecast curves reassemble into weekly matrices
+    spec.score's period and max_order, each AR order chosen by AIC (kind
+    ar_aic, whatever spec.score's kind). Forecast curves reassemble into weekly matrices
     with day slices in their original row order.
     """
-    ncomp = fpca_components(ts.values.shape, ncomp)
+    ncomp = spec.check(ts.values.shape)
     z = cell_standardization(ts.values)
     x = standardize(ts, z).values
     t, s2 = x.shape[0], x.shape[-1]
@@ -240,7 +266,7 @@ def fpca_forecast(
     kept = np.arange(basis.shape[2]) < counts[:, None]  # (slices, components) mask
     scores = (blocks @ basis).swapaxes(0, 1)[:, kept]
     padded = np.zeros((n, *kept.shape))
-    padded[:, kept] = forecast_series(scores, n, score=replace(score, kind="ar_aic"))
+    padded[:, kept] = forecast_series(scores, n, score=replace(spec.score, kind="ar_aic"))
     curves = mean[:, None] + padded.swapaxes(0, 1) @ basis.swapaxes(1, 2)
     common = curves.swapaxes(0, 1).reshape(n, *ts.tensor_dims)
     return destandardize(_label_forecast(ts, common), z)

@@ -37,14 +37,13 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .benchmarks import fpca_components, mfm_ranks, vfm_components
 from .evaluation import (
     RollingPlan,
     SimSpec,
+    TensorForecaster,
     emit_report,
     load_report,
     make_benchmark_forecaster,
-    make_tensor_forecaster,
     merge_reports,
     rolling_evaluate,
     simulate,
@@ -56,7 +55,6 @@ from .factor_model import (
     fit_factor_model,
     in_sample_mse,
     load_model,
-    rank_bounds,
     save_model,
 )
 from .forecast import SCORE_MODELS, ScoreModel, forecast_factors, forecast_observations
@@ -168,12 +166,11 @@ def _parse_span(where: str, raw: str) -> tuple[datetime, datetime] | None:
     return span
 
 
-# The baselines in run order, each with its check of its settings and the
-# [backtest] key that sets each keyword of its forecast function.
+# The baselines in run order, each with the [backtest] key of each record field.
 _BASELINE_TABLE = {
-    "mfm": (mfm_ranks, {"k_day": "mfm_day_factors", "k_hour": "mfm_hour_factors"}),
-    "vfm": (vfm_components, {"r": "vfm_components", "stacked": "vfm_stacked"}),
-    "fpca": (fpca_components, {"ncomp": "fpca_components"}),
+    "mfm": {"k_day": "mfm_day_factors", "k_hour": "mfm_hour_factors"},
+    "vfm": {"r": "vfm_components", "stacked": "vfm_stacked"},
+    "fpca": {"ncomp": "fpca_components"},
 }
 
 
@@ -364,16 +361,12 @@ def _load_archive(cfg: RunConfig) -> TensorSeries:
     return load_tensor_series(_require_file(cfg.out_path(cfg.data.archive), "data archive"))
 
 
-def _check_rank_settings(model: Any, dims: tuple[int, ...]) -> None:
-    """Reject [model] rank settings the archive's tensors cannot take, by
-    the estimator's own rules: explicit ranks by Ranks.validate_against,
-    automatic ranks (None) by rank_bounds."""
-    setting = "model.ranks" if model.ranks is not None else "model.ranks = auto"
-    where = f"{setting} for the {dims} tensors in data.archive"
-    if model.ranks is None:
-        _checked(where, rank_bounds, dims, model.r_max, model.k_max)
-    else:
-        _checked(where, model.ranks.validate_against, dims)
+def _tensor_model(cfg: RunConfig, ranks: Ranks | None, shape: tuple[int, ...]) -> TensorForecaster:
+    """The [model] record at ``ranks``, passed by its check for a ``shape`` series."""
+    tfm = TensorForecaster(ranks, cfg.model.r_max, cfg.model.k_max, cfg.score)
+    setting = "model.ranks" if ranks is not None else "model.ranks = auto"
+    _checked(f"{setting} for the {shape[1:]} tensors in data.archive", tfm.check, shape)
+    return tfm
 
 
 def _check_two_seasons(period: int, length: int, source: str) -> None:
@@ -402,16 +395,15 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def cmd_ranks(cfg: RunConfig, args: argparse.Namespace) -> None:
     ts = _load_archive(cfg)
-    _check_rank_settings(cfg.model._replace(ranks=None), ts.tensor_dims)
-    model, _ = fit_factor_model(ts, r_max=cfg.model.r_max, k_max=cfg.model.k_max)
+    tfm = _tensor_model(cfg, None, ts.values.shape)
+    model, _ = fit_factor_model(ts, tfm.ranks, tfm.r_max, tfm.k_max)
     print(",".join(str(c) for c in (model.ranks.r, *model.ranks.k)))
 
 
 def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> None:
     ts = _load_archive(cfg)
-    _check_rank_settings(cfg.model, ts.tensor_dims)
-    model, factors = fit_factor_model(ts, ranks=cfg.model.ranks, r_max=cfg.model.r_max,
-                                      k_max=cfg.model.k_max)
+    tfm = _tensor_model(cfg, cfg.model.ranks, ts.values.shape)
+    model, factors = fit_factor_model(ts, tfm.ranks, tfm.r_max, tfm.k_max)
     mse = in_sample_mse(ts, forecast_observations(factors, model.loadings, model.standardization))
     logger.info("fitted ranks (%d, %s), in-sample mse %.6g", model.ranks.r, model.ranks.k, mse)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -496,32 +488,23 @@ def _write_loadings_csv(path: Path, model: TensorFactorModel) -> None:
                          for factor, value in enumerate(row))
 
 
-def _baseline_settings(bt: Any, train_length: int, dims: tuple[int, ...]) -> dict[str, dict]:
-    """Each enabled baseline's forecast settings by name, passed by the
-    baseline's own check for windows of the archive; a failure names its keys."""
-    settings = {}
-    for name in bt.benchmarks:
-        check, keys = _BASELINE_TABLE[name]
-        settings[name] = {kw: getattr(bt, key) for kw, key in keys.items()}
-        named = " and ".join(f"backtest.{key} = {getattr(bt, key)}" for key in keys.values())
-        _checked(f"backtest.benchmarks holds {name} with {named}, for the {dims} tensors",
-                 check, (train_length, *dims), **settings[name])
-    return settings
-
-
 def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> None:
     ts = _load_archive(cfg)
-    bt, model, plan = cfg.backtest, cfg.model, cfg.plan
+    bt, plan = cfg.backtest, cfg.plan
     if plan is None:
         raise ConfigError("backtest.train_length is required for backtest")
     _check_two_seasons(cfg.score.period, plan.train_length, "backtest.train_length =")
     _checked("backtest", plan.validate_for, ts.num_periods)
-    _check_rank_settings(model, ts.tensor_dims)
-    baselines = _baseline_settings(bt, plan.train_length, ts.tensor_dims)
-    forecasters = {"TFM": make_tensor_forecaster(ranks=model.ranks, r_max=model.r_max,
-                                                 k_max=model.k_max, score=cfg.score)}
-    for name, settings in baselines.items():
-        forecasters[name.upper()] = make_benchmark_forecaster(name, score=cfg.score, **settings)
+    shape = (plan.train_length, *ts.tensor_dims)
+    forecasters = {"TFM": _tensor_model(cfg, cfg.model.ranks, shape)}
+    for name in bt.benchmarks:
+        keys = _BASELINE_TABLE[name]
+        handle = make_benchmark_forecaster(name, score=cfg.score,
+                                           **{f: getattr(bt, key) for f, key in keys.items()})
+        named = " and ".join(f"backtest.{key} = {getattr(bt, key)}" for key in keys.values())
+        _checked(f"backtest.benchmarks holds {name} with {named}, for the {ts.tensor_dims} tensors",
+                 handle.check, shape)
+        forecasters[name.upper()] = handle
     windows = ts.num_periods - plan.train_length - min(plan.horizons)
     reports = []
     for name, fn in forecasters.items():

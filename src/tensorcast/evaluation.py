@@ -14,16 +14,15 @@ window's target mean scores exactly 1.
 from __future__ import annotations
 
 import csv
-import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .benchmarks import fpca_forecast, mfm_forecast, vfm_forecast
-from .factor_model import LoadingSet, FactorSeries, Ranks, fit_factor_model
+from .benchmarks import FPCA, MFM, VFM
+from .factor_model import LoadingSet, FactorSeries, Ranks, fit_factor_model, rank_bounds
 from .forecast import ScoreModel, forecast_factors, forecast_observations
 from .panel import TensorSeries, as_count, as_counts, as_real, period_step
 from .tensor import mode_product
@@ -34,6 +33,7 @@ __all__ = [
     "EvalReport",
     "merge_reports",
     "rolling_evaluate",
+    "TensorForecaster",
     "make_tensor_forecaster",
     "make_benchmark_forecaster",
     "SimSpec",
@@ -41,9 +41,6 @@ __all__ = [
     "emit_report",
     "load_report",
 ]
-
-ForecastFn = Callable[[TensorSeries, int], np.ndarray]
-
 
 @dataclass(frozen=True)
 class RollingPlan:
@@ -98,12 +95,6 @@ class EvalReport:
     cells: list[EvalCell]
     metadata: dict[str, str] = field(default_factory=dict)
 
-    def cell(self, model: str, horizon: int, provider_id: str) -> EvalCell:
-        for c in self.cells:
-            if (c.model, c.horizon, c.provider_id) == (model, horizon, provider_id):
-                return c
-        raise KeyError(f"no cell ({model}, {horizon}, {provider_id})")
-
 
 def merge_reports(reports: Sequence[EvalReport]) -> EvalReport:
     """Concatenate cells of several reports; later metadata wins on key clashes."""
@@ -115,13 +106,14 @@ def merge_reports(reports: Sequence[EvalReport]) -> EvalReport:
 
 
 def rolling_evaluate(
-    forecast_fn: ForecastFn,
+    forecast_fn: Callable[[TensorSeries, int], np.ndarray],
     ts: TensorSeries,
     plan: RollingPlan,
     model: str = "model",
 ) -> EvalReport:
     """Score a forecaster over all sliding windows of the evaluation span.
 
+    A forecaster's ``check(shape)``, if any, runs first on the windows' shape.
     The forecaster is fit once per window and asked for max(horizons) steps;
     horizon n reads step n - 1. Horizon n gets T_test - n windows, so the
     last period is never a target (see the module docstring). The period
@@ -134,6 +126,8 @@ def rolling_evaluate(
     plan.validate_for(ts.num_periods)
     period_step(ts.period_starts)
     t_train = plan.train_length
+    if hasattr(forecast_fn, "check"):
+        forecast_fn.check((t_train, *ts.tensor_dims))
     t_test = ts.num_periods - t_train
     horizons = sorted(plan.horizons)
     n_max = horizons[-1]
@@ -198,46 +192,38 @@ def rolling_evaluate(
 # forecaster handles
 
 
-def make_tensor_forecaster(*, score: ScoreModel = ScoreModel(), **fit) -> ForecastFn:
-    """Forecaster handle that refits the tensor factor model on each window
-    with the keyword settings ``fit`` of fit_factor_model (ranks, r_max,
-    k_max) and forecasts its scores with the score settings. A keyword that
-    fit_factor_model lacks is a TypeError when the handle is built."""
-    inspect.signature(fit_factor_model).bind(None, **fit)
+@dataclass(frozen=True)
+class TensorForecaster:
+    """The tensor model's settings (fit_factor_model's, with its defaults) and forecaster
+    handle: each call refits on the window and forecasts the scores with ``score``."""
 
-    def fn(train: TensorSeries, n: int) -> np.ndarray:
-        model, factors = fit_factor_model(train, **fit)
-        ff = forecast_factors(factors, n, score=score)
+    ranks: Ranks | None = None
+    r_max: int = 3
+    k_max: Sequence[int] | None = None
+    score: ScoreModel = ScoreModel()
+
+    def check(self, shape: Sequence[int]) -> None:
+        """The estimator's rank rules (Ranks.validate_against or rank_bounds) on a series shape."""
+        if self.ranks is None:
+            rank_bounds(shape[1:], self.r_max, self.k_max)
+        else:
+            self.ranks.validate_against(shape[1:])
+
+    def __call__(self, train: TensorSeries, n: int) -> np.ndarray:
+        model, factors = fit_factor_model(train, self.ranks, self.r_max, self.k_max)
+        ff = forecast_factors(factors, n, score=self.score)
         return forecast_observations(ff, model.loadings, model.standardization).values
 
-    return fn
+
+make_tensor_forecaster = TensorForecaster
 
 
-# The baselines by name. A handle looks its entry up on every call, so a
-# rebinding of the entry (a tracer's wrapper) reaches handles already built.
-_BASELINES = {"MFM": mfm_forecast, "VFM": vfm_forecast, "FPCA": fpca_forecast}
-
-
-def make_benchmark_forecaster(
-    kind: str, *, score: ScoreModel = ScoreModel(), **settings
-) -> ForecastFn:
-    """Forecaster handle for one of the baselines: "MFM", "VFM", or "FPCA".
-
-    ``settings`` are keyword settings of that baseline's forecast function
-    (mfm_forecast's k_day and k_hour, vfm_forecast's r and stacked,
-    fpca_forecast's ncomp); another baseline's setting is a TypeError when
-    the handle is built. Each forecasts its scores with the score settings,
-    FPCA with its kind replaced by ar_aic (fpca_forecast).
-    """
-    tag = kind.upper()
-    if tag not in _BASELINES:
+def make_benchmark_forecaster(kind: str, **settings) -> MFM | VFM | FPCA:
+    """The settings record of the baseline ``kind``: "MFM", "VFM" or "FPCA", in any case."""
+    records = {"MFM": MFM, "VFM": VFM, "FPCA": FPCA}
+    if kind.upper() not in records:
         raise ValueError(f"unknown benchmark {kind!r}")
-    inspect.signature(_BASELINES[tag]).bind(None, 1, score=score, **settings)
-
-    def fn(train: TensorSeries, n: int) -> np.ndarray:
-        return _BASELINES[tag](train, n, score=score, **settings).values
-
-    return fn
+    return records[kind.upper()](**settings)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +288,13 @@ class SimSpec:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.sigma is not None and not np.all(self.sigma > 0):
             raise ValueError("sigma must be > 0 in every cell")
+
+    def __eq__(self, other: object) -> bool:
+        """Field by field by value, as the mu and sigma arrays need."""
+        if type(other) is not SimSpec:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     @property
     def num_levels(self) -> int:

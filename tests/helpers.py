@@ -1,5 +1,5 @@
 """Shared constructions for synthetic factor-model data in tests, small
-tensor utilities that only the tests use, and the oracles that the batched
+tensor and report utilities that only the tests use, and the oracles that the batched
 code is checked against: the scalar score forecaster, the score forecaster
 that ran every step once per chunk of 32 series, the per-matrix full
 eigendecomposition, the per-slice functional PCA, the first pass that
@@ -168,6 +168,14 @@ def hadamard(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def frobenius_norm(x: np.ndarray) -> float:
     """Square root of the sum of squared entries."""
     return float(np.sqrt(np.sum(np.square(np.asarray(x, dtype=float)))))
+
+
+def report_cell(report: EvalReport, model: str, horizon: int, provider_id: str) -> EvalCell:
+    """The report's one cell for (model, horizon, provider)."""
+    for c in report.cells:
+        if (c.model, c.horizon, c.provider_id) == (model, horizon, provider_id):
+            return c
+    raise KeyError(f"no cell ({model}, {horizon}, {provider_id})")
 
 
 def simulate_compact(spec: SimSpec) -> tuple[TensorSeries, LoadingSet, FactorSeries]:

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import kron, make_series, noiseless_series, random_loading_set, subspace_distance, \
-    unfold
+from helpers import kron, make_series, noiseless_series, random_loading_set, report_cell, \
+    subspace_distance, unfold
 from tensorcast.cli import main
 from tensorcast.evaluation import RollingPlan, emit_report, make_benchmark_forecaster, \
     make_tensor_forecaster, merge_reports, rolling_evaluate
@@ -306,14 +306,14 @@ def test_hourly_panel_qualitative_reproduction():
     models = sorted({c.model for c in report.cells})
     for n in (1, 4, 13, 26):
         for pid in ts.provider_ids:
-            scores_by_model = {m: report.cell(m, n, pid).relative_mse for m in models}
+            scores_by_model = {m: report_cell(report, m, n, pid).relative_mse for m in models}
             top = scores_by_model.pop("FPCA")
             if not all(top > v for v in scores_by_model.values()):
                 problems.append(f"FPCA not highest for {pid} n={n}")
     for pid in ("COMED", "DEOK", "DUQ", "PJMW"):
         for n in (13, 26):
-            tfm = report.cell("TFM", n, pid).relative_mse
-            rest = [report.cell(m, n, pid).relative_mse for m in models if m != "TFM"]
+            tfm = report_cell(report, "TFM", n, pid).relative_mse
+            rest = [report_cell(report, m, n, pid).relative_mse for m in models if m != "TFM"]
             if not all(tfm < v for v in rest):
                 problems.append(f"TFM not lowest for {pid} n={n}")
 
@@ -331,7 +331,7 @@ def test_hourly_panel_quantitative_band():
     worst, worst_cell = 0.0, ""
     for n, row in _TFM_REFERENCE.items():
         for pid, reference in zip(_TABLE_PROVIDERS, row):
-            got = report.cell("TFM", n, pid).relative_mse
+            got = report_cell(report, "TFM", n, pid).relative_mse
             gap = abs(got - reference)
             if gap > worst:
                 worst, worst_cell = gap, f"{pid} {_HORIZON_LABELS[n]} {got:.4f} vs {reference:.4f}"

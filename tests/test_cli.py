@@ -502,7 +502,8 @@ def test_backtest_oracle_hook_reports_zero_error(tmp_path, monkeypatch):
         out[: len(window)] = window
         return out
 
-    monkeypatch.setattr(cli, "make_tensor_forecaster", lambda **kwargs: oracle)
+    oracle.check = lambda shape: None  # the record's check, which takes any series
+    monkeypatch.setattr(cli, "TensorForecaster", lambda *args: oracle)
     cmd_backtest(load_config(cfg_path), None)
     with open(tmp_path / "out" / "report.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -687,22 +688,30 @@ def test_simulate_defaults_are_the_sim_spec_defaults(tmp_path):
 
 
 def test_schema_defaults_are_the_model_functions_defaults():
-    # The deployment defaults restate the keyword defaults of the functions
-    # that read them; each [backtest] baseline key sets one such keyword.
+    # The deployment defaults restate the field defaults of the model records
+    # that read them; each [backtest] baseline key sets one such field.
     def shown(value):
         return "auto" if value is None else str(value).lower()
 
+    def defaults(record):
+        return {f.name: f.default for f in dataclasses.fields(record)}
+
     mapped = set()
-    for name, (_, keys) in cli._BASELINE_TABLE.items():
-        params = inspect.signature(evaluation._BASELINES[name.upper()]).parameters
-        for keyword, key in keys.items():
-            assert _SCHEMA["backtest"][key][0] == shown(params[keyword].default), key
+    for name, keys in cli._BASELINE_TABLE.items():
+        fields = defaults(evaluation.make_benchmark_forecaster(name))
+        for field, key in keys.items():
+            assert _SCHEMA["backtest"][key][0] == shown(fields[field]), key
             mapped.add(key)
     baseline_keys = {key for key in _SCHEMA["backtest"] if key.split("_")[0] in cli._BASELINE_TABLE}
     assert mapped == baseline_keys
-    params = inspect.signature(fit_factor_model).parameters
+    fields = defaults(evaluation.TensorForecaster)
     for key in ("ranks", "r_max"):
-        assert _SCHEMA["model"][key][0] == shown(params[key].default), key
+        assert _SCHEMA["model"][key][0] == shown(fields[key]), key
+    # The tensor record restates fit_factor_model's rank defaults, r_max among them.
+    params = inspect.signature(fit_factor_model).parameters
+    assert evaluation.TensorForecaster.r_max == params["r_max"].default
+    for key in ("ranks", "k_max"):
+        assert fields[key] == params[key].default, key
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path):

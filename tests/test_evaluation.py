@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
+import pickle
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tensorcast import benchmarks
 from tensorcast.evaluation import (
     EvalCell,
     EvalReport,
@@ -26,7 +30,8 @@ from tensorcast.factor_model import Ranks
 from tensorcast.forecast import ScoreModel
 from tensorcast.panel import TensorSeries
 
-from helpers import make_series, oracle_rolling_evaluate, recorded_score_blocks, simulate_compact
+from helpers import (make_series, oracle_rolling_evaluate, recorded_score_blocks, report_cell,
+                     simulate_compact)
 
 
 def random_series(rng: np.random.Generator, t: int, dims=(2, 3, 4)) -> TensorSeries:
@@ -136,7 +141,7 @@ def test_per_window_error_matches_naive_loop():
     target = ts.values[w + t_train + n - 1, i]
     pred = ts.values[w + t_train - 1, i]
     expected = float(np.sum((target - pred) ** 2) / target.size)
-    cell = report.cell("last", n, "P1")
+    cell = report_cell(report, "last", n, "P1")
     assert abs(cell.trace[w] - expected) < 1e-12
     assert abs(cell.mse - float(np.mean(cell.trace))) < 1e-12
 
@@ -171,8 +176,8 @@ def test_window_layout_and_fit_reuse():
         assert length == t_train
         assert first_start == ts.period_starts[w]
         assert n == 4
-    assert len(report.cell("rec", 1, "P0").trace) == t_test - 1
-    assert len(report.cell("rec", 4, "P0").trace) == t_test - 4
+    assert len(report_cell(report, "rec", 1, "P0").trace) == t_test - 1
+    assert len(report_cell(report, "rec", 4, "P0").trace) == t_test - 4
 
 
 def failing_windows(ts: TensorSeries, bad: set[int]):
@@ -199,7 +204,7 @@ def test_failed_window_marks_only_horizons_it_feeds():
         assert "window 2 failed" in cell.error and "window exploded" in cell.error
         assert np.isnan(cell.mse)
     # windows other than 2 still ran
-    trace = early.cell("m", 1, "P0").trace
+    trace = report_cell(early, "m", 1, "P0").trace
     assert np.isnan(trace[2]) and np.isfinite(np.delete(trace, 2)).all()
 
     late = rolling_evaluate(failing_windows(ts, {7}), ts, plan, model="m")
@@ -242,8 +247,8 @@ def test_relative_mse_divides_by_the_mean_window_variance():
         for w in range(24 - t_train - 1):
             flat = ts.values[w + t_train, i].ravel()
             spreads.append(np.mean((flat - flat.mean()) ** 2))
-        mse = var_rep.cell("m", 1, pid).mse
-        assert abs(var_rep.cell("m", 1, pid).relative_mse - mse / np.mean(spreads)) < 1e-12
+        cell = report_cell(var_rep, "m", 1, pid)
+        assert abs(cell.relative_mse - cell.mse / np.mean(spreads)) < 1e-12
 
 
 def test_forecaster_shape_is_checked():
@@ -279,7 +284,7 @@ def test_reports_equal_the_per_horizon_oracle_byte_for_byte(tmp_path, case):
         assert new[key].read_bytes() == old[key].read_bytes(), key
     if case == "failures":
         assert all("window 1 failed" in c.error for c in report.cells)
-        assert np.isnan(report.cell("m", 1, "P0").trace[[1, 15]]).all()
+        assert np.isnan(report_cell(report, "m", 1, "P0").trace[[1, 15]]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +319,36 @@ def test_forecaster_handles_take_only_their_models_settings():
         make_tensor_forecaster(k_day=1)
     with pytest.raises(TypeError, match="k_hour"):
         make_benchmark_forecaster("FPCA", k_hour=3)
+
+
+def test_rolling_evaluate_runs_the_handle_check_before_any_window(monkeypatch):
+    # Accepted, ncomp=25 on 24-hour days would fail every window alike.
+    calls = []
+    monkeypatch.setattr(benchmarks, "fpca_forecast", lambda *args: calls.append(args))
+    ts = random_series(np.random.default_rng(10), 30, dims=(2, 7, 24))
+    with pytest.raises(ValueError, match=r"ncomp=25 out of range 1\.\.24"):
+        rolling_evaluate(make_benchmark_forecaster("FPCA", ncomp=25), ts, RollingPlan(20, (1,)))
+    assert calls == []
+
+
+def test_benchmark_handles_pickle_to_the_same_forecasts(monkeypatch):
+    # A handle crosses a process boundary (spawn or forkserver workers) by
+    # pickle; each of the benchmark's handles must forecast the same bytes.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))  # workloads.py imports inputs.py
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", perfbench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.modules.pop("inputs", None)
+    train, _, _ = simulate(SimSpec(dims=(3, 7, 24), ranks=Ranks(1, (1, 2)), num_periods=110))
+    for name, make in workloads.MODELS.items():
+        handle = make()
+        copy = pickle.loads(pickle.dumps(handle))
+        assert copy == handle, name
+        assert copy(train, 26).tobytes() == handle(train, 26).tobytes(), name
 
 
 @pytest.mark.parametrize(
@@ -501,6 +536,21 @@ def test_sim_spec_rejects_bad_counts_naming_the_field(setting, field):
     spec = {"dims": (3, 7, 24), "ranks": Ranks(1, (1, 2)), "num_periods": 60, **setting}
     with pytest.raises(ValueError, match=field):
         SimSpec(**spec)
+
+
+def test_sim_spec_compares_mu_and_sigma_by_value():
+    def spec(**arrays):
+        return SimSpec(dims=(2, 3, 4), ranks=Ranks(1, (1, 1)), num_periods=5, **arrays)
+
+    mu = np.ones((2, 3, 4))
+    assert spec(mu=mu) == spec(mu=mu.copy())
+    assert spec(mu=mu, sigma=2 * mu) == spec(mu=mu.copy(), sigma=2 * mu)
+    other = mu.copy()
+    other[1, 2, 3] = 2.0
+    assert spec(mu=mu) != spec(mu=other)
+    assert spec(mu=mu) != spec()
+    assert spec() != spec(sigma=mu)
+    assert spec() == spec()
 
 
 def test_sim_spec_stores_plain_int_counts():

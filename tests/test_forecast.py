@@ -47,7 +47,7 @@ from tensorcast.forecast import (
     forecast_series,
     future_starts,
 )
-from tensorcast.benchmarks import fpca_forecast, mfm_forecast, vfm_forecast
+from tensorcast.benchmarks import FPCA, MFM, VFM, fpca_forecast, mfm_forecast, vfm_forecast
 from tensorcast.panel import Standardization, TensorSeries, destandardize
 
 
@@ -436,9 +436,9 @@ def test_future_starts_continue_even_spacing_and_reject_irregular_starts():
     with pytest.raises(ValueError, match=r"not evenly spaced: start 4 "):
         forecast_factors(factors, 2, score=ScoreModel(period=2))
     ts = TensorSeries(rng.standard_normal((6, 1, 3, 4)), irregular, ["P0"])
-    for forecaster in (mfm_forecast, vfm_forecast, fpca_forecast):
+    for forecaster, record in ((mfm_forecast, MFM), (vfm_forecast, VFM), (fpca_forecast, FPCA)):
         with pytest.raises(ValueError, match=r"not evenly spaced: start 4 "):
-            forecaster(ts, 2, score=ScoreModel(period=2))
+            forecaster(ts, 2, record(score=ScoreModel(period=2)))
 
 
 # ---------------------------------------------------------------------------
