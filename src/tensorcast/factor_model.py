@@ -12,11 +12,13 @@ of that unfolding, and compresses the unfolding through the leading columns
 of its eigenbasis that the ranks call for: a coarse estimate of the loading
 space complementary to the mode. The projection pass eigendecomposes the
 covariance of each compressed block, which strips most of the noise and
-yields the final loadings. Automatic rank selection runs the initial pass at
-the candidate maxima, reads the same projected covariances, and narrows the
-bases and blocks to the chosen ranks by slicing their leading columns
-before the projection pass. Factors follow by linear projection, with the
-loading scale conventions
+yields the final loadings. Automatic rank selection reads the initial pass's
+moments and unfoldings before any basis is formed: each mode's row moment,
+a partial trace of another mode's moment, compresses that mode, and the
+ratios come from the covariance of the series compressed on every other
+mode. The pass then continues at the chosen ranks exactly as a fixed-rank
+pass does. Factors follow by linear projection, with the loading scale
+conventions
 
     Lambda' Lambda = N I,   B(j)' B(j) = S_j I
 
@@ -26,6 +28,7 @@ making the projection an exact inverse of the noiseless model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Sequence
 
@@ -175,60 +178,75 @@ def _widths(ranks: Ranks) -> list[int]:
     return [total // c for c in counts]
 
 
-def initial_loadings(xs: TensorSeries, ranks: Ranks) -> InitialLoadings:
+def _compressed(x: np.ndarray, cov: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The basis of a first-pass mode, sqrt(q) times the ``width`` leading
+    eigenvectors of its (q, q) moment ``cov``, and its (T, p, q) stacked
+    unfolding ``x`` compressed through that basis."""
+    # Asking for the width columns alone lets a narrow request on a large
+    # moment (two of 168 or 216 at the paper's fixed ranks) take the
+    # certified partial path; the rest are one full eigh.
+    basis = np.sqrt(x.shape[2]) * top_eigenvectors(cov, width)[0]
+    return basis, (x.reshape(-1, x.shape[2]) @ basis).reshape(*x.shape[:2], width)
+
+
+def initial_loadings(
+    xs: TensorSeries, ranks: Ranks | tuple[int, Sequence[int]]
+) -> InitialLoadings:
     """First estimation pass at the given ranks, one mode at a time.
 
     Mode m's stacked unfolding, reshaped to (T p_m, q_m), gives the averaged
     second-moment matrix m'm / (T N S); its basis is sqrt(q_m) times the
     w_m leading sign-normalised eigenvectors from top_eigenvectors, and its
-    block is the unfolding times that basis. Each unfolding is built once and
-    dropped before the next mode's.
+    block is the unfolding times that basis. Each mode is unfolded once.
+    At given ranks each unfolding is compressed and dropped before the next
+    mode's is built. ``ranks`` may instead be the candidate maxima
+    (r_max, k_max) of :func:`rank_bounds`: then every unfolding and moment
+    is kept until :func:`select_ranks` has chosen the ranks from them, and
+    the bases and blocks follow at the chosen ranks as above.
     """
     if xs.values.ndim < 3:
         raise ValueError("series tensors need a cross-section mode and at least one seasonal mode")
-    ranks.validate_against(xs.tensor_dims)
-    t = xs.num_periods
-    scale = t * int(np.prod(xs.tensor_dims))
-    bases, blocks = [], []
-    for mode, (p, width) in enumerate(zip(xs.tensor_dims, _widths(ranks))):
-        m = _stack_unfoldings(xs.values, mode).reshape(t * p, -1)
+    given = isinstance(ranks, Ranks)
+    if given:
+        ranks.validate_against(xs.tensor_dims)
+    scale = xs.num_periods * int(np.prod(xs.tensor_dims))
+    unfoldings, moments, passes = [], [], []
+    for mode in range(len(xs.tensor_dims)):
+        x = _stack_unfoldings(xs.values, mode)
+        m = x.reshape(-1, x.shape[2])
         cov = m.T @ m / scale
         if np.max(np.abs(cov)) == 0.0:
             raise ValueError("degenerate covariance: series is identically zero")
-        # Asking for the w_m columns alone lets a narrow request on a large
-        # moment (two of 168 or 216 at the paper's fixed ranks) take the
-        # certified partial path; the rest are one full eigh.
-        basis = np.sqrt(m.shape[1]) * top_eigenvectors(cov, width)[0]
-        bases.append(basis)
-        blocks.append((m @ basis).reshape(t, p, width))
-        del m
-    return InitialLoadings(ranks=ranks, bases=bases, blocks=blocks)
+        if given:
+            # One unfolding alive at a time: when all three are freed together
+            # on a long series, glibc returns their pages to the kernel and
+            # the next fit faults them in again (about 2400 page faults per
+            # paper-shape fit at T = 342).
+            passes.append(_compressed(x, cov, _widths(ranks)[mode]))
+        else:
+            unfoldings.append(x)
+            moments.append(cov)
+        del x, m
+    if not given:
+        ranks = select_ranks(unfoldings, moments, *ranks)
+        passes = [_compressed(*args) for args in zip(unfoldings, moments, _widths(ranks))]
+    return InitialLoadings(ranks=ranks, bases=[b for b, _ in passes], blocks=[c for _, c in passes])
 
 
-def _narrowed(init: InitialLoadings, ranks: Ranks) -> InitialLoadings:
-    """init at smaller ranks: the leading columns of each basis and block.
-    Sliced block columns can differ in the last bits from a product through
-    the narrowed basis, so an automatic fit equals a fixed fit at the ranks
-    it chose to roundoff, not bitwise."""
-    widths = _widths(ranks)
-    bases = [basis[:, :w] for basis, w in zip(init.bases, widths)]
-    blocks = [block[:, :, :w] for block, w in zip(init.blocks, widths)]
-    return InitialLoadings(ranks=ranks, bases=bases, blocks=blocks)
-
-
-def _projected_covariances(init: InitialLoadings) -> list[np.ndarray]:
-    """Second-pass covariance of each mode from its compressed block.
+def _projected_covariances(blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Second-pass covariance of each mode from its compressed (T, p_m, w_m)
+    block.
 
     Time is folded into the columns of each block, so every covariance is one
     product of a 2-D block with its transpose, divided by T N S times the
     product of the seasonal extents other than the mode's own.
     """
-    dims = init.dims
-    t = init.blocks[0].shape[0]
+    dims = [block.shape[1] for block in blocks]
+    t = blocks[0].shape[0]
     scale = t * int(np.prod(dims))
     s_total = int(np.prod(dims[1:]))
     covs = []
-    for mode, (p, block) in enumerate(zip(dims, init.blocks)):
+    for mode, (p, block) in enumerate(zip(dims, blocks)):
         c = block.swapaxes(0, 1).reshape(p, -1)
         covs.append(c @ c.T / (scale * (s_total // p if mode else s_total)))
     return covs
@@ -240,7 +258,7 @@ def projected_loadings(init: InitialLoadings) -> LoadingSet:
     counts = (init.ranks.r, *init.ranks.k)
     mats = [
         np.sqrt(p) * top_eigenvectors(cov, c)[0]
-        for p, c, cov in zip(init.dims, counts, _projected_covariances(init))
+        for p, c, cov in zip(init.dims, counts, _projected_covariances(init.blocks))
     ]
     return LoadingSet(lam=mats[0], b=mats[1:])
 
@@ -315,7 +333,8 @@ def _check_bounds(dims: Sequence[int], r_max: int, k_max: Sequence[int]) -> None
 def rank_bounds(
     dims: Sequence[int], r_max: int, k_max: Sequence[int] | None
 ) -> tuple[int, tuple[int, ...]]:
-    """Candidate maxima for :func:`select_ranks` on tensors of the given dims.
+    """Candidate maxima (r_max, k_max) for :func:`select_ranks` on tensors of
+    the given dims.
 
     r_max is capped at N - 1; a k_max of None means min(3, S_j - 1) per seasonal
     mode. An explicit k_max is checked, not lowered: it needs one bound per
@@ -332,17 +351,51 @@ def rank_bounds(
     return bounds
 
 
-def select_ranks(init: InitialLoadings) -> Ranks:
+def _row_moments(moments: Sequence[np.ndarray], dims: Sequence[int]) -> list[np.ndarray]:
+    """Per mode j, its p_j x p_j second moment summed over time and every
+    other mode: a partial trace of mode 0's first-pass moment, or of mode
+    1's for j = 0. That moment's rows and columns enumerate its other modes
+    with the lowest varying fastest, so in C order their axes run from the
+    highest mode down."""
+    rows = []
+    for j in range(len(dims)):
+        source = 1 if j == 0 else 0
+        axes = [mode for mode in reversed(range(len(dims))) if mode != source]
+        full = moments[source].reshape([dims[mode] for mode in axes] * 2)
+        # Equal labels on a row axis and its column axis sum their diagonal.
+        labels, kept = list(range(len(axes))), axes.index(j)
+        cols = labels[:kept] + [len(axes)] + labels[kept + 1 :]
+        rows.append(np.einsum(full, labels + cols, [kept, len(axes)]))
+    return rows
+
+
+def select_ranks(
+    unfoldings: Sequence[np.ndarray], moments: Sequence[np.ndarray], r_max: int,
+    k_max: Sequence[int]
+) -> Ranks:
     """Choose factor counts by the eigenvalue-ratio criterion per mode.
 
-    The ratios are taken over the leading eigenvalues of the projected
-    covariances of ``init``, whose ranks are the candidate maxima
-    (r_max, k_max).
+    ``unfoldings`` and ``moments`` are a first pass's stacked (T, p_m, q_m)
+    unfoldings and q_m x q_m second moments, and (r_max, k_max) the candidate
+    maxima c. The c_j leading eigenvectors of each mode's row moment,
+    partial traces of the first-pass moments, compress that mode. For each
+    mode m the ratios are taken over the c_m + 1 leading eigenvalues of the
+    projected covariance of the series compressed on every other mode, as
+    in the projected estimation of Yu, He, Kong and Zhang (2022).
     """
-    _check_bounds(init.dims, init.ranks.r, init.ranks.k)
+    dims = [x.shape[1] for x in unfoldings]
+    _check_bounds(dims, r_max, k_max)
+    maxima = (r_max, *k_max)
+    leading = [top_eigenvectors(row, c)[0] for row, c in zip(_row_moments(moments, dims), maxima)]
+    blocks = []
+    for mode, x in enumerate(unfoldings):
+        # Unfolding columns enumerate the other modes lowest fastest, so their
+        # compression is the Kronecker product from the highest mode down.
+        compress = reduce(np.kron, [leading[j] for j in reversed(range(len(dims))) if j != mode])
+        blocks.append((x.reshape(-1, x.shape[2]) @ compress).reshape(*x.shape[:2], -1))
     r, *k = (
         _ratio_argmax(top_eigenvectors(cov, c + 1)[1], c)
-        for cov, c in zip(_projected_covariances(init), (init.ranks.r, *init.ranks.k))
+        for cov, c in zip(_projected_covariances(blocks), maxima)
     )
     return Ranks(r, tuple(k))
 
@@ -359,23 +412,21 @@ def fit_factor_model(
 ) -> tuple[TensorFactorModel, FactorSeries]:
     """Standardize, (optionally) select ranks, and run both estimation passes.
 
-    The first pass runs once, at the given ranks or, for automatic selection,
-    at the candidate maxima; rank selection reads its blocks, which are then
-    narrowed to the chosen ranks for the projection pass. Returns the fitted
-    model together with the extracted factor series.
+    The first pass runs once. Given no ranks, it receives the candidate
+    maxima of :func:`rank_bounds` and chooses the ranks from its own moments
+    before forming any basis, so an automatic fit is bitwise the fixed fit at
+    the ranks it chose. Returns the fitted model together with the extracted
+    factor series.
     """
     z = cell_standardization(ys.values)
     xs = standardize(ys, z)
     if ranks is None:
-        init = initial_loadings(xs, Ranks(*rank_bounds(xs.tensor_dims, r_max, k_max)))
-        ranks = select_ranks(init)
-        init = _narrowed(init, ranks)
-    else:
-        init = initial_loadings(xs, ranks)
+        ranks = rank_bounds(xs.tensor_dims, r_max, k_max)
+    init = initial_loadings(xs, ranks)
     loadings = projected_loadings(init)
     factors = extract_factors(xs, loadings)
     model = TensorFactorModel(
-        ranks=ranks, loadings=loadings, standardization=z, provider_ids=list(ys.provider_ids)
+        ranks=init.ranks, loadings=loadings, standardization=z, provider_ids=list(ys.provider_ids)
     )
     return model, factors
 

@@ -3,7 +3,8 @@ tensor and report utilities that only the tests use, and the oracles that the ba
 code is checked against: the scalar score forecaster, the score forecaster
 that ran every step once per chunk of 32 series, the per-matrix full
 eigendecomposition, the per-slice functional PCA, the first pass that
-solves every column and recompresses when it narrows, the rolling
+solves every column, the rank rule on a first pass at the candidate
+maxima, rank selection by mode products on the series, the rolling
 evaluation loop that kept per-horizon error and dispersion arrays, the
 row-by-row forecast.csv writer, and the .npz writer that built each member
 in memory first."""
@@ -28,6 +29,7 @@ from tensorcast.factor_model import (
     LoadingSet,
     Ranks,
     TensorFactorModel,
+    _ratio_argmax,
     _stack_unfoldings,
     _widths,
     extract_factors,
@@ -44,7 +46,7 @@ from tensorcast.panel import (
     cell_standardization,
     standardize,
 )
-from tensorcast.tensor import mode_product
+from tensorcast.tensor import mode_product, top_eigenvectors
 
 
 def weekly_starts(t: int) -> np.ndarray:
@@ -281,32 +283,24 @@ def looped_fpca_forecast(
     return z.mu + z.sigma * common, [basis.shape[1] for _, basis, _ in fits]
 
 
-def einsum_initial_loadings(xs: TensorSeries, ranks: Ranks) -> InitialLoadings:
+def einsum_initial_loadings(
+    xs: TensorSeries, ranks: Ranks | tuple[int, Sequence[int]]
+) -> InitialLoadings:
     """sliced_initial_loadings with each moment summed by ``np.einsum`` over
     the stacked unfoldings: the oracle for the BLAS products."""
-    counts = (ranks.r, *ranks.k)
-    scale = xs.num_periods * int(np.prod(xs.tensor_dims))
-    bases, blocks = [], []
-    for mode, c in enumerate(counts):
-        x = _stack_unfoldings(xs.values, mode)
-        cov = np.einsum("tsp,tsq->pq", x, x) / scale
-        q = x.shape[2]
-        basis = np.sqrt(q) * oracle_top_eigenvectors(cov, q)[0][:, : int(np.prod(counts)) // c]
-        bases.append(basis)
-        blocks.append(x @ basis)
-    return InitialLoadings(ranks=ranks, bases=bases, blocks=blocks)
+    return _full_eigh_first_pass(xs, ranks, lambda x: np.einsum("tsp,tsq->pq", x, x))
 
 
-def einsum_projected_covariances(init: InitialLoadings) -> list[np.ndarray]:
+def einsum_projected_covariances(blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
     """factor_model._projected_covariances with the outer products summed by
     ``np.einsum`` over the compressed blocks."""
-    n, *seasonal = init.dims
+    n, *seasonal = (block.shape[1] for block in blocks)
     s_total = int(np.prod(seasonal))
-    scale = init.blocks[0].shape[0] * n * s_total
+    scale = blocks[0].shape[0] * n * s_total
     divisors = [s_total] + [s_total // s_j for s_j in seasonal]
     return [
         np.einsum("tsp,tup->su", block, block) / (scale * d)
-        for block, d in zip(init.blocks, divisors)
+        for block, d in zip(blocks, divisors)
     ]
 
 
@@ -322,51 +316,90 @@ def einsum_moments() -> Iterator[None]:
         factor_model.initial_loadings, factor_model._projected_covariances = saved
 
 
-def sliced_initial_loadings(xs: TensorSeries, ranks: Ranks) -> InitialLoadings:
+def _full_eigh_first_pass(
+    xs: TensorSeries, ranks: Ranks | tuple[int, Sequence[int]], moment
+) -> InitialLoadings:
+    """factor_model.initial_loadings with each moment given by ``moment`` of
+    the stacked unfolding and each basis sliced from the full eigenbasis.
+    Candidate maxima choose the ranks through factor_model.select_ranks."""
+    scale = xs.num_periods * int(np.prod(xs.tensor_dims))
+    unfoldings = [_stack_unfoldings(xs.values, mode) for mode in range(len(xs.tensor_dims))]
+    moments = [moment(x) / scale for x in unfoldings]
+    if not isinstance(ranks, Ranks):
+        ranks = select_ranks(unfoldings, moments, *ranks)
+    bases, blocks = [], []
+    for x, cov, width in zip(unfoldings, moments, _widths(ranks)):
+        basis = np.sqrt(x.shape[2]) * oracle_top_eigenvectors(cov, x.shape[2])[0][:, :width]
+        bases.append(basis)
+        blocks.append((x.reshape(-1, x.shape[2]) @ basis).reshape(*x.shape[:2], width))
+    return InitialLoadings(ranks=ranks, bases=bases, blocks=blocks)
+
+
+def sliced_initial_loadings(
+    xs: TensorSeries, ranks: Ranks | tuple[int, Sequence[int]]
+) -> InitialLoadings:
     """factor_model.initial_loadings with each basis sliced from the full
     eigenbasis, so every request takes the full eigen path: the oracle for a
     first pass that solves only the columns it keeps."""
-    t = xs.num_periods
-    scale = t * int(np.prod(xs.tensor_dims))
-    bases, blocks = [], []
-    for mode, (p, width) in enumerate(zip(xs.tensor_dims, _widths(ranks))):
-        m = _stack_unfoldings(xs.values, mode).reshape(t * p, -1)
-        cov = m.T @ m / scale
-        basis = np.sqrt(m.shape[1]) * oracle_top_eigenvectors(cov, m.shape[1])[0][:, :width]
-        bases.append(basis)
-        blocks.append((m @ basis).reshape(t, p, width))
-    return InitialLoadings(ranks=ranks, bases=bases, blocks=blocks)
+    return _full_eigh_first_pass(
+        xs, ranks, lambda x: x.reshape(-1, x.shape[2]).T @ x.reshape(-1, x.shape[2])
+    )
 
 
-def recompressed_narrowed(xs: TensorSeries, init: InitialLoadings, ranks: Ranks) -> InitialLoadings:
-    """factor_model._narrowed with every block recompressed from a fresh
-    unfolding through the narrowed basis, instead of sliced from the wide
-    block: the oracle for the slicing."""
-    t = xs.num_periods
-    bases = [basis[:, :width] for basis, width in zip(init.bases, _widths(ranks))]
-    blocks = [
-        (_stack_unfoldings(xs.values, mode).reshape(t * p, -1) @ basis).reshape(t, p, -1)
-        for mode, (p, basis) in enumerate(zip(xs.tensor_dims, bases))
-    ]
-    return InitialLoadings(ranks=ranks, bases=bases, blocks=blocks)
+def maxima_ranks(xs: TensorSeries, r_max: int, k_max: Sequence[int]) -> Ranks:
+    """The eigenvalue-ratio rule on a first pass at the candidate maxima:
+    the ratios of each mode are taken over the leading eigenvalues of the
+    projected covariance of its block, compressed through the leading
+    prod(c) / c_m columns of its first-pass eigenbasis. factor_model used
+    this rule before select_ranks compressed each mode on the other modes'
+    row moments; it is the oracle for the ranks that rule chooses."""
+    maxima = (r_max, *k_max)
+    init = sliced_initial_loadings(xs, Ranks(r_max, tuple(k_max)))
+    r, *k = (
+        _ratio_argmax(top_eigenvectors(cov, c + 1)[1], c)
+        for cov, c in zip(factor_model._projected_covariances(init.blocks), maxima)
+    )
+    return Ranks(r, tuple(k))
+
+
+def row_moment_spectra(xs: TensorSeries, r_max: int, k_max: Sequence[int]) -> list[np.ndarray]:
+    """Per mode m, the c_m + 1 leading eigenvalues that
+    factor_model.select_ranks reads, up to scale, computed by mode products
+    on the series: each mode's row moment is the second moment of its
+    fibers, its leading eigenvectors compress the mode through
+    tensor.mode_product, and each mode's covariance is summed over the
+    fibers of the compressed series. The oracle for the partial traces and
+    Kronecker products of select_ranks."""
+    t, maxima = xs.num_periods, (r_max, *k_max)
+
+    def fiber_moment(values, mode):
+        fibers = np.moveaxis(values, mode + 1, 1).reshape(t, values.shape[mode + 1], -1)
+        return np.einsum("tpa,tqa->pq", fibers, fibers)
+
+    leading = [oracle_top_eigenvectors(fiber_moment(xs.values, j), c)[0]
+               for j, c in enumerate(maxima)]
+    spectra = []
+    for mode, c in enumerate(maxima):
+        compressed = xs.values
+        for j, u in enumerate(leading):
+            if j != mode:
+                compressed = mode_product(compressed, u.T, j + 1)
+        spectra.append(oracle_top_eigenvectors(fiber_moment(compressed, mode), c + 1)[1])
+    return spectra
 
 
 def sliced_fit_factor_model(
     ys: TensorSeries, ranks: Ranks | None = None, r_max: int = 3, k_max: Sequence[int] | None = None
 ) -> tuple[TensorFactorModel, FactorSeries]:
-    """factor_model.fit_factor_model on sliced_initial_loadings and
-    recompressed_narrowed."""
+    """factor_model.fit_factor_model on sliced_initial_loadings."""
     z = cell_standardization(ys.values)
     xs = standardize(ys, z)
-    if ranks is None:
-        init = sliced_initial_loadings(xs, Ranks(*rank_bounds(xs.tensor_dims, r_max, k_max)))
-        ranks = select_ranks(init)
-        init = recompressed_narrowed(xs, init, ranks)
-    else:
-        init = sliced_initial_loadings(xs, ranks)
+    init = sliced_initial_loadings(
+        xs, rank_bounds(xs.tensor_dims, r_max, k_max) if ranks is None else ranks
+    )
     loadings = projected_loadings(init)
     model = TensorFactorModel(
-        ranks=ranks, loadings=loadings, standardization=z, provider_ids=list(ys.provider_ids)
+        ranks=init.ranks, loadings=loadings, standardization=z, provider_ids=list(ys.provider_ids)
     )
     return model, extract_factors(xs, loadings)
 

@@ -342,22 +342,23 @@ def test_hourly_panel_quantitative_band():
     )
 
 
-# One seed-0 paper-shape window: its TFM fixed-rank and VFM forecasts,
-# printed as hex digests.
+# One seed-0 paper-shape window: its TFM fixed-rank, TFM automatic-rank and
+# VFM forecasts, printed as hex digests.
 _WINDOW_DIGESTS = """
 import hashlib
 from tensorcast import Ranks, SimSpec, TensorSeries, simulate
 from tensorcast.evaluation import make_benchmark_forecaster, make_tensor_forecaster
 ts, _, _ = simulate(SimSpec(dims=(9, 7, 24), ranks=Ranks(1, (1, 2)), num_periods=342, seed=0))
 train = TensorSeries(ts.values[:171], ts.period_starts[:171], ts.provider_ids)
-for fn in (make_tensor_forecaster(ranks=Ranks(1, (1, 2))), make_benchmark_forecaster("VFM")):
+for fn in (make_tensor_forecaster(ranks=Ranks(1, (1, 2))), make_tensor_forecaster(),
+           make_benchmark_forecaster("VFM")):
     print(hashlib.sha256(fn(train, 26).tobytes()).hexdigest())
 """
 
 
-def test_fixed_rank_forecasts_are_byte_identical_at_one_and_two_blas_threads():
+def test_tfm_and_vfm_forecasts_are_byte_identical_at_one_and_two_blas_threads():
     # OpenBLAS splits long products across threads; the estimator must not
-    # let that move a bit of a fixed-rank forecast.
+    # let that move a bit of a forecast, at fixed or automatic ranks.
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):
@@ -368,8 +369,8 @@ def test_fixed_rank_forecasts_are_byte_identical_at_one_and_two_blas_threads():
                              capture_output=True, text=True, check=True)
         digests.append(run.stdout.split())
     _verdict(
-        "TFM fixed and VFM window forecasts are byte-identical at 1 and 2 BLAS threads",
-        digests[0] == digests[1] and len(digests[0]) == 2,
+        "TFM fixed, TFM auto and VFM window forecasts are byte-identical at 1 and 2 BLAS threads",
+        digests[0] == digests[1] and len(digests[0]) == 3,
         f"digests {digests}",
     )
 

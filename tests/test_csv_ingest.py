@@ -4,7 +4,12 @@ other file goes to the row loop.
 
 A numpy-seeded generator writes small PJM-style files, each with one
 mutation, and every case must give the row loop's exact outcome: the same
-provider, hours, mean bytes and duplicate count, or the same exception."""
+provider, hours, mean bytes and duplicate count, or the same exception.
+
+Both paths are also checked against known panels: a seeded weekly panel
+rendered to one strict file per provider, with one mutation in one file,
+must ingest and fold back to the panel itself, or fail with a ValueError
+naming the mutated file and line."""
 
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ import numpy as np
 import pytest
 
 from tensorcast import panel
-from tensorcast.panel import ingest_csv
+from tensorcast.panel import CalendarSpec, fold, ingest_csv
 
 TOKENS = ("", "NA", "na", "nan", "NaN", "NULL", "null", "Null")
 
@@ -262,3 +267,103 @@ def test_column_parser_peak_memory_is_at_most_the_row_loops(tmp_path, monkeypatc
         m.setattr(panel, "_parse_columns", lambda data: None)
         rows = traced_peak(panel._parse_file, path)
     assert columns <= rows
+
+
+# Known panels: (weeks, N, 7, 24) values in tenths, so each is the double
+# nearest its one-decimal text and float() of the text gives it back.
+KNOWN_PROVIDERS = ("AEP", "DOM", "NI")
+KNOWN_START = datetime(2020, 1, 6)  # a Monday: every rendered week folds whole
+
+
+def known_panel(seed: int) -> np.ndarray:
+    rng = np.random.default_rng([seed, 11])
+    return rng.integers(1_000, 100_000, (3, len(KNOWN_PROVIDERS), 7, 24)) / 10
+
+
+def known_lines(values: np.ndarray, provider: int) -> list[str]:
+    hourly = values[:, provider].reshape(-1)
+    return [f"{(KNOWN_START + timedelta(hours=h)).isoformat(' ')},{v:.1f}"
+            for h, v in enumerate(hourly.tolist())]
+
+
+def _edit_line(rng, lines, edit):
+    """lines with one random line replaced by edit(line), and that line's
+    number in the file (the header is line 1)."""
+    i = int(rng.integers(len(lines)))
+    return [*lines[:i], edit(lines[i]), *lines[i + 1:]], i + 2
+
+
+def _new_value(text):
+    return lambda line: line.split(",")[0] + "," + text(line.split(",")[1])
+
+
+def _new_stamp(stamp):
+    return lambda line: stamp(line.split(",")[0]) + "," + line.split(",")[1]
+
+
+def _same(data):
+    return data, None
+
+
+def _failing(header, lines, line):
+    return render(header, lines), line
+
+
+# name -> mutation of (rng, header, lines) to (file bytes, the line a
+# ValueError must name, or None where the panel must come back unchanged).
+KNOWN_MUTATIONS = {
+    "none": lambda rng, h, ls: _same(render(h, ls)),
+    "crlf endings": lambda rng, h, ls: _same(render(h, ls, "\r\n")),
+    "no final newline": lambda rng, h, ls: _same(render(h, ls)[:-1]),
+    "reordered rows": lambda rng, h, ls: _same(render(h, list(rng.permutation(ls)))),
+    "duplicated identical row": lambda rng, h, ls: _same(render(
+        h, ls + [ls[int(rng.integers(len(ls)))]])),
+    "extra non-_MW column": lambda rng, h, ls: _same(render(
+        h + ",Note", [line + ",x" for line in ls])),
+    "blank line": lambda rng, h, ls: _same(render(
+        h, _edit_line(rng, ls, lambda line: line + "\n")[0])),
+    "padded fields": lambda rng, h, ls: _same(render(
+        h.replace(",", " , "), [line.replace(",", " , ") for line in ls])),
+    "quoted value": lambda rng, h, ls: _same(render(
+        h, _edit_line(rng, ls, _new_value(lambda v: f'"{v}"'))[0])),
+    "trailing zero and plus sign": lambda rng, h, ls: _same(render(
+        h, _edit_line(rng, ls, _new_value(lambda v: f"+{v}0"))[0])),
+    "bad digit": lambda rng, h, ls: _failing(h, *_edit_line(
+        rng, ls, _new_value(lambda v: v[:-1] + "o"))),
+    "malformed timestamp": lambda rng, h, ls: _failing(h, *_edit_line(
+        rng, ls, _new_stamp(lambda s: s.replace("-", "/")))),
+    "month 13": lambda rng, h, ls: _failing(h, *_edit_line(
+        rng, ls, _new_stamp(lambda s: s[:5] + "13" + s[7:]))),
+    "off-grid timestamp": lambda rng, h, ls: _failing(h, *_edit_line(
+        rng, ls, _new_stamp(lambda s: s[:-5] + "30:00"))),
+    "UTC offset": lambda rng, h, ls: _failing(h, *_edit_line(
+        rng, ls, _new_stamp(lambda s: s + "+01:00"))),
+    "inf value": lambda rng, h, ls: _failing(h, *_edit_line(rng, ls, _new_value(lambda v: "inf"))),
+    "negative infinity": lambda rng, h, ls: _failing(h, *_edit_line(
+        rng, ls, _new_value(lambda v: "-Infinity"))),
+}
+
+
+@pytest.mark.parametrize("mutation", KNOWN_MUTATIONS)
+def test_known_panels_come_back_or_fail_naming_the_line(mutation, tmp_path):
+    for seed in range(4):
+        rng = np.random.default_rng([sorted(KNOWN_MUTATIONS).index(mutation), seed])
+        values = known_panel(seed)
+        target = int(rng.integers(len(KNOWN_PROVIDERS)))
+        paths, line = [], None
+        for i, provider in enumerate(KNOWN_PROVIDERS):
+            paths.append(tmp_path / f"{seed}-{provider}_hourly.csv")
+            header, lines = f"Datetime,{provider}_MW", known_lines(values, i)
+            if i == target:
+                data, line = KNOWN_MUTATIONS[mutation](rng, header, lines)
+            else:
+                data = render(header, lines)
+            paths[-1].write_bytes(data)
+        if line is None:
+            ts = fold(ingest_csv(paths), CalendarSpec())
+            assert ts.provider_ids == list(KNOWN_PROVIDERS), seed
+            assert ts.period_starts[0] == np.datetime64(KNOWN_START, "h"), seed
+            assert ts.values.tobytes() == values.tobytes(), seed
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{paths[target]}:{line}: ')}"):
+                ingest_csv(paths)

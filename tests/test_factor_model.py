@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from helpers import (
     einsum_moments,
     kron,
     make_series,
+    maxima_ranks,
     noiseless_series,
     orthonormal_loading,
     random_loading_set,
+    row_moment_spectra,
     sliced_first_pass,
     sliced_fit_factor_model,
     subspace_distance,
@@ -28,6 +31,7 @@ from tensorcast.factor_model import (
     FactorSeries,
     LoadingSet,
     Ranks,
+    _row_moments,
     _stack_unfoldings,
     extract_factors,
     fit_factor_model,
@@ -273,27 +277,82 @@ class TestRotationInvariance:
 
 
 class TestSelectRanks:
+    # Candidate maxima in place of ranks make the first pass choose them.
     def test_recovers_planted_ranks(self):
         rng = np.random.default_rng(16)
         ts, _, _ = noiseless_series(rng, (9, 7, 24), (1, 1, 2), t=100, noise_sd=1e-3)
-        assert select_ranks(initial_loadings(ts, Ranks(3, (3, 3)))) == Ranks(1, (1, 2))
+        assert initial_loadings(ts, (3, (3, 3))).ranks == Ranks(1, (1, 2))
 
     def test_white_noise_selects_rank_one(self):
         rng = np.random.default_rng(17)
         ts = make_series(rng.standard_normal((200, 6, 5, 8)))
-        assert select_ranks(initial_loadings(ts, Ranks(3, (3, 3)))) == Ranks(1, (1, 1))
+        assert initial_loadings(ts, (3, (3, 3))).ranks == Ranks(1, (1, 1))
 
     def test_candidate_bounds(self):
         ts = make_series(np.ones((5, 3, 4, 5)) + np.arange(5).reshape(-1, 1, 1, 1))
         with pytest.raises(ValueError):
-            select_ranks(initial_loadings(ts, Ranks(3, (2, 2))))
+            initial_loadings(ts, (3, (2, 2)))
         with pytest.raises(ValueError):
-            select_ranks(initial_loadings(ts, Ranks(2, (4, 2))))
+            initial_loadings(ts, (2, (4, 2)))
 
     def test_zero_series_errors(self):
         ts = make_series(np.zeros((5, 3, 4, 5)))
         with pytest.raises(ValueError, match="degenerate"):
-            select_ranks(initial_loadings(ts, Ranks(2, (2, 2))))
+            initial_loadings(ts, (2, (2, 2)))
+
+    def test_reads_the_moments_it_is_given(self):
+        # select_ranks reads the unfoldings and moments it is given: the
+        # ratios do not depend on the moments' scale, so unaveraged or doubled
+        # moments choose what the first pass's averaged ones choose.
+        rng = np.random.default_rng(18)
+        ts, _, _ = noiseless_series(rng, (9, 7, 24), (2, 1, 2), t=80, noise_sd=0.05)
+        unfoldings = [_stack_unfoldings(ts.values, mode) for mode in range(3)]
+        moments = [x.reshape(-1, x.shape[2]).T @ x.reshape(-1, x.shape[2]) for x in unfoldings]
+        chosen = select_ranks(unfoldings, moments, 3, (3, 3))
+        assert chosen == Ranks(2, (1, 2))
+        assert select_ranks(unfoldings, [2.0 * m for m in moments], 3, (3, 3)) == chosen
+        assert initial_loadings(ts, (3, (3, 3))).ranks == chosen
+
+    def test_row_moments_are_partial_traces_of_the_first_pass_moments(self):
+        rng = np.random.default_rng(19)
+        for dims in [(5, 4, 6), (3, 4), (4, 3, 5, 2)]:
+            values = rng.standard_normal((11, *dims))
+            moments = []
+            for mode in range(len(dims)):
+                x = _stack_unfoldings(values, mode).reshape(11 * dims[mode], -1)
+                moments.append(x.T @ x)
+            for j, row in enumerate(_row_moments(moments, dims)):
+                fibers = np.moveaxis(values, j + 1, 1).reshape(11, dims[j], -1)
+                np.testing.assert_allclose(row, np.einsum("tpa,tqa->pq", fibers, fibers),
+                                           rtol=1e-12)
+
+    def test_reads_the_spectra_of_mode_products_on_the_series(self, monkeypatch):
+        import tensorcast.factor_model as fm
+
+        seen = []
+        ratio_argmax = fm._ratio_argmax
+        monkeypatch.setattr(fm, "_ratio_argmax",
+                            lambda w, count: seen.append(w) or ratio_argmax(w, count))
+        rng = np.random.default_rng(20)
+        for case in range(12):
+            dims = [(6, 5, 8), (7, 9), (4, 3, 5, 4)][case % 3]
+            true = tuple(int(rng.integers(1, 3)) for _ in dims)
+            ts, _, _ = noiseless_series(rng, dims, true, t=40, noise_sd=rng.uniform(0.3, 2.0))
+            bounds = rank_bounds(ts.tensor_dims, 3, None)
+            seen.clear()
+            chosen = initial_loadings(ts, bounds).ranks
+            spectra = row_moment_spectra(ts, *bounds)
+            assert len(seen) == len(spectra) == len(dims), case
+            for w, oracle in zip(seen, spectra):
+                np.testing.assert_allclose(w / w[0], oracle / oracle[0], rtol=1e-9, atol=1e-12)
+            counts = [ratio_argmax(w, w.size - 1) for w in spectra]
+            assert chosen == Ranks(counts[0], tuple(counts[1:])), case
+
+    def test_same_ranks_as_the_maxima_rule_on_paper_windows(self, paper_windows):
+        for ys in paper_windows:
+            xs = standardize(ys, cell_standardization(ys.values))
+            bounds = rank_bounds(xs.tensor_dims, 3, None)
+            assert initial_loadings(xs, bounds).ranks == maxima_ranks(xs, *bounds)
 
 
 class TestInSampleMse:
@@ -488,8 +547,8 @@ class TestFitFactorModel:
         assert rank_bounds((9, 7, 24), np.int64(3), (np.int32(2), 3)) == (3, (2, 3))
 
     def test_each_fit_unfolds_each_mode_once_per_pass(self, monkeypatch):
-        # Either fit unfolds the three modes once: an auto-rank fit narrows
-        # its blocks to the chosen ranks by slicing, not by unfolding again.
+        # Either fit unfolds the three modes once: an auto-rank fit chooses
+        # its ranks from the unfoldings and moments it then compresses.
         import tensorcast.factor_model as fm
 
         modes = []
@@ -507,18 +566,34 @@ class TestFitFactorModel:
         fit_factor_model(ts)
         assert modes == [0, 1, 2]
 
+    def test_a_fixed_rank_pass_holds_one_unfolding_at_a_time(self):
+        # Each unfolding is the size of the series. Holding all three until
+        # the end of the pass would cost a long series page faults on every
+        # fit; automatic ranks must hold them until the ranks are chosen.
+        ts = make_series(np.random.default_rng(28).standard_normal((300, 9, 7, 24)))
+        peaks = {}
+        for name, ranks in [("fixed", Ranks(1, (1, 2))), ("auto", (3, (3, 3)))]:
+            initial_loadings(ts, ranks)
+            tracemalloc.start()
+            try:
+                initial_loadings(ts, ranks)
+                peaks[name] = tracemalloc.get_traced_memory()[1] / ts.values.nbytes
+            finally:
+                tracemalloc.stop()
+        assert peaks["fixed"] < 2.0 < 3.0 < peaks["auto"], peaks
+
     def test_auto_rank_fit_equals_fixed_fit_at_selected_ranks(self):
         rng = np.random.default_rng(26)
         ts, _, _ = noiseless_series(rng, (6, 5, 8), (2, 1, 2), t=60, noise_sd=0.3)
         auto, auto_factors = fit_factor_model(ts)
         fixed, fixed_factors = fit_factor_model(ts, auto.ranks)
         assert auto.ranks == fixed.ranks
-        # The auto fit's blocks are sliced from wider products, which round
-        # differently in the last bits from the fixed fit's narrow ones.
+        # Both fits form their bases and blocks from the same moments at the
+        # same ranks, so they agree to the bit.
         auto_mats = [auto.loadings.lam, *auto.loadings.b]
         for a, b in zip(auto_mats, [fixed.loadings.lam, *fixed.loadings.b]):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(auto_factors.values, fixed_factors.values, rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(auto_factors.values, fixed_factors.values)
 
 
 @pytest.fixture(scope="module")
@@ -555,10 +630,10 @@ class TestEinsumOracle:
     def test_auto_ranks_match(self, paper_windows):
         for ys in paper_windows:
             xs = standardize(ys, cell_standardization(ys.values))
-            bounds = Ranks(*rank_bounds(xs.tensor_dims, 3, None))
-            new = select_ranks(initial_loadings(xs, bounds))
+            bounds = rank_bounds(xs.tensor_dims, 3, None)
+            new = initial_loadings(xs, bounds).ranks
             with einsum_moments():
-                old = select_ranks(einsum_initial_loadings(xs, bounds))
+                old = einsum_initial_loadings(xs, bounds).ranks
             assert new == old
 
     @pytest.mark.parametrize("ranks", [Ranks(1, (1, 2)), None], ids=["fixed", "auto"])
@@ -572,12 +647,11 @@ class TestEinsumOracle:
 
 
 class TestSlicedFirstPassOracle:
-    """The first pass that solves only the columns it keeps, and the narrowing
-    that slices the wide blocks, against the oracle in tests/helpers.py that
-    solves every column and recompresses each narrowed block from a fresh
-    unfolding. Certified vectors and sliced products differ from it in the
-    last bits (at most 5.8e-15 in the loadings and 7.9e-14 in the forecasts
-    of these windows), so the tolerance is the 1e-10 of the einsum oracle."""
+    """The first pass that solves only the columns it keeps against the
+    oracle in tests/helpers.py that solves every column. Certified vectors
+    differ from it in the last bits (at most 5.8e-15 in the loadings and
+    7.9e-14 in the forecasts of these windows), so the tolerance is the 1e-10
+    of the einsum oracle."""
 
     @pytest.mark.parametrize("ranks", [Ranks(1, (1, 2)), None], ids=["fixed", "auto"])
     def test_loadings_and_ranks_match(self, paper_windows, ranks):
@@ -603,8 +677,12 @@ class TestSlicedFirstPassOracle:
     def test_paper_shape_requests_take_their_eigen_paths(self, paper_windows, monkeypatch):
         # At the paper's fixed ranks the first pass keeps 2 of 168 and 2 of 216
         # columns, which certify, and 1 of 63, which goes to full eigh with no
-        # sweep, as does each 9-column request of auto ranks' candidate maxima.
-        # VFM's two leading vectors of each 168 x 168 covariance certify.
+        # sweep. An automatic fit sends no 168 x 168 or 216 x 216 moment to
+        # full eigh: rank selection decomposes the 9, 7 and 24 square row
+        # moments and then its projected covariances, and the fit at the
+        # chosen ranks makes the fixed fit's requests, then its projection
+        # pass's. VFM's two leading vectors of each 168 x 168 covariance
+        # certify.
         full, qr = [], []
         real_full, real_qr = tensor._full_leading, np.linalg.qr
         monkeypatch.setattr(tensor, "_full_leading",
@@ -617,9 +695,12 @@ class TestSlicedFirstPassOracle:
         assert full == [(1, 63, 63)]
         assert {shape[-2] for shape in qr} == {168, 216}
         full.clear(), qr.clear()
-        initial_loadings(xs, Ranks(*rank_bounds(xs.tensor_dims, 3, None)))
-        assert full == [(1, 168, 168), (1, 216, 216), (1, 63, 63)]
-        assert qr == []
+        model, _ = fit_factor_model(ys)
+        assert model.ranks == Ranks(1, (1, 2))
+        assert not {(1, 168, 168), (1, 216, 216)} & set(full)
+        assert full == [(1, 9, 9), (1, 7, 7), (1, 24, 24)] * 2 + [(1, 63, 63), (1, 9, 9), (1, 7, 7),
+                                                                  (1, 24, 24)]
+        assert {shape[-2] for shape in qr} == {168, 216}
         full.clear(), qr.clear()
         vfm_forecast(ys, 26)
         assert full == []

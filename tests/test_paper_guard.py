@@ -13,7 +13,8 @@ reference and states the largest difference in CHANGES.md:
 
 The reduced true-rank grid fits each of five true ranks at two noise levels
 on the first and last window, and an automatic fit must find the truth in
-all 20 fits.
+all 20 fits, and choose the ranks that the rule on a first pass at the
+candidate maxima (tests/helpers.py) chooses.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from unittest import mock
 
 import numpy as np
 
+from helpers import maxima_ranks
 from tensorcast import evaluation
 from tensorcast.evaluation import SimSpec, simulate
-from tensorcast.factor_model import Ranks, fit_factor_model
-from tensorcast.panel import TensorSeries
+from tensorcast.factor_model import Ranks, fit_factor_model, initial_loadings, rank_bounds
+from tensorcast.panel import TensorSeries, cell_standardization, standardize
 
 REFERENCE = Path(__file__).resolve().with_name("paper_reference.json")
 RTOL = 1e-10
@@ -107,16 +109,31 @@ def test_paper_shape_outputs_match_the_reference():
     assert set(actual["squared_errors"]) == set(reference["squared_errors"])
 
 
+def reduced_grid() -> list[tuple[Ranks, float, int, TensorSeries]]:
+    return [(ranks, nu_sd, w, window(ts, w))
+            for ranks in TRUE_RANKS for nu_sd in (0.1, 1.0)
+            for ts in [paper_panel(ranks, nu_sd)]
+            for w in (0, ts.num_periods - TRAIN_LENGTH - 1)]
+
+
 def test_auto_ranks_find_the_true_ranks_on_the_reduced_grid():
     misses = []
-    for ranks in TRUE_RANKS:
-        for nu_sd in (0.1, 1.0):
-            ts = paper_panel(ranks, nu_sd)
-            for w in (0, ts.num_periods - TRAIN_LENGTH - 1):
-                model, _ = fit_factor_model(window(ts, w))
-                if model.ranks != ranks:
-                    misses.append((ranks, nu_sd, w, model.ranks))
+    for ranks, nu_sd, w, ys in reduced_grid():
+        model, _ = fit_factor_model(ys)
+        if model.ranks != ranks:
+            misses.append((ranks, nu_sd, w, model.ranks))
     assert not misses
+
+
+def test_auto_ranks_match_the_maxima_rule_on_the_reduced_grid():
+    differ = []
+    for ranks, nu_sd, w, ys in reduced_grid():
+        xs = standardize(ys, cell_standardization(ys.values))
+        bounds = rank_bounds(xs.tensor_dims, 3, None)
+        chosen, oracle = initial_loadings(xs, bounds).ranks, maxima_ranks(xs, *bounds)
+        if chosen != oracle:
+            differ.append((ranks, nu_sd, w, chosen, oracle))
+    assert not differ
 
 
 if __name__ == "__main__":
