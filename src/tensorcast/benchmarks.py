@@ -133,20 +133,6 @@ def split_providers(ts: TensorSeries) -> list[TensorSeries]:
     ]
 
 
-def _vectorize_weeks(values: np.ndarray) -> np.ndarray:
-    # (..., S1, S2) -> (..., S2 * S1). Within each matrix the flattened
-    # coordinate is s2 * S1 + s1: the day index runs fastest, matching the
-    # row order of kron(hour_basis, day_basis). The result is a C-contiguous
-    # copy; the PCA products depend on operand layout in the last bits.
-    return np.ascontiguousarray(values.swapaxes(-1, -2)).reshape(*values.shape[:-2], -1)
-
-
-def _matricize_weeks(vecs: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    # Inverse of _vectorize_weeks for matrices of dims (..., S1, S2).
-    s1, s2 = dims[-2:]
-    return vecs.reshape(*vecs.shape[:-1], s2, s1).swapaxes(-1, -2)
-
-
 def mfm_forecast(ts: TensorSeries, n: int, spec: MFM = MFM()) -> TensorSeries:
     """Matrix-factor-model forecasts, one independent fit per provider.
 
@@ -210,21 +196,19 @@ def vfm_forecast(ts: TensorSeries, n: int, spec: VFM = VFM()) -> TensorSeries:
     r = spec.check(ts.values.shape)
     z = cell_standardization(ts.values)
     t, num = ts.values.shape[:2]
-    # (B, T, p) week vectors: one block per provider, or one of all providers.
+    # (B, T, p) week vectors, each a C-order flattening of its (S1, S2)
+    # matrix: one block per provider, or one of all providers.
     x = standardize(ts, z).values
-    blocks = (_vectorize_weeks(x).reshape(1, t, -1) if spec.stacked
-              else _vectorize_weeks(x.swapaxes(0, 1)))
-    del x  # the blocks are a copy; keep one panel-sized array alive, not two
-    mean, basis, _, varies = _centred_pca(blocks, r)
-    if not varies.all():
-        raise ValueError("degenerate covariance: data has no variation")
+    blocks = x.reshape(1, t, -1) if spec.stacked else x.swapaxes(0, 1).reshape(num, t, -1)
+    del x  # per provider the blocks are a copy; keep one panel-sized array alive, not two
+    # A block without variation has zero scores, whose forecast is its mean vector.
+    mean, basis, _, _ = _centred_pca(blocks, r)
     # One score forecast for every block's r scores at once.
     scores = (blocks @ basis).swapaxes(0, 1).reshape(t, -1)
     future = forecast_series(scores, n, score=spec.score)
     parts = future.reshape(n, len(blocks), r).swapaxes(0, 1)
-    vecs = (mean[:, None] + parts @ basis.swapaxes(1, 2)).swapaxes(0, 1)
-    common = _matricize_weeks(vecs.reshape(n, num, -1), ts.tensor_dims)
-    return destandardize(_label_forecast(ts, common), z)
+    common = (mean[:, None] + parts @ basis.swapaxes(1, 2)).swapaxes(0, 1)
+    return destandardize(_label_forecast(ts, common.reshape(n, *ts.tensor_dims)), z)
 
 
 def _component_count(eigvals: np.ndarray, requested: int | None, limit: int) -> np.ndarray:

@@ -37,6 +37,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from .benchmarks import MFM, VFM
 from .evaluation import (
     RollingPlan,
     SimSpec,
@@ -202,14 +203,16 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
         "archive": ("tensors.npz", _text, "folded-series archive; relative names land in out"),
     },
     "calendar": {
-        "periods": ("7,24", _list(_parse_int),
+        "periods": (",".join(map(str, CalendarSpec.periods)), _list(_parse_int),
                     "seasonal extents S1,...,SM; 7,24 = day-of-week x hour-of-day"),
-        "week_start": ("monday", _text, "weekday whose 00:00 anchors seasonal index zero"),
+        "week_start": (CalendarSpec.week_start, _text,
+                       "weekday whose 00:00 anchors seasonal index zero"),
     },
     "model": {
         "ranks": ("auto", _unless("auto", _parse_ranks),
                   "'auto' or explicit factor counts R,K1,...,KM"),
-        "r_max": ("3", _int(1), "cross-section rank bound for automatic selection"),
+        "r_max": (str(TensorForecaster.r_max), _int(1),
+                  "cross-section rank bound for automatic selection"),
         "k_max": ("", _unless("", _list(_int(1))),
                   "seasonal rank bounds for automatic selection; "
                   "empty = min(3, S_j - 1) per archive extent S_j"),
@@ -232,12 +235,13 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
                      "evaluation horizons in periods"),
         "benchmarks": (",".join(_BASELINE_TABLE), _parse_benchmarks,
                        f"baselines to run, any subset of {','.join(_BASELINE_TABLE)}"),
-        "vfm_components": ("2", _int(1), "principal components of the vectorized baseline"),
-        "vfm_stacked": ("false", _parse_bool, "pool all providers into one vectorized panel"),
+        "vfm_components": (str(VFM.r), _int(1), "principal components of the vectorized baseline"),
+        "vfm_stacked": (str(VFM.stacked).lower(), _parse_bool,
+                        "pool all providers into one vectorized panel"),
         "fpca_components": ("auto", _unless("auto", _int(1)),
                             "'auto' (95% variance, max 6) or a fixed count"),
-        "mfm_day_factors": ("1", _int(1), "day-mode factors of the matrix baseline"),
-        "mfm_hour_factors": ("2", _int(1), "hour-mode factors of the matrix baseline"),
+        "mfm_day_factors": (str(MFM.k_day), _int(1), "day-mode factors of the matrix baseline"),
+        "mfm_hour_factors": (str(MFM.k_hour), _int(1), "hour-mode factors of the matrix baseline"),
     },
     "simulate": {
         "dims": ("9,7,24", _list(_parse_int), "synthetic dims N,S1,...,SM"),
@@ -260,7 +264,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, Parser, str]]] = {
     },
     "run": {
         "out": ("out", _text, "output directory for every artifact"),
-        "seed": ("0", _int(0), "seed for all randomness"),
+        "seed": (str(SimSpec.seed), _int(0), "seed for all randomness"),
     },
 }
 

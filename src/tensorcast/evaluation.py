@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .benchmarks import FPCA, MFM, VFM
-from .factor_model import LoadingSet, FactorSeries, Ranks, fit_factor_model, rank_bounds
+from .factor_model import LoadingSet, FactorSeries, Ranks, fit_factor_model, fit_ranks
 from .forecast import ScoreModel, forecast_factors, forecast_observations
 from .panel import TensorSeries, as_count, as_counts, as_real, period_step
 from .tensor import mode_product
@@ -154,6 +154,8 @@ def rolling_evaluate(
                 raise ValueError(
                     f"forecaster returned shape {fc.shape}, expected {(n_max, *ts.tensor_dims)}"
                 )
+            if not np.isfinite(fc).all():
+                raise ValueError("forecaster returned non-finite values")
         except Exception as exc:  # noqa: BLE001 - graceful degradation per window
             failed_windows[w] = f"{type(exc).__name__}: {exc}"
             continue
@@ -203,11 +205,8 @@ class TensorForecaster:
     score: ScoreModel = ScoreModel()
 
     def check(self, shape: Sequence[int]) -> None:
-        """The estimator's rank rules (Ranks.validate_against or rank_bounds) on a series shape."""
-        if self.ranks is None:
-            rank_bounds(shape[1:], self.r_max, self.k_max)
-        else:
-            self.ranks.validate_against(shape[1:])
+        """The estimator's rank rules (fit_ranks) on a series shape."""
+        fit_ranks(shape[1:], self.ranks, self.r_max, self.k_max)
 
     def __call__(self, train: TensorSeries, n: int) -> np.ndarray:
         model, factors = fit_factor_model(train, self.ranks, self.r_max, self.k_max)

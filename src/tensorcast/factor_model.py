@@ -57,6 +57,7 @@ __all__ = [
     "extract_factors",
     "reconstruct_common",
     "rank_bounds",
+    "fit_ranks",
     "select_ranks",
     "in_sample_mse",
     "fit_factor_model",
@@ -160,15 +161,12 @@ def _stack_unfoldings(values: np.ndarray, mode: int) -> np.ndarray:
 
     values has shape (T, p0, ..., pK-1); the result has shape (T, p_mode, rest)
     whose columns enumerate the remaining modes in ascending order with the
-    lowest one varying fastest (the column-major unfolding of tensor.py).
+    highest one varying fastest (numpy's C order, the unfolding of tensor.py).
+    Mode 0's is a view of a C-contiguous ``values``; every other mode's is one
+    copy, made contiguous so that its 2-D reshape copies no further.
     """
-    x = np.moveaxis(values, mode + 1, 1)
-    rest = x.shape[2:]
-    if rest:
-        # Fortran-order flattening of the trailing axes == C-order of them reversed.
-        x = x.transpose(0, 1, *range(x.ndim - 1, 1, -1))
-    cols = int(np.prod(rest)) if rest else 1
-    return x.reshape(values.shape[0], values.shape[mode + 1], cols)
+    return np.ascontiguousarray(np.moveaxis(values, mode + 1, 1)).reshape(
+        values.shape[0], values.shape[mode + 1], -1)
 
 
 def _widths(ranks: Ranks) -> list[int]:
@@ -351,16 +349,30 @@ def rank_bounds(
     return bounds
 
 
+def fit_ranks(
+    dims: Sequence[int], ranks: Ranks | None, r_max: int, k_max: Sequence[int] | None
+) -> Ranks | tuple[int, tuple[int, ...]]:
+    """What a fit of tensors of the given dims passes to :func:`initial_loadings`:
+    ``ranks`` checked against the dims, or for None the candidate maxima of
+    :func:`rank_bounds`. ``ranks`` that are neither a Ranks nor None are a
+    ValueError; initial_loadings would read a tuple as candidate maxima."""
+    if ranks is None:
+        return rank_bounds(dims, r_max, k_max)
+    if not isinstance(ranks, Ranks):
+        raise ValueError(f"ranks must be a Ranks or None (automatic), got {ranks!r}")
+    ranks.validate_against(dims)
+    return ranks
+
+
 def _row_moments(moments: Sequence[np.ndarray], dims: Sequence[int]) -> list[np.ndarray]:
     """Per mode j, its p_j x p_j second moment summed over time and every
     other mode: a partial trace of mode 0's first-pass moment, or of mode
     1's for j = 0. That moment's rows and columns enumerate its other modes
-    with the lowest varying fastest, so in C order their axes run from the
-    highest mode down."""
+    in C order, so they reshape to one axis per mode, in ascending order."""
     rows = []
     for j in range(len(dims)):
         source = 1 if j == 0 else 0
-        axes = [mode for mode in reversed(range(len(dims))) if mode != source]
+        axes = [mode for mode in range(len(dims)) if mode != source]
         full = moments[source].reshape([dims[mode] for mode in axes] * 2)
         # Equal labels on a row axis and its column axis sum their diagonal.
         labels, kept = list(range(len(axes))), axes.index(j)
@@ -389,9 +401,9 @@ def select_ranks(
     leading = [top_eigenvectors(row, c)[0] for row, c in zip(_row_moments(moments, dims), maxima)]
     blocks = []
     for mode, x in enumerate(unfoldings):
-        # Unfolding columns enumerate the other modes lowest fastest, so their
-        # compression is the Kronecker product from the highest mode down.
-        compress = reduce(np.kron, [leading[j] for j in reversed(range(len(dims))) if j != mode])
+        # Unfolding columns enumerate the other modes in C order, so their
+        # compression is the Kronecker product in ascending mode order.
+        compress = reduce(np.kron, [leading[j] for j in range(len(dims)) if j != mode])
         blocks.append((x.reshape(-1, x.shape[2]) @ compress).reshape(*x.shape[:2], -1))
     r, *k = (
         _ratio_argmax(top_eigenvectors(cov, c + 1)[1], c)
@@ -418,10 +430,9 @@ def fit_factor_model(
     the ranks it chose. Returns the fitted model together with the extracted
     factor series.
     """
+    ranks = fit_ranks(ys.tensor_dims, ranks, r_max, k_max)
     z = cell_standardization(ys.values)
     xs = standardize(ys, z)
-    if ranks is None:
-        ranks = rank_bounds(xs.tensor_dims, r_max, k_max)
     init = initial_loadings(xs, ranks)
     loadings = projected_loadings(init)
     factors = extract_factors(xs, loadings)

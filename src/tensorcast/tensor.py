@@ -1,13 +1,14 @@
 """Dense tensor algebra: mode products and batched symmetric eigendecomposition.
 
-Tensors are plain numpy arrays. The canonical linearization is column-major
-(first index varies fastest). The mode-k unfolding X_(k) of a tensor x is the
-(p_k, product of the other extents) matrix whose columns enumerate the
-remaining modes in ascending order, the lowest one varying fastest; the
-factor-model code builds it per period in factor_model._stack_unfoldings.
-Under that convention the multilinear identity
+Tensors are plain numpy arrays in numpy's own C order (last index varies
+fastest). The mode-k unfolding X_(k) of a tensor x is the (p_k, product of
+the other extents) matrix whose columns enumerate the remaining modes in
+ascending order, the highest one varying fastest: np.moveaxis(x, k, 0)
+reshaped to two dimensions. The factor-model code builds it per period in
+factor_model._stack_unfoldings. Under that convention the multilinear
+identity
 
-    X_(0) == A1 @ F_(0) @ kron(AK, ..., A2).T   for x = f x1 A1 x2 A2 ... xK AK
+    X_(0) == A1 @ F_(0) @ kron(A2, ..., AK).T   for x = f x1 A1 x2 A2 ... xK AK
 
 holds exactly, which is what the factor-model code relies on.
 """

@@ -127,7 +127,10 @@ def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def unfold(x: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-k matricization of ``x`` (modes are 0-based).
+    """Mode-k matricization of ``x`` (modes are 0-based) in the column-major
+    order of Kolda and Bader (2009), in which test_acceptance's unfolding
+    identities are written; the library unfolds in C order instead
+    (factor_model._stack_unfoldings).
 
     Returns the (p_k, prod of other extents) matrix whose columns enumerate
     the remaining indices with the lowest remaining mode varying fastest.

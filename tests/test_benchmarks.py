@@ -14,8 +14,6 @@ from tensorcast.benchmarks import (
     VFM,
     _centred_pca,
     _component_count,
-    _matricize_weeks,
-    _vectorize_weeks,
     fpca_forecast,
     mfm_forecast,
     split_providers,
@@ -167,10 +165,10 @@ def test_vfm_exact_on_affine_two_dimensional_weeks():
     u = orthonormal_loading(rng, p, 2) / np.sqrt(p)
     s1, s2 = periodic_pair(t + 1, period)
     vecs = base + np.outer(s1, u[:, 0]) + np.outer(s2, u[:, 1])
-    ts = make_series(_matricize_weeks(vecs[:t], (4, 6))[:, None])
+    ts = make_series(vecs[:t].reshape(t, 1, 4, 6))
 
     fc = vfm_forecast(ts, 1, VFM(r=2, score=ScoreModel(period=period)))
-    truth = _matricize_weeks(vecs[t:], (4, 6))[0]
+    truth = vecs[t].reshape(4, 6)
     assert np.max(np.abs(fc.values[0, 0] - truth)) < 1e-6 * np.max(np.abs(truth))
 
 
@@ -178,19 +176,37 @@ def test_vfm_complete_basis_reconstructs_in_sample():
     rng = np.random.default_rng(5)
     values = rng.standard_normal((170, 7, 24))
     z = cell_standardization(values)
-    x = _vectorize_weeks((values - z.mu) / z.sigma)
+    x = ((values - z.mu) / z.sigma).reshape(170, -1)
     centred = x[None].copy()
     mean, basis, _, _ = _centred_pca(centred, 168)
     recon = mean + centred @ basis @ basis.swapaxes(1, 2)
     assert np.max(np.abs(recon - x)) < 1e-8
-    back = _matricize_weeks(recon, (7, 24)) * z.sigma + z.mu
+    back = recon.reshape(-1, 7, 24) * z.sigma + z.mu
     assert np.max(np.abs(back - values)) < 1e-8 * np.max(np.abs(values))
 
 
-def test_vfm_zero_variance_data_is_degenerate():
+def test_vfm_zero_variance_data_forecasts_its_constant():
     ts = make_series(np.full((12, 1, 3, 4), 7.5))
-    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="degenerate"):
-        vfm_forecast(ts, 1, VFM(r=2, score=ScoreModel(period=4)))
+    with pytest.warns(RuntimeWarning):
+        fc = vfm_forecast(ts, 1, VFM(r=2, score=ScoreModel(period=4)))
+    np.testing.assert_allclose(fc.values, 7.5, rtol=1e-12)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_vfm_constant_provider_forecasts_its_constant_and_leaves_the_others(stacked):
+    # A provider without variation has no components; per provider, the
+    # others' forecasts are bitwise those of the panel without it.
+    ts, _, _ = simulate(SimSpec(dims=(4, 7, 24), ranks=Ranks(1, (1, 2)), num_periods=60, seed=0))
+    values = ts.values.copy()
+    values[:, 2] = 5.0
+    spec = VFM(stacked=stacked, score=ScoreModel(period=8))
+    with pytest.warns(RuntimeWarning):
+        fc = vfm_forecast(make_series(values), 4, spec).values
+    assert np.isfinite(fc).all()
+    np.testing.assert_allclose(fc[:, 2], 5.0, rtol=1e-9)
+    if not stacked:
+        rest = make_series(np.delete(values, 2, axis=1))
+        np.testing.assert_array_equal(np.delete(fc, 2, axis=1), vfm_forecast(rest, 4, spec).values)
 
 
 def test_vfm_requires_more_periods_than_components():
@@ -236,7 +252,7 @@ def test_forecasts_run_their_baseline_check_first(forecaster, spec):
 
 
 def test_vfm_with_kron_structured_loading_matches_mfm_reconstruction():
-    # vec(lam f b') = kron(b, lam) vec(f) with the day index running fastest,
+    # vec(lam f b') = kron(lam, b) vec(f) with the hour index running fastest,
     # so a vector model whose loading is the Kronecker product of the matrix
     # model's loadings reproduces the matrix model's common component.
     rng = np.random.default_rng(7)
@@ -248,10 +264,10 @@ def test_vfm_with_kron_structured_loading_matches_mfm_reconstruction():
     loadings = projected_loadings(initial_loadings(xs, ranks))
     common = reconstruct_common(extract_factors(xs, loadings).values, loadings)
 
-    u = np.kron(loadings.b[0], loadings.lam) / np.sqrt(7 * 24)
+    u = np.kron(loadings.lam, loadings.b[0]) / np.sqrt(7 * 24)
     assert np.max(np.abs(u.T @ u - np.eye(2))) < 1e-10
-    xv = _vectorize_weeks(x)
-    recon = _matricize_weeks((xv @ u) @ u.T, (7, 24))
+    xv = x.reshape(40, -1)
+    recon = ((xv @ u) @ u.T).reshape(x.shape)
     assert np.max(np.abs(recon - common)) < 1e-10
 
 
@@ -265,8 +281,8 @@ def test_vfm_stacked_shares_factors_across_providers():
         base = rng.uniform(5.0, 9.0, size=p)
         u = orthonormal_loading(rng, p, 2) / np.sqrt(p)
         vecs = base + np.outer(s1, u[:, 0]) + np.outer(s2, u[:, 1])
-        series.append(_matricize_weeks(vecs[:t], (3, 4)))
-        truths.append(_matricize_weeks(vecs[t:], (3, 4))[0])
+        series.append(vecs[:t].reshape(t, 3, 4))
+        truths.append(vecs[t].reshape(3, 4))
 
     ts = make_series(np.stack(series, axis=1), ["A", "B"])
     fc = vfm_forecast(ts, 1, VFM(r=2, stacked=True, score=ScoreModel(period=period)))

@@ -688,30 +688,19 @@ def test_simulate_defaults_are_the_sim_spec_defaults(tmp_path):
 
 
 def test_schema_defaults_are_the_model_functions_defaults():
-    # The deployment defaults restate the field defaults of the model records
-    # that read them; each [backtest] baseline key sets one such field.
-    def shown(value):
-        return "auto" if value is None else str(value).lower()
-
-    def defaults(record):
-        return {f.name: f.default for f in dataclasses.fields(record)}
-
-    mapped = set()
-    for name, keys in cli._BASELINE_TABLE.items():
-        fields = defaults(evaluation.make_benchmark_forecaster(name))
-        for field, key in keys.items():
-            assert _SCHEMA["backtest"][key][0] == shown(fields[field]), key
-            mapped.add(key)
-    baseline_keys = {key for key in _SCHEMA["backtest"] if key.split("_")[0] in cli._BASELINE_TABLE}
-    assert mapped == baseline_keys
-    fields = defaults(evaluation.TensorForecaster)
-    for key in ("ranks", "r_max"):
-        assert _SCHEMA["model"][key][0] == shown(fields[key]), key
-    # The tensor record restates fit_factor_model's rank defaults, r_max among them.
+    # The deployment defaults are read from the model records, except where
+    # a record's default is None: its key's default is the sentinel text
+    # that reads as None.
+    for section, key, default in [("model", "ranks", evaluation.TensorForecaster.ranks),
+                                  ("model", "k_max", evaluation.TensorForecaster.k_max),
+                                  ("backtest", "fpca_components",
+                                   evaluation.make_benchmark_forecaster("FPCA").ncomp)]:
+        text, parse, _ = _SCHEMA[section][key]
+        assert default is None and parse(key, text) is None, key
+    # The tensor record restates fit_factor_model's rank defaults.
     params = inspect.signature(fit_factor_model).parameters
-    assert evaluation.TensorForecaster.r_max == params["r_max"].default
-    for key in ("ranks", "k_max"):
-        assert fields[key] == params[key].default, key
+    for key in ("ranks", "r_max", "k_max"):
+        assert getattr(evaluation.TensorForecaster, key) == params[key].default, key
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path):

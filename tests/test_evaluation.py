@@ -264,6 +264,28 @@ def test_forecaster_shape_is_checked():
     assert "expected" in report.cells[0].error
 
 
+def test_non_finite_forecast_fails_its_window():
+    ts = random_series(np.random.default_rng(7), 20)
+    plan = RollingPlan(train_length=14, horizons=(1,))
+
+    def one_nan(train: TensorSeries, n: int) -> np.ndarray:
+        fc = persistence_forecaster(train, n)
+        if train.period_starts[0] == ts.period_starts[3]:
+            fc[0, 0, 0, 0] = np.nan
+        return fc
+
+    report = rolling_evaluate(one_nan, ts, plan, model="nan")
+    assert all(cell.failed for cell in report.cells)
+    assert report.cells[0].error == ("window 3 failed: ValueError: forecaster returned "
+                                     "non-finite values")
+
+
+def test_tensor_forecaster_check_takes_ranks_or_none():
+    # A tuple is not read as ranks, nor as candidate maxima.
+    with pytest.raises(ValueError, match="ranks must be a Ranks or None"):
+        make_tensor_forecaster(ranks=(1, (1, 2))).check((60, 9, 7, 24))
+
+
 @pytest.mark.parametrize("case", ["unsorted", "failures", "wrong_shape"])
 def test_reports_equal_the_per_horizon_oracle_byte_for_byte(tmp_path, case):
     rng = np.random.default_rng(8)

@@ -8,7 +8,7 @@ import pytest
 from helpers import frobenius_norm, hadamard, kron, oracle_top_eigenvectors, refold, unfold
 from tensorcast import tensor
 from tensorcast.evaluation import SimSpec, simulate
-from tensorcast.factor_model import Ranks
+from tensorcast.factor_model import Ranks, _stack_unfoldings
 from tensorcast.panel import cell_standardization, standardize
 from tensorcast.tensor import mode_product, multi_mode_product, top_eigenvectors
 
@@ -139,10 +139,15 @@ class TestKron:
 
 
 class TestFactorUnfoldingIdentities:
-    """Numerical conformance of the unfolding convention to the factor-model
-    identities: for x = f x1 L x2 B1 ... the mode-0 unfolding factors as
-    L @ unfold(f, 0) @ kron(B_M, ..., B_1).T, and the mode-j unfolding as
-    B_j @ unfold(f, j) @ kron(B_M, ..., B_{j+1}, B_{j-1}, ..., B_1, L).T."""
+    """Numerical conformance of the library's C-order unfolding
+    (factor_model._stack_unfoldings) to the factor-model identities of the
+    tensor module: for x = f x1 L x2 B1 ... the mode-0 unfolding factors as
+    L @ F_(0) @ kron(B_1, ..., B_M).T, and the mode-j unfolding as
+    B_j @ F_(j) @ kron(L, B_1, ..., B_{j-1}, B_{j+1}, ..., B_M).T."""
+
+    @staticmethod
+    def unfolding(x: np.ndarray, mode: int) -> np.ndarray:
+        return _stack_unfoldings(x[None], mode)[0]
 
     @pytest.mark.parametrize("num_seasonal", [1, 2, 3])
     def test_cross_section_unfolding(self, num_seasonal):
@@ -152,11 +157,11 @@ class TestFactorUnfoldingIdentities:
         mats = random_loadings(rng, dims, ranks)
         f = rng.standard_normal(ranks)
         x = multi_mode_product(f, mats)
-        expected = mats[0] @ unfold(f, 0) @ kron(*mats[1:][::-1]).T if num_seasonal > 1 else (
-            mats[0] @ unfold(f, 0) @ mats[1].T
+        expected = mats[0] @ self.unfolding(f, 0) @ kron(*mats[1:]).T if num_seasonal > 1 else (
+            mats[0] @ self.unfolding(f, 0) @ mats[1].T
         )
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(unfold(x, 0) - expected)) <= 1e-10 * scale
+        assert np.max(np.abs(self.unfolding(x, 0) - expected)) <= 1e-10 * scale
 
     @pytest.mark.parametrize("num_seasonal", [2, 3])
     def test_seasonal_unfoldings(self, num_seasonal):
@@ -167,11 +172,11 @@ class TestFactorUnfoldingIdentities:
         f = rng.standard_normal(ranks)
         x = multi_mode_product(f, mats)
         for j in range(1, num_seasonal + 1):
-            others = [mats[m] for m in range(num_seasonal, 0, -1) if m != j] + [mats[0]]
+            others = [mats[m] for m in range(num_seasonal + 1) if m != j]
             gamma = others[0] if len(others) == 1 else kron(*others)
-            expected = mats[j] @ unfold(f, j) @ gamma.T
+            expected = mats[j] @ self.unfolding(f, j) @ gamma.T
             scale = np.max(np.abs(expected))
-            assert np.max(np.abs(unfold(x, j) - expected)) <= 1e-10 * scale
+            assert np.max(np.abs(self.unfolding(x, j) - expected)) <= 1e-10 * scale
 
 
 class TestHadamardAndNorm:
